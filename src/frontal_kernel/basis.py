@@ -427,26 +427,6 @@ def vs_dimension(basis: StdBasis) -> Union[int, _Infinite]:
     return total
 
 
-def assert_confluent(basis: StdBasis, limits: Limits = DEFAULT_LIMITS) -> bool:
-    """Post-hoc check: every S-vector of the basis reduces to zero."""
-    G = basis.elements
-    ring = basis.ring
-    for i in range(len(G)):
-        for j in range(i + 1, len(G)):
-            ci, ei, _ = _lt(G[i])
-            cj, ej, _ = _lt(G[j])
-            if ci != cj:
-                continue
-            lcm = tuple(max(a, b) for a, b in zip(ei, ej))
-            sp = _vec_sub_mult(
-                tuple(p.mul_term(tuple(a - b for a, b in zip(lcm, ei)), Fraction(1))
-                      for p in G[i]),
-                G[j], tuple(a - b for a, b in zip(lcm, ej)), Fraction(1))
-            if not _vec_is_zero(_weak_nf(sp, G, ring, limits)):
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Elimination
 

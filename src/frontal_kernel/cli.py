@@ -4,6 +4,7 @@ Milnor-number/codimension inequality, and check the bundled corpus."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import difflib
 import io
 import os
@@ -100,7 +101,7 @@ def _analyze_map(run: _Run, name: str, f, directives, limits: Limits) -> Report:
     if _wants(directives, "wavefront"):
         if frontal:
             def compute():
-                return is_wavefront(f, limits.jet_order)
+                return is_wavefront(f, limits)
             wf = run.attempt(report, "wavefront", compute)
             if wf is not None:
                 report.add("wavefront", wf)
@@ -160,7 +161,7 @@ def _analyze_map(run: _Run, name: str, f, directives, limits: Limits) -> Report:
 
     if _wants(directives, "genfam") and frontal:
         fam = run.attempt(report, "genfam",
-                          lambda: gf.generating_family_of(f, 0, limits.jet_order))
+                          lambda: gf.generating_family_of(f, 0, limits))
         if fam is not None:
             report.add("genfam.corank", fam.k)
             report.add("genfam.hprime", fam.hprime,
@@ -352,10 +353,13 @@ def _emit(run: _Run, fmt: str, out) -> None:
 
 
 def _limits_from(args, env: Optional[str]) -> Limits:
-    values = {
-        "max-pairs": 20000, "max-degree": 80,
-        "jet-order": 24, "param-trials": 4,
-    }
+    """Limits() overridden by FRONTAL_KERNEL_LIMITS, then by the flags.
+
+    A field such as max_pairs is set by the key max-pairs and the flag
+    --max-pairs.
+    """
+    fields = {f.name.replace("_", "-"): f.name for f in dataclasses.fields(Limits)}
+    values = {}
     if env:
         for part in env.split(","):
             part = part.strip()
@@ -363,18 +367,15 @@ def _limits_from(args, env: Optional[str]) -> Limits:
                 continue
             key, _, val = part.partition("=")
             key = key.strip()
-            if key not in values:
+            if key not in fields:
                 raise ValueError(f"unknown limit {key!r} in "
                                  "FRONTAL_KERNEL_LIMITS")
-            values[key] = int(val)
-    for key, attr in (("max-pairs", "max_pairs"), ("max-degree", "max_degree"),
-                      ("jet-order", "jet_order"),
-                      ("param-trials", "param_trials")):
-        flag = getattr(args, attr, None)
+            values[fields[key]] = int(val)
+    for name in fields.values():
+        flag = getattr(args, name, None)
         if flag is not None:
-            values[key] = flag
-    return Limits(values["max-pairs"], values["max-degree"],
-                  values["jet-order"], values["param-trials"])
+            values[name] = flag
+    return Limits(**values)
 
 
 def _corpus_dir():

@@ -5,10 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from . import linalg
 from .basis import DEFAULT_LIMITS, Limits, eliminate, membership, std
 from .germs import (DivisionError, GermError, MapGerm, NashData,
-                    PrenormalForm, corank_branch, frontal_lift,
-                    mu_y_determinant_at_zero, target_names)
+                    PrenormalForm, corank_branch, frontal_lift, target_names)
 from .invariants import ImageData, InvariantError, _branch_eliminant, image_equation
 from .ring import Poly, Ring, associates, ring
 from .squarefree import squarefree_part
@@ -35,16 +35,6 @@ class GeneratingFamily:
     exact: bool
     jet_order: Optional[int]
 
-    def source_arity(self) -> int:
-        return self.n + self.k
-
-    def restricted_components(self) -> list[Poly]:
-        """h with u = p(x, y) substituted: must reproduce (x, p, q)."""
-        r = self.ring
-        nk = self.n - self.k
-        images = [r.var(i) for i in range(self.n)] + list(self.p)
-        return [c.substitute(images, r) for c in self.components]
-
 
 def _u_names(k: int, taken) -> tuple[str, ...]:
     if k == 1 and "u" not in taken:
@@ -61,10 +51,12 @@ def _u_names(k: int, taken) -> tuple[str, ...]:
 
 def generating_family(pre: PrenormalForm, nash: NashData) -> GeneratingFamily:
     """h(u,x,y) = (x, u, q + sum mu_i (u_i - p_i)) from the lift data."""
-    if mu_y_determinant_at_zero(pre, nash) == 0:
+    n, k = pre.n, pre.k
+    dmu_dy = [[nash.mu[j].diff(n - k + ell).constant_term() for ell in range(k)]
+              for j in range(k)]
+    if linalg.rank(dmu_dy) < k:
         raise GenFamError("d(mu)/dy is singular at the origin: the germ is "
                           "frontal but not a wave front")
-    n, k = pre.n, pre.k
     unames = _u_names(k, set(pre.source.names))
     big = ring(*pre.source.names, *unames, local=True)
     uvars = [big.var(n + i) for i in range(k)]
@@ -81,14 +73,14 @@ def generating_family(pre: PrenormalForm, nash: NashData) -> GeneratingFamily:
 
 
 def generating_family_of(f: MapGerm, branch: int = 0,
-                         jet_order: int = 12) -> GeneratingFamily:
+                         limits: Limits = DEFAULT_LIMITS) -> GeneratingFamily:
     """Generating family of a wave-front branch; immersions short-circuit."""
     comps = f.branches[branch]
     if corank_branch(comps) == 0:
         src = comps[0].ring
         return GeneratingFamily(src, f.n, 0, tuple(comps),
                                 comps[-1], (), True, None)
-    pre, nash = frontal_lift(f, branch, jet_order)
+    pre, nash = frontal_lift(f, branch, limits)
     return generating_family(pre, nash)
 
 

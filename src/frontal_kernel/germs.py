@@ -5,11 +5,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from . import linalg
-from .basis import (DEFAULT_LIMITS, INFINITE, Limits, StdBasis, membership,
-                    std, subquotient_dimension, vs_dimension)
+from .basis import (DEFAULT_LIMITS, INFINITE, Limits, membership,
+                    membership_certificate, std, subquotient_dimension)
 from .ring import Ordering, Poly, Ring, exact_divide, ring
 
 
@@ -340,76 +340,60 @@ class NashData:
         return out
 
 
-def _jet_divide(b: Poly, a: Poly, order: int) -> Optional[Poly]:
-    """mu with jet(mu*a - b, order) = 0, by exact coefficient solving."""
-    ring_ = a.ring
-    n = ring_.arity
-    monos = [e for e in itertools.product(range(order + 1), repeat=n)
-             if sum(e) <= order]
-    cols = {e: i for i, e in enumerate(monos)}
-    rows_idx: dict[tuple[int, ...], int] = {}
-    rows: list[list[Fraction]] = []
-    rhs: list[list[Fraction]] = []
+def _local_quotient(b: Poly, a: Poly, limits: Limits) -> Optional[tuple[Poly, bool]]:
+    """(b/a, exact) in the local ring, or None when b is not in (a).
 
-    def row_for(e):
-        if e not in rows_idx:
-            rows_idx[e] = len(rows)
-            rows.append([Fraction(0)] * len(monos))
-            rhs.append([Fraction(0)])
-        return rows_idx[e]
-
-    for e_mu in monos:
-        for e_a, c_a in a.terms:
-            e = tuple(p + q for p, q in zip(e_mu, e_a))
-            if sum(e) <= order:
-                rows[row_for(e)][cols[e_mu]] += c_a
-    for e_b, c_b in b.terms:
-        if sum(e_b) <= order:
-            rhs[row_for(e_b)][0] = c_b
-    sol = linalg.solve(rows, rhs)
-    if sol is None:
+    A polynomial quotient is returned exactly.  Otherwise Mora's normal form
+    gives u*b = c*a with u a unit, and b/a = c*u^{-1} is returned as its
+    jet of order limits.jet_order, with u^{-1} = u0^{-1} * sum t^i for
+    t = 1 - u/u0.
+    """
+    quotient = exact_divide(b, a)
+    if quotient is not None:
+        return quotient, True
+    cert = membership_certificate(b, [a], limits)
+    if cert is None:
         return None
-    return ring_.from_terms((e, sol[i][0]) for e, i in cols.items() if sol[i][0])
+    u, (c,) = cert
+    order = limits.jet_order
+    one = a.ring.one()
+    inv0 = 1 / u.constant_term()
+    t = one - u.scale(inv0)
+    series = one
+    for _ in range(order):
+        series = (one + t * series).jet(order)
+    return (c * series).scale(inv0).jet(order), False
 
 
-def nash_lift(pre: PrenormalForm, jet_order: int = 12) -> NashData:
+def nash_lift(pre: PrenormalForm, limits: Limits = DEFAULT_LIMITS) -> NashData:
     """Solve dq = sum lam dx + sum mu dp for the lift coefficients.
 
-    Exact polynomial division is attempted first (all bundled fixtures are
-    exact); otherwise mu is certified as a jet of the requested order.
+    The y-block of the 1-form gives a k x k system P mu = dq/dy, solved by
+    Cramer's rule in the local ring.  Each quotient is a polynomial when one
+    exists (all bundled fixtures); otherwise mu is its jet of order
+    limits.jet_order.  A quotient outside the local ring means the germ is
+    not frontal for this prenormal split, and raises DivisionError.
     """
     n, k = pre.n, pre.k
     ys = list(range(n - k, n))
     P = [[pj.diff(ell) for pj in pre.p] for ell in ys]   # k x k
     bvec = [pre.q.diff(ell) for ell in ys]
+    det = poly_det(P)
+    if det.is_zero():
+        raise DivisionError("singular p-block")
 
     mu: list[Poly] = []
     exact = True
-    if k == 1:
-        quotient = None if P[0][0].is_zero() else exact_divide(bvec[0], P[0][0])
-        if quotient is not None:
-            mu = [quotient]
-        else:
-            exact = False
-            if P[0][0].is_zero():
-                raise DivisionError("dp/dy vanishes identically")
-            jq = _jet_divide(bvec[0], P[0][0], jet_order)
-            if jq is None:
-                raise DivisionError("Nash division failed: germ is not frontal "
-                                    "for this prenormal split")
-            mu = [jq]
-    else:
-        det = poly_det(P)
-        if det.is_zero():
-            raise DivisionError("singular p-block")
-        for j in range(k):
-            col = [[P[ell][t] if t != j else bvec[ell] for t in range(k)]
-                   for ell in range(k)]
-            quotient = exact_divide(poly_det(col), det)
-            if quotient is None:
-                raise DivisionError("Nash division failed (corank > 1 germs "
-                                    "require exact Cramer division)")
-            mu.append(quotient)
+    for j in range(k):
+        col = [[P[ell][t] if t != j else bvec[ell] for t in range(k)]
+               for ell in range(k)]
+        quotient = _local_quotient(poly_det(col), det, limits)
+        if quotient is None:
+            raise DivisionError("Nash division failed: germ is not frontal "
+                                "for this prenormal split")
+        mu_j, exact_j = quotient
+        mu.append(mu_j)
+        exact = exact and exact_j
 
     lam = []
     for i in range(n - k):
@@ -417,47 +401,28 @@ def nash_lift(pre: PrenormalForm, jet_order: int = 12) -> NashData:
         for j, pj in enumerate(pre.p):
             li = li - mu[j] * pj.diff(i)
         lam.append(li)
-    if exact:
-        return NashData(tuple(mu), tuple(lam), True, None)
-    return NashData(tuple(mu), tuple(lam), False, jet_order)
+    return NashData(tuple(mu), tuple(lam), exact,
+                    None if exact else limits.jet_order)
 
 
 def frontal_lift(f: MapGerm, branch: int = 0,
-                 jet_order: int = 12) -> tuple[PrenormalForm, NashData]:
+                 limits: Limits = DEFAULT_LIMITS) -> tuple[PrenormalForm, NashData]:
     """First prenormal candidate whose Nash division succeeds."""
     errors = []
     for pre in prenormal_candidates(f, branch):
         try:
-            return pre, nash_lift(pre, jet_order)
+            return pre, nash_lift(pre, limits)
         except DivisionError as exc:
             errors.append(exc)
     raise DivisionError(f"no prenormal split admits a Nash lift: {errors[-1]}")
 
 
-def mu_y_determinant_at_zero(pre: PrenormalForm, nash: NashData) -> Fraction:
-    n, k = pre.n, pre.k
-    m = [[nash.mu[j].diff(n - k + ell).constant_term() for ell in range(k)]
-         for j in range(k)]
-    det = linalg.mat(m)
-    # k x k numeric determinant by expansion
-    def num_det(a):
-        if len(a) == 1:
-            return a[0][0]
-        acc = Fraction(0)
-        for j in range(len(a)):
-            minor = [row[:j] + row[j + 1:] for row in a[1:]]
-            term = a[0][j] * num_det(minor)
-            acc = acc + term if j % 2 == 0 else acc - term
-        return acc
-    return num_det(det)
-
-
-def is_wavefront(f: MapGerm, jet_order: int = 12) -> bool:
+def is_wavefront(f: MapGerm, limits: Limits = DEFAULT_LIMITS) -> bool:
     """True when the Nash lift (f, lam, mu) is an immersion on every branch."""
     for b in range(len(f.branches)):
         if corank_branch(f.branches[b]) == 0:
             continue  # immersed branch: lift trivially immersive
-        pre, nash = frontal_lift(f, b, jet_order)
+        pre, nash = frontal_lift(f, b, limits)
         comps = pre.components() + list(nash.lam) + list(nash.mu)
         if linalg.rank(jacobian_at_zero(comps)) != pre.n:
             return False

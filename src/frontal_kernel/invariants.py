@@ -32,9 +32,6 @@ class ImageData:
     ring: Ring          # local ring in the target variables
     equation: Poly      # squarefree, monic leading coefficient
 
-    def global_equation(self) -> Poly:
-        return self.equation.map_to(ring(*self.ring.names))
-
 
 def _graph_ring(source_names: Sequence[str], target: Sequence[str],
                 params: Sequence[str] = ()) -> Ring:

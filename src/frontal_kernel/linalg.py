@@ -8,16 +8,17 @@ from typing import Optional, Sequence
 Matrix = list[list[Fraction]]
 
 
-def mat(rows: Sequence[Sequence]) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
+def _echelon(a: Matrix, cols: int) -> list[int]:
+    """Gauss-Jordan on a in place, pivoting in its first cols columns.
 
-
-def rank(m: Matrix) -> int:
-    a = [row[:] for row in m]
+    Returns the pivot columns; stops once every row has a pivot.
+    """
     rows = len(a)
-    cols = len(a[0]) if rows else 0
-    r = 0
+    pivots: list[int] = []
     for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
         piv = next((i for i in range(r, rows) if a[i][c]), None)
         if piv is None:
             continue
@@ -28,27 +29,20 @@ def rank(m: Matrix) -> int:
             if i != r and a[i][c]:
                 g = a[i][c]
                 a[i] = [x - g * y for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == rows:
-            break
-    return r
+        pivots.append(c)
+    return pivots
+
+
+def rank(m: Matrix) -> int:
+    return len(_echelon([row[:] for row in m], len(m[0]) if m else 0))
 
 
 def inverse(m: Matrix) -> Optional[Matrix]:
     n = len(m)
     a = [row[:] + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
          for i, row in enumerate(m)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c]), None)
-        if piv is None:
-            return None
-        a[c], a[piv] = a[piv], a[c]
-        f = a[c][c]
-        a[c] = [x / f for x in a[c]]
-        for i in range(n):
-            if i != c and a[i][c]:
-                g = a[i][c]
-                a[i] = [x - g * y for x, y in zip(a[i], a[c])]
+    if len(_echelon(a, n)) < n:
+        return None
     return [row[n:] for row in a]
 
 
@@ -61,24 +55,9 @@ def solve(m: Matrix, rhs: Sequence[Sequence[Fraction]]):
     cols = len(m[0]) if rows else 0
     width = len(rhs[0])
     a = [m[i][:] + list(rhs[i]) for i in range(rows)]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        f = a[r][c]
-        a[r] = [x / f for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c]:
-                g = a[i][c]
-                a[i] = [x - g * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, rows):
-        if any(a[i][cols:]):
-            return None
+    pivots = _echelon(a, cols)
+    if any(any(row[cols:]) for row in a[len(pivots):]):
+        return None
     x = [[Fraction(0)] * width for _ in range(cols)]
     for i, c in enumerate(pivots):
         x[c] = a[i][cols:]

@@ -443,12 +443,6 @@ def exact_divide(p: Poly, q: Poly) -> Optional[Poly]:
     return quotient
 
 
-def divides_up_to_unit(p: Poly, q: Poly) -> bool:
-    """True when p = u*q with u a local unit (both directions checked by caller)."""
-    quotient = exact_divide(p, q)
-    return quotient is not None and quotient.is_unit()
-
-
 def associates(p: Poly, q: Poly) -> bool:
     """Mutual divisibility: each divides the other exactly."""
     if p.is_zero() or q.is_zero():

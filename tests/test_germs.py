@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from frontal_kernel import (GermError, corank, frontal_lift, germ, is_frontal,
-                            is_wavefront, membership, multigerm, multiplicity,
-                            nash_lift, prenormal_candidates, ramification_ideal,
-                            ring, std)
+from frontal_kernel import (DivisionError, GermError, corank, frontal_lift,
+                            germ, is_frontal, is_wavefront, membership,
+                            multigerm, multiplicity, nash_lift,
+                            prenormal_candidates, ramification_ideal, ring, std)
+from frontal_kernel.basis import DEFAULT_LIMITS, Limits, ResourceLimitError
 from frontal_kernel.germs import compose_linear
 
 
@@ -61,6 +62,28 @@ def test_nash_lift_cuspidal_edge(cuspidal_edge):
     # the residual 1-form vanishes identically for an exact lift
     if nash.exact:
         assert all(r.is_zero() for r in nash.residual(pre))
+
+
+def test_nash_lift_power_series():
+    # f = (x, y^2 + y^3, y^3): mu = 3y/(2 + 3y) is not a polynomial
+    R = ring("x", "y", local=True)
+    x, y = R.gens()
+    f = germ(R, x, y ** 2 + y ** 3, y ** 3)
+    pre, nash = frontal_lift(f)
+    assert nash.exact is False
+    assert nash.jet_order == DEFAULT_LIMITS.jet_order
+    assert pre.q_index == 2
+    series = R.zero()
+    for i in range(1, DEFAULT_LIMITS.jet_order + 1):
+        series = series + (y ** i).scale(
+            Fraction(3, 2) * Fraction(-3, 2) ** (i - 1))
+    assert nash.mu[0] == series
+    # q = y^2 + y^3: 2y + 3y^2 is not in the local ideal (3y^2)
+    with pytest.raises(DivisionError):
+        nash_lift(prenormal_candidates(f)[0])
+    # the local division obeys the normal-form step limit
+    with pytest.raises(ResourceLimitError):
+        nash_lift(pre, Limits(max_pairs=0))
 
 
 def test_multiplicity(e6, cusp):
