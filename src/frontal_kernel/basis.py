@@ -122,13 +122,36 @@ class StdBasis:
 # Normal forms
 
 
-def _divisors(T, comp, exp):
+def _divides(lead, comp, exp) -> bool:
+    """Whether the leading (component, exponent, ...) divides x^exp e_comp."""
+    c, e = lead[:2]
+    return c == comp and all(a <= b for a, b in zip(e, exp))
+
+
+def _divisors(T, comp, exp) -> list[int]:
+    """Indices of the elements of T whose leading term divides x^exp e_comp."""
+    return [i for i, g in enumerate(T) if _divides(_lt(g), comp, exp)]
+
+
+def _is_monomial(v: Vector) -> bool:
+    return sum(len(p.terms) for p in v) == 1
+
+
+def _drop_known(v: Vector, monomials) -> Vector:
+    """v without the terms that one of the (component, exponent) monomials
+    divides.  Each monomial lies in the module, so this is a reduction."""
+    if not monomials:
+        return v
     out = []
-    for g in T:
-        c, e, _ = _lt(g)
-        if c == comp and all(a <= b for a, b in zip(e, exp)):
-            out.append(g)
-    return out
+    for comp, p in enumerate(v):
+        mine = [m for m in monomials if m[0] == comp]
+        if mine and p.terms:
+            terms = tuple(t for t in p.terms
+                          if not any(_divides(m, comp, t[0]) for m in mine))
+            if len(terms) != len(p.terms):
+                p = Poly(p.ring, terms)
+        out.append(p)
+    return tuple(out)
 
 
 def _weak_nf(v: Vector, basis: list[Vector], ring: Ring, limits: Limits,
@@ -138,9 +161,16 @@ def _weak_nf(v: Vector, basis: list[Vector], ring: Ring, limits: Limits,
 
     With ``track`` the (u, a) data is returned, expressed against the
     original generators through ``lineage``.  For global orderings u = 1.
+    Without ``track``, every term of h that the leading monomial of a
+    single-term basis element divides is dropped as soon as it appears:
+    that is a reduction by a module element, valid for every ordering, and
+    it keeps the remainder inside the corner the monomials cut out.
     """
     is_global = ring.ordering.is_global()
-    h = v
+    # (component, exponent) of the single-term basis elements
+    monomials = ([] if track else
+                 [_lt(g)[:2] for g in basis if _is_monomial(g)])
+    h = _drop_known(v, monomials)
     T = list(basis)
     # representation data for working elements appended by Mora's trick
     reps: dict[int, tuple[Poly, list[Poly]]] = {}
@@ -156,8 +186,7 @@ def _weak_nf(v: Vector, basis: list[Vector], ring: Ring, limits: Limits,
     steps = 0
     while not _vec_is_zero(h):
         comp, exp, coeff = _lt(h)
-        divs_idx = [i for i, g in enumerate(T)
-                    if (lambda c, e: c == comp and all(a <= b for a, b in zip(e, exp)))(*_lt(g)[:2])]
+        divs_idx = _divisors(T, comp, exp)
         if not divs_idx:
             break
         steps += 1
@@ -186,7 +215,7 @@ def _weak_nf(v: Vector, basis: list[Vector], ring: Ring, limits: Limits,
                 u = u - gu.mul_term(mexp, mc)
                 for j in range(gens_count):
                     cof[j] = cof[j] - gcof[j].mul_term(mexp, mc)
-        h = _vec_sub_mult(h, g, mexp, mc)
+        h = _drop_known(_vec_sub_mult(h, g, mexp, mc), monomials)
     if track:
         return h, u, cof
     return h
@@ -204,7 +233,7 @@ def _full_nf(v: Vector, basis: list[Vector], ring: Ring, limits: Limits) -> Vect
             steps += 1
             if steps > limits.max_pairs * 40:
                 raise ResourceLimitError("normal form step limit exceeded")
-            g = divs[0]
+            g = basis[divs[0]]
             _, ge, gc = _lt(g)
             h = _vec_sub_mult(h, g, tuple(a - b for a, b in zip(exp, ge)), coeff / gc)
         else:
@@ -539,24 +568,33 @@ class ContainmentError(ValueError):
 
 
 def colon_submodule(numerator: Sequence[Poly], denominator: Sequence[Poly],
-                    limits: Limits = DEFAULT_LIMITS) -> tuple[int, list[Vector]]:
-    """N = {c in R^s : sum c_i a_i in <denominator>} for numerator (a_1..a_s).
+                    limits: Limits = DEFAULT_LIMITS,
+                    times: Sequence[Poly] = ()) -> tuple[int, list[Vector]]:
+    """N = {c in R^s : sum c_i a_i in <denominator> + a*<numerator>} for
+    numerator (a_1..a_s), where a is the ideal of the variables in ``times``.
 
-    Presents I1/I2 as R^s/N.  Returns (s, generators of N); the generators
-    form a standard basis of N under the module order.
+    Presents I1/(I2 + a*I1) as R^s/N.  For each v in ``times`` and each a_c
+    the monomial vector (0, v*e_c) is added to the generators (a_c, e_c) and
+    (d, 0), d in I2; then (v*a_c, 0) = v*(a_c, e_c) - (0, v*e_c) is in the
+    module, and ``std`` drops every term that a known monomial divides, so
+    the tag components stay constants.  Returns (s, generators of N); the
+    generators form a standard basis of N under the module order.
     """
     nums = list(numerator)
     s = len(nums)
     if s == 0:
         raise ValueError("empty numerator")
     ring = nums[0].ring
+    zero = ring.zero()
+    zeros = (zero,) * s
+
+    def tag(i, p):
+        return tuple(p if j == i else zero for j in range(s))
+
     dens = [d for d in denominator if not d.is_zero()]
-    big: list[Vector] = []
-    for i, a in enumerate(nums):
-        big.append((a,) + tuple(ring.one() if j == i else ring.zero()
-                                for j in range(s)))
-    for d in dens:
-        big.append((d,) + tuple(ring.zero() for _ in range(s)))
+    big: list[Vector] = [(a,) + tag(i, ring.one()) for i, a in enumerate(nums)]
+    big += [(d,) + zeros for d in dens]
+    big += [(zero,) + tag(i, v) for v in times for i in range(s)]
     basis = std(big, limits=limits)
     out = [v[1:] for v in basis.elements if v[0].is_zero()]
     return s, out
@@ -564,8 +602,15 @@ def colon_submodule(numerator: Sequence[Poly], denominator: Sequence[Poly],
 
 def subquotient_dimension(numerator: Sequence[Poly], denominator: Sequence[Poly],
                           limits: Limits = DEFAULT_LIMITS,
-                          check_containment: bool = True) -> Union[int, _Infinite]:
-    """dim_C I1/I2 for ideals I2 <= I1, finite or INFINITE."""
+                          check_containment: bool = True,
+                          times: Sequence[Poly] = ()) -> Union[int, _Infinite]:
+    """dim_C I1/(I2 + a*I1) for ideals I2 <= I1, finite or INFINITE.
+
+    ``times`` lists ring variables generating the ideal a (none by default,
+    giving I1/I2); with every variable it is I1/(I2 + m*I1).  The monomial
+    vectors this adds bound the local standard basis (see
+    ``colon_submodule``).
+    """
     nums = [g for g in numerator if not g.is_zero()]
     dens = [g for g in denominator if not g.is_zero()]
     if not nums:
@@ -577,7 +622,7 @@ def subquotient_dimension(numerator: Sequence[Poly], denominator: Sequence[Poly]
         for d in dens:
             if not membership(d, nbasis, limits):
                 raise ContainmentError(f"{d} is not in the numerator ideal")
-    s, ngens = colon_submodule(nums, dens, limits)
+    s, ngens = colon_submodule(nums, dens, limits, times)
     if not ngens:
         return INFINITE if nums[0].ring.arity > 0 else s
     sub = StdBasis(nums[0].ring, s, ngens)

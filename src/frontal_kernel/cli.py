@@ -299,12 +299,18 @@ def _verdict(run: _Run, report: Report, U, siersma, samuel, codim,
 def _run_file(text: str, mode: str, limits: Limits) -> _Run:
     run = _Run()
     try:
-        parsed = germfile.parse(text)
+        parsed = germfile.parse(text, limits.max_degree)
     except germfile.SyntaxErrorAt as exc:
         report = Report("parse")
         report.add("syntax", "failed", ERROR, str(exc))
         run.reports.append(report)
         run.exit_code = EXIT_SYNTAX
+        return run
+    except ResourceLimitError as exc:
+        report = Report("parse")
+        report.add("degree", "resource-limit", ERROR, str(exc))
+        run.reports.append(report)
+        run.exit_code = EXIT_RESOURCE
         return run
 
     if mode == "check":

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
+from .basis import DEFAULT_LIMITS, ResourceLimitError
 from .germs import MapGerm, germ, target_names
 from .invariants import UnfoldingSpec, unfolding
 from .ring import Poly, Ring, ring
@@ -156,10 +157,12 @@ def tokenize(text: str) -> list[Token]:
 
 
 class _ExprParser:
-    def __init__(self, tokens: list[Token], pos: int, ring_: Ring):
+    def __init__(self, tokens: list[Token], pos: int, ring_: Ring,
+                 max_degree: int = DEFAULT_LIMITS.max_degree):
         self.tokens = tokens
         self.pos = pos
         self.ring = ring_
+        self.max_degree = max_degree
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -172,6 +175,13 @@ class _ExprParser:
     def error(self, message: str):
         tok = self.peek()
         raise SyntaxErrorAt(message, tok.line, tok.column)
+
+    def check_degree(self, degree: int, tok: Token) -> None:
+        """Refuse a product or power before expanding it past the bound."""
+        if degree > self.max_degree:
+            raise ResourceLimitError(
+                f"line {tok.line}, column {tok.column}: degree {degree} "
+                f"exceeds limit {self.max_degree}")
 
     def parse_expr(self) -> Poly:
         sign = 1
@@ -195,7 +205,10 @@ class _ExprParser:
             tok = self.peek()
             if tok.kind == "punct" and tok.text == "*":
                 self.take()
-                acc = acc * self.parse_power()
+                factor = self.parse_power()
+                self.check_degree(acc.total_degree() + factor.total_degree(),
+                                  tok)
+                acc = acc * factor
             elif tok.kind == "punct" and tok.text == "/":
                 self.take()
                 divisor = self.parse_power()
@@ -214,7 +227,9 @@ class _ExprParser:
             if exp.kind != "number":
                 self.error("exponent must be a nonnegative integer")
             self.take()
-            return base ** int(exp.text)
+            power = int(exp.text)
+            self.check_degree(base.total_degree() * power, tok)
+            return base ** power
         return base
 
     def parse_atom(self) -> Poly:
@@ -249,7 +264,7 @@ class _ExprParser:
 
 
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, max_degree: int):
         lines = text.split("\n", 1)
         if lines[0].strip() != VERSION:
             raise SyntaxErrorAt(
@@ -263,6 +278,7 @@ class _Parser:
         self.maps: dict[str, MapGerm] = {}
         self.unfoldings: dict[str, UnfoldingSpec] = {}
         self.analyses: list[AnalyzeStmt] = []
+        self.max_degree = max_degree
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -328,7 +344,7 @@ class _Parser:
         return tuple(names)
 
     def expr_list(self, ring_: Ring) -> tuple[Poly, ...]:
-        sub = _ExprParser(self.tokens, self.pos, ring_)
+        sub = _ExprParser(self.tokens, self.pos, ring_, self.max_degree)
         exprs = [sub.parse_expr()]
         while (sub.peek().kind == "punct" and sub.peek().text == ","):
             sub.take()
@@ -417,7 +433,8 @@ class _Parser:
         if spec is None:
             self.error(f"undeclared unfolding {name!r}")
         self.expect_punct("=")
-        sub = _ExprParser(self.tokens, self.pos, spec.target_ring())
+        sub = _ExprParser(self.tokens, self.pos, spec.target_ring(),
+                          self.max_degree)
         equation = sub.parse_expr()
         self.pos = sub.pos
         self.unfoldings[name] = UnfoldingSpec(
@@ -450,8 +467,10 @@ class _Parser:
         self.statements.append(stmt)
 
 
-def parse(text: str) -> GermFile:
-    return _Parser(text).parse()
+def parse(text: str, max_degree: int = DEFAULT_LIMITS.max_degree) -> GermFile:
+    """Parse a germ file.  A power or product whose degree would exceed
+    ``max_degree`` raises ``ResourceLimitError`` before it is expanded."""
+    return _Parser(text, max_degree).parse()
 
 
 # ---------------------------------------------------------------------------

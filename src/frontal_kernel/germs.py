@@ -159,9 +159,8 @@ def min_generators(gens: Sequence[Poly],
         raise ValueError("minimal generator counts need a local ring")
     if any(g.is_unit() for g in gens):
         return 1, True
-    m_times = [v * g for v in ring_.gens() for g in gens]
-    dim = subquotient_dimension(gens, m_times, limits=limits,
-                                check_containment=False)
+    dim = subquotient_dimension(gens, [], limits=limits,
+                                check_containment=False, times=ring_.gens())
     if dim is INFINITE:
         raise AssertionError("I/mI infinite for a finitely generated ideal")
     return dim, False

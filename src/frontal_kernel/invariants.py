@@ -371,18 +371,16 @@ def M_F_dimension(ge: GoodEquation,
                   limits: Limits = DEFAULT_LIMITS) -> Union[int, _Infinite]:
     """dim of J(G) / (J_y(G) + m_r J(G)): the fibre of M_y(G) at 0."""
     nums, dens, param_vars = _relative_module(ge)
-    dens = dens + [v * p for v in param_vars for p in nums]
     return subquotient_dimension(nums, dens, limits=limits,
-                                 check_containment=False)
+                                 check_containment=False, times=param_vars)
 
 
 def frontal_codimension(ge: GoodEquation,
                         limits: Limits = DEFAULT_LIMITS) -> Union[int, _Infinite]:
     """dim of J(G) / (J_y(G) + (G) + m_r J(G))."""
     nums, dens, param_vars = _relative_module(ge)
-    dens = dens + [ge.G] + [v * p for v in param_vars for p in nums]
-    return subquotient_dimension(nums, dens, limits=limits,
-                                 check_containment=False)
+    return subquotient_dimension(nums, dens + [ge.G], limits=limits,
+                                 check_containment=False, times=param_vars)
 
 
 @dataclass(frozen=True)

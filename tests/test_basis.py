@@ -6,6 +6,9 @@ from frontal_kernel import (INFINITE, Limits, ResourceLimitError, eliminate,
                             ideal_quotient, membership, membership_certificate,
                             normal_form, ring, saturation, std,
                             subquotient_dimension, syzygies, vs_dimension)
+from frontal_kernel.germs import min_generators, ramification_ideal
+from frontal_kernel.invariants import (M_F_dimension, _relative_module,
+                                       frontal_codimension, good_equation)
 
 
 def test_vs_dimension_local_milnor():
@@ -116,3 +119,39 @@ def test_colength_ordering_independent():
     for a in range(2, 5):
         for b in range(2, 5):
             assert vs_dimension(std([x ** a, y ** b])) == a * b
+
+
+# ---------------------------------------------------------------------------
+# I1/(I2 + a*I1) through ``times`` against the explicit products v*a_c
+
+
+def _explicit_route(nums, dens, variables):
+    products = [v * g for v in variables for g in nums]
+    return subquotient_dimension(nums, list(dens) + products,
+                                 check_containment=False)
+
+
+def test_min_generators_matches_explicit_products(
+        cuspidal_edge, folded_umbrella, f4, e6, swallowtail):
+    R = ring("x", "y", local=True)
+    x, y = R.gens()
+    hand = [([x ** 2 + y ** 3, x * y, y ** 4], 2),            # m-primary
+            ([x * y + x ** 3], 1),                            # principal
+            ([x ** 2 + y ** 3, x * y + y ** 4, y ** 2 + x ** 3], 3)]
+    ideals = [ramification_ideal(f) for f in
+              (cuspidal_edge, folded_umbrella, f4, e6, swallowtail)]
+    for gens, count in hand:
+        assert min_generators(gens) == (count, False)
+    for gens in ideals + [gens for gens, _ in hand]:
+        reference = _explicit_route(gens, [], gens[0].ring.gens())
+        assert min_generators(gens) == (reference, False)
+
+
+def test_relative_module_matches_explicit_products(
+        e6_unfolding, e6_nonfrontal_unfolding, cusp_unfolding):
+    for U in (e6_unfolding, e6_nonfrontal_unfolding, cusp_unfolding):
+        ge = good_equation(U)
+        nums, dens, param_vars = _relative_module(ge)
+        assert M_F_dimension(ge) == _explicit_route(nums, dens, param_vars)
+        assert frontal_codimension(ge) == _explicit_route(
+            nums, dens + [ge.G], param_vars)

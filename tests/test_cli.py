@@ -1,5 +1,7 @@
 """Command-line interface: exit codes, formats, determinism."""
 
+import time
+
 import pytest
 
 from frontal_kernel.cli import main
@@ -115,3 +117,21 @@ def test_corpus_passes(capsys):
     assert main(["corpus"]) == 0
     out = capsys.readouterr().out
     assert "8/8" in out
+
+
+def test_parser_degree_limit_exit_4(tmp_path, capsys):
+    # (1+x+y)^300 is refused before it is expanded
+    text = """frontal-kernel v1
+ring x, y;
+map f = x, (1+x+y)^300, y^3;
+"""
+    path = write(tmp_path, text)
+    start = time.perf_counter()
+    assert main(["--max-degree", "80", "check", path]) == 4
+    assert time.perf_counter() - start < 2
+    out = capsys.readouterr().out
+    assert "resource-limit" in out and "degree 300 exceeds limit 80" in out
+    # a product is bounded too, and the bound follows --max-degree
+    text = text.replace("(1+x+y)^300", "x^50*(1+y)^50")
+    assert main(["--max-degree", "80", "check", write(tmp_path, text)]) == 4
+    assert main(["--max-degree", "100", "check", write(tmp_path, text)]) == 0

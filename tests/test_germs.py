@@ -9,7 +9,8 @@ from frontal_kernel import (DivisionError, GermError, corank, frontal_lift,
                             multigerm, multiplicity, nash_lift,
                             prenormal_candidates, ramification_ideal, ring, std)
 from frontal_kernel.basis import DEFAULT_LIMITS, Limits, ResourceLimitError
-from frontal_kernel.germs import compose_linear
+from frontal_kernel.germfile import parse
+from frontal_kernel.germs import compose_linear, min_generators
 
 
 def test_corank(cuspidal_edge, e6):
@@ -125,3 +126,26 @@ def test_prenormal_candidates(cuspidal_edge):
     # the components reproduce the germ up to target permutation/linear change
     comps = pre.components()
     assert len(comps) == 3
+
+
+def _parsed_map(components):
+    return parse("frontal-kernel v1\nring x, y;\nmap f = "
+                 + components + ";\n").maps["f"]
+
+
+def test_frontal_generic_change_folded_umbrella():
+    # a generic linear change of (x, y^2, x*y^3) that once ran for minutes
+    f = _parsed_map(
+        "-4*y + 2*y^2 - 8*x*y + 8*x^2 + 2*y^4 - 12*x*y^3 + 24*x^2*y^2 "
+        "- 16*x^3*y, -4*y - y^2 + 4*x*y - 4*x^2, -4*y - y^2 + 4*x*y "
+        "- 4*x^2 - 4*y^4 + 24*x*y^3 - 48*x^2*y^2 + 32*x^3*y")
+    assert is_frontal(f)[0] is True
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_min_generators_f4_shears(sign):
+    # the shears of f4 = (x, y^2, y^5 + x^3*y) with source entry 1 and
+    # target entries (1, +-1, 1): R(f) needs two generators
+    tail = "y^4 + 3*x*y^3 + 3*x^2*y^2 + x^3*y + y^5"
+    f = _parsed_map(f"y + x {sign} y^2 + {tail}, y^2 + {tail}, {tail}")
+    assert min_generators(ramification_ideal(f)) == (2, False)

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 from frontal_kernel import (associates, germ, image_equation, is_frontal,
                             membership, milnor_number, normal_form,
-                            plane_curve_invariants, ring, std, eliminate)
+                            plane_curve_invariants, ring, std, eliminate,
+                            vs_dimension)
 from frontal_kernel.germs import compose_linear, poly_det
 
 
@@ -245,3 +246,54 @@ analyze f frontal image mu plane_curve conductor genfam derlog;
         _emit(run, "machine", buf)
         outputs.append(buf.getvalue())
     assert outputs[0] == outputs[1]
+
+
+def test_known_monomials_leave_std_unchanged():
+    # std drops every term a single-term generator divides; appending
+    # monomials that already lie in the ideal or module must not change
+    # the quotient dimension or the ideal
+    rng = random.Random(17)
+    for local in (True, False):
+        R = ring("x", "y", local=local)
+        x, y = R.gens()
+        for _ in range(12):
+            # pure powers lead (locally: lowest order; globally: highest
+            # degree), so the quotient is finite and monomials lie in I
+            a, b = rng.randint(2, 4), rng.randint(2, 4)
+            if local:
+                tails = [random_poly(rng, R, 3, 5, min_order=a + 1),
+                         random_poly(rng, R, 3, 5, min_order=b + 1)]
+            else:
+                tails = [random_poly(rng, R, 3, a - 1).jet(a - 1),
+                         random_poly(rng, R, 3, b - 1).jet(b - 1)]
+            gens = [x ** a + tails[0], y ** b + tails[1],
+                    random_poly(rng, R, min_order=1)]
+            gens = [g for g in gens if not g.is_zero()]
+            basis = std(gens)
+            known = [R.monomial((i, j)) for i in range(a + b)
+                     for j in range(a + b)
+                     if membership(R.monomial((i, j)), basis)]
+            assert known
+            more = std(gens + rng.sample(known, min(3, len(known))))
+            assert vs_dimension(more) == vs_dimension(basis)
+            assert all(membership(g, more) for g in gens)
+            assert all(membership(g, basis) for g in more.polys())
+    # a rank-2 module in the local ring, with known monomial vectors
+    R = ring("x", "y", local=True)
+    x, y = R.gens()
+    zero = R.zero()
+    for _ in range(8):
+        gens = [(x ** 2 + random_poly(rng, R, 2, 4, min_order=3), y),
+                (y ** 3 + random_poly(rng, R, 2, 4, min_order=4), x),
+                (zero, x ** 2 + random_poly(rng, R, 2, 4, min_order=3)),
+                (zero, y ** 2 + random_poly(rng, R, 2, 4, min_order=3))]
+        basis = std(gens)
+        known = [tuple(R.monomial((i, j)) if c == k else zero
+                       for k in range(2))
+                 for c in range(2) for i in range(6) for j in range(6)]
+        known = [v for v in known if membership(v, basis)]
+        assert known
+        more = std(gens + rng.sample(known, min(3, len(known))))
+        assert vs_dimension(more) == vs_dimension(basis)
+        assert all(membership(g, more) for g in gens)
+        assert all(membership(v, basis) for v in more.elements)
