@@ -35,11 +35,25 @@ _PRECONDITION_ERRORS = (GermError, PrenormalError, DivisionError,
 
 
 class _Run:
-    """Collects reports and the worst exit code seen."""
+    """Collects reports and the worst exit code seen.
 
-    def __init__(self):
+    With an output stream, each report is also written there as soon as it
+    is complete, so a slow file shows how far it got.
+    """
+
+    def __init__(self, out=None, fmt: str = "machine"):
         self.reports: list[Report] = []
         self.exit_code = EXIT_OK
+        self.out = out
+        self.fmt = fmt
+
+    def publish(self, report: Report) -> None:
+        self.reports.append(report)
+        if self.out is not None:
+            if len(self.reports) > 1:
+                self.out.write("\n")
+            self.out.write(_render(report, self.fmt))
+            self.out.flush()
 
     def flag(self, code: int) -> None:
         if self.exit_code == EXIT_OK:
@@ -144,7 +158,7 @@ def _analyze_map(run: _Run, name: str, f, directives, limits: Limits) -> Report:
     if _wants(directives, "conductor") and image is not None \
             and len(f.branches) == 1:
         lam = run.attempt(report, "conductor.lambda",
-                          lambda: inv.piene_lambda(f, image, limits))
+                          lambda: inv.piene_lambda(f, limits))
         if lam is not None:
             report.add("conductor.lambda", lam)
             colen = run.attempt(report, "conductor.colength",
@@ -155,7 +169,7 @@ def _analyze_map(run: _Run, name: str, f, directives, limits: Limits) -> Report:
     if _wants(directives, "hat_M") and image is not None \
             and len(f.branches) == 1:
         hm = run.attempt(report, "hat_M",
-                         lambda: inv.hat_M_dimension(f, image, limits))
+                         lambda: inv.hat_M_dimension(f, limits))
         if hm is not None:
             report.add("hat_M", hm, _status_of(hm))
 
@@ -200,7 +214,7 @@ def _analyze_unfolding(run: _Run, name: str, U, directives,
     report = Report(f"unfolding {name}")
     report.add("base.variables", ", ".join(U.base.source.names))
     report.add("parameters", ", ".join(U.params))
-    if U.frontal_asserted or U.stable_asserted:
+    if U.stable_asserted:
         report.add("stability", "frontal-stable", ASSUMED,
                    "user-asserted, not verified")
     F = U.unfolded_map()
@@ -296,20 +310,22 @@ def _verdict(run: _Run, report: Report, U, siersma, samuel, codim,
 # Entry points
 
 
-def _run_file(text: str, mode: str, limits: Limits) -> _Run:
-    run = _Run()
+def _run_file(text: str, mode: str, limits: Limits, out=None,
+              fmt: str = "machine") -> _Run:
+    """Run one germ file; reports stream to out when it is given."""
+    run = _Run(out, fmt)
     try:
         parsed = germfile.parse(text, limits.max_degree)
     except germfile.SyntaxErrorAt as exc:
         report = Report("parse")
         report.add("syntax", "failed", ERROR, str(exc))
-        run.reports.append(report)
+        run.publish(report)
         run.exit_code = EXIT_SYNTAX
         return run
     except ResourceLimitError as exc:
         report = Report("parse")
         report.add("degree", "resource-limit", ERROR, str(exc))
-        run.reports.append(report)
+        run.publish(report)
         run.exit_code = EXIT_RESOURCE
         return run
 
@@ -318,7 +334,7 @@ def _run_file(text: str, mode: str, limits: Limits) -> _Run:
         report.add("syntax", "ok")
         report.add("maps", ", ".join(parsed.maps) or "(none)")
         report.add("unfoldings", ", ".join(parsed.unfoldings) or "(none)")
-        run.reports.append(report)
+        run.publish(report)
         return run
 
     if mode == "verify":
@@ -326,12 +342,11 @@ def _run_file(text: str, mode: str, limits: Limits) -> _Run:
             report = Report("verify")
             report.add("verify", "failed", ERROR,
                        "no unfolding declared in the input file")
-            run.reports.append(report)
+            run.publish(report)
             run.flag(EXIT_PRECONDITION)
             return run
         for name, U in parsed.unfoldings.items():
-            run.reports.append(
-                _analyze_unfolding(run, name, U, ("verify",), limits))
+            run.publish(_analyze_unfolding(run, name, U, ("verify",), limits))
         return run
 
     analyses = parsed.analyses
@@ -341,21 +356,22 @@ def _run_file(text: str, mode: str, limits: Limits) -> _Run:
                      for name in parsed.unfoldings]
     for stmt in analyses:
         if stmt.name in parsed.maps:
-            run.reports.append(_analyze_map(
+            run.publish(_analyze_map(
                 run, stmt.name, parsed.maps[stmt.name], stmt.directives,
                 limits))
         else:
-            run.reports.append(_analyze_unfolding(
+            run.publish(_analyze_unfolding(
                 run, stmt.name, parsed.unfoldings[stmt.name],
                 stmt.directives, limits))
     return run
 
 
+def _render(report: Report, fmt: str) -> str:
+    return report.machine() if fmt == "machine" else report.pretty()
+
+
 def _emit(run: _Run, fmt: str, out) -> None:
-    chunks = []
-    for report in run.reports:
-        chunks.append(report.machine() if fmt == "machine" else report.pretty())
-    out.write("\n".join(chunks))
+    out.write("\n".join(_render(report, fmt) for report in run.reports))
 
 
 def _limits_from(args, env: Optional[str]) -> Limits:
@@ -455,9 +471,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    run = _run_file(text, args.command, limits)
-    _emit(run, args.format, sys.stdout)
-    return run.exit_code
+    return _run_file(text, args.command, limits, sys.stdout,
+                     args.format).exit_code
 
 
 if __name__ == "__main__":

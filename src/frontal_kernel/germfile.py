@@ -439,7 +439,7 @@ class _Parser:
         self.pos = sub.pos
         self.unfoldings[name] = UnfoldingSpec(
             spec.base, spec.params, spec.source, spec.components,
-            equation, spec.frontal_asserted, spec.stable_asserted)
+            equation, spec.stable_asserted)
         self.statements.append(GoodEquationStmt(name, equation))
 
     def assert_stable_stmt(self) -> None:
@@ -449,7 +449,7 @@ class _Parser:
             self.error(f"undeclared unfolding {name!r}")
         self.unfoldings[name] = UnfoldingSpec(
             spec.base, spec.params, spec.source, spec.components,
-            spec.explicit_G, True, True)
+            spec.explicit_G, True)
         self.statements.append(AssertStableStmt(name))
 
     def analyze_stmt(self) -> None:

@@ -68,6 +68,20 @@ class MapGerm:
         return ring(*target_names(self.n + 1), local=local)
 
 
+def once(obj, key, compute):
+    """compute(), kept on obj under key: each later call returns that value.
+
+    The store lives in the instance __dict__, outside the dataclass fields,
+    so equality, hashing and dataclasses.fields() of obj are unchanged.  A
+    compute() that raises stores nothing.  Keys carry every argument the
+    result depends on besides obj (the Limits, the branch).
+    """
+    memo = obj.__dict__.setdefault("_once", {})
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
+
+
 def germ(source: Ring, *components: Poly) -> MapGerm:
     return MapGerm(source, (tuple(components),))
 
@@ -406,7 +420,14 @@ def nash_lift(pre: PrenormalForm, limits: Limits = DEFAULT_LIMITS) -> NashData:
 
 def frontal_lift(f: MapGerm, branch: int = 0,
                  limits: Limits = DEFAULT_LIMITS) -> tuple[PrenormalForm, NashData]:
-    """First prenormal candidate whose Nash division succeeds."""
+    """First prenormal candidate whose Nash division succeeds (once per
+    germ, branch and limits)."""
+    return once(f, ("frontal_lift", branch, limits),
+                lambda: _frontal_lift(f, branch, limits))
+
+
+def _frontal_lift(f: MapGerm, branch: int,
+                  limits: Limits) -> tuple[PrenormalForm, NashData]:
     errors = []
     for pre in prenormal_candidates(f, branch):
         try:

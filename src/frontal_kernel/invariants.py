@@ -11,7 +11,7 @@ from . import linalg
 from .basis import (DEFAULT_LIMITS, INFINITE, Limits, _Infinite, colon_submodule,
                     eliminate, membership_certificate, saturation, std,
                     subquotient_dimension, vs_dimension)
-from .germs import (GermError, MapGerm, jacobian_matrix, multiplicity,
+from .germs import (GermError, MapGerm, jacobian_matrix, multiplicity, once,
                     poly_det, target_names)
 from .ring import Poly, Ring, associates, exact_divide, ring
 from .squarefree import is_squarefree, squarefree_part
@@ -74,7 +74,13 @@ def _check_vanishes(equation: Poly, comps: Sequence[Poly],
 
 
 def image_equation(f: MapGerm, limits: Limits = DEFAULT_LIMITS) -> ImageData:
-    """Reduced equation of the image, by graph-ideal elimination per branch."""
+    """Reduced equation of the image, by graph-ideal elimination per branch
+    (once per germ and limits)."""
+    return once(f, ("image_equation", limits),
+                lambda: _image_equation(f, limits))
+
+
+def _image_equation(f: MapGerm, limits: Limits) -> ImageData:
     tnames = target_names(f.n + 1)
     target = f.target_ring(local=True)
     factors: list[Poly] = []
@@ -126,8 +132,7 @@ class UnfoldingSpec:
     source: Ring                       # local ring: base variables then params
     components: tuple[Poly, ...]       # the n+1 components of f_u
     explicit_G: Optional[Poly] = None  # user-supplied good-equation candidate
-    frontal_asserted: bool = False
-    stable_asserted: bool = False
+    stable_asserted: bool = False      # user asserts frontal stability
 
     @property
     def r(self) -> int:
@@ -149,7 +154,6 @@ class UnfoldingSpec:
 
 def unfolding(base: MapGerm, params: Sequence[str],
               components: Sequence[Poly], *, explicit_G: Optional[Poly] = None,
-              frontal_asserted: bool = False,
               stable_asserted: bool = False) -> UnfoldingSpec:
     if len(base.branches) != 1:
         raise GermError("unfoldings are supported for mono-germs")
@@ -173,12 +177,18 @@ def unfolding(base: MapGerm, params: Sequence[str],
             raise InvariantError(
                 "setting the parameters to 0 does not recover the base germ")
     return UnfoldingSpec(base, params, src, tuple(components), explicit_G,
-                         frontal_asserted, stable_asserted)
+                         stable_asserted)
 
 
 def unfolding_image_equation(U: UnfoldingSpec,
                              limits: Limits = DEFAULT_LIMITS) -> Poly:
-    """Reduced equation of the image of F = (f_u, u), in (y, u) variables."""
+    """Reduced equation of the image of F = (f_u, u), in (y, u) variables
+    (once per unfolding and limits)."""
+    return once(U, ("unfolding_image_equation", limits),
+                lambda: _unfolding_image_equation(U, limits))
+
+
+def _unfolding_image_equation(U: UnfoldingSpec, limits: Limits) -> Poly:
     tnames = target_names(U.n + 1)
     _, g = _branch_eliminant(U.components, tnames, U.params, limits)
     target = U.target_ring()
@@ -245,13 +255,12 @@ def frontal_milnor_siersma(U: UnfoldingSpec,
 # The module \hat M(g)
 
 
-def hat_M_dimension(f: MapGerm, image: Optional[ImageData] = None,
+def hat_M_dimension(f: MapGerm,
                     limits: Limits = DEFAULT_LIMITS) -> Union[int, _Infinite]:
     """dim of (preimage of J(g)O_n under f^*) / J(g)."""
     if len(f.branches) != 1:
         raise GermError("the Jacobian module is computed for mono-germs")
-    if image is None:
-        image = image_equation(f, limits)
+    image = image_equation(f, limits)
     g = image.equation
     target = image.ring
     partials = [g.diff(i) for i in range(target.arity)]
@@ -443,14 +452,11 @@ def samuel_multiplicity_estimate(ge: GoodEquation, K: int = 12,
 # Piene's lambda and the conductor
 
 
-def piene_lambda(f: MapGerm, image: Optional[ImageData] = None,
-                 limits: Limits = DEFAULT_LIMITS) -> Poly:
+def piene_lambda(f: MapGerm, limits: Limits = DEFAULT_LIMITS) -> Poly:
     """The conductor generator: dg/dy_i o f = (-1)^i lambda * minor_i, all i."""
     if len(f.branches) != 1:
         raise GermError("the conductor generator is computed for mono-germs")
-    if image is None:
-        image = image_equation(f, limits)
-    g = image.equation
+    g = image_equation(f, limits).equation
     comps = list(f.components)
     src = f.source
     n = f.n

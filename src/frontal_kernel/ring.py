@@ -138,9 +138,6 @@ class Ring:
     def index(self, name: str) -> int:
         return self.names.index(name)
 
-    def with_ordering(self, ordering: Ordering) -> "Ring":
-        return Ring(self.names, ordering, self.weights)
-
 
 def ring(*names: str, local: bool = False, weights=None) -> Ring:
     w = None if weights is None else tuple(Fraction(x) for x in weights)

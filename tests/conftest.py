@@ -21,7 +21,7 @@ def e6_unfolding(e6):
     from fractions import Fraction
     return unfolding(e6, ["t"],
                      [x ** 3 + t * x, x ** 4 + (x ** 2 * t).scale(Fraction(2, 3))],
-                     frontal_asserted=True, stable_asserted=True)
+                     stable_asserted=True)
 
 
 @pytest.fixture
@@ -49,7 +49,7 @@ def cusp_unfolding(cusp):
     from fractions import Fraction
     return unfolding(cusp, ["t"],
                      [x ** 2, x ** 3 + (x ** 2 * t).scale(Fraction(3, 2))],
-                     frontal_asserted=True, stable_asserted=True)
+                     stable_asserted=True)
 
 
 @pytest.fixture

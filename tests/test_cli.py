@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from frontal_kernel import cli, genfam, invariants
 from frontal_kernel.cli import main
 
 E6 = """frontal-kernel v1
@@ -135,3 +136,48 @@ map f = x, (1+x+y)^300, y^3;
     text = text.replace("(1+x+y)^300", "x^50*(1+y)^50")
     assert main(["--max-degree", "80", "check", write(tmp_path, text)]) == 4
     assert main(["--max-degree", "100", "check", write(tmp_path, text)]) == 0
+
+
+def test_each_elimination_runs_once_per_file(tmp_path, monkeypatch, capsys):
+    # the image, the unfolding image and the discriminant are each
+    # eliminated once, however many analyses read them
+    corpus = cli._corpus_dir()
+    path = write(tmp_path, (corpus / "cusp.germ").read_text(encoding="utf-8"))
+    seen = []
+    original = invariants.eliminate
+
+    def counting(gens, elim, limits):
+        seen.append((tuple((g.ring.names, g.terms) for g in gens),
+                     tuple(elim), limits))
+        return original(gens, elim, limits)
+    monkeypatch.setattr(invariants, "eliminate", counting)
+    monkeypatch.setattr(genfam, "eliminate", counting)
+    assert main(["--format", "machine", "analyze", path]) == 0
+    assert len(seen) == len(set(seen)) == 3
+    golden = (corpus / "cusp.golden").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == golden
+
+
+def test_reports_stream_statement_by_statement(tmp_path, monkeypatch, capsys):
+    # a run cut short inside the second statement has already printed the
+    # first statement's report
+    text = """frontal-kernel v1
+ring x;
+map a = x^2, x^3;
+map b = x^3, x^4;
+analyze a frontal;
+analyze b frontal;
+"""
+    original = cli._analyze_map
+
+    def interrupted(run, name, f, directives, limits):
+        if name == "b":
+            raise KeyboardInterrupt
+        return original(run, name, f, directives, limits)
+    monkeypatch.setattr(cli, "_analyze_map", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["--format", "machine", "analyze", write(tmp_path, text)])
+    out = capsys.readouterr().out
+    assert out.startswith("report\tmap a\n")
+    assert "frontal\ttrue\t" in out
+    assert "map b" not in out

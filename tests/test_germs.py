@@ -87,6 +87,21 @@ def test_nash_lift_power_series():
         nash_lift(pre, Limits(max_pairs=0))
 
 
+def test_frontal_lift_kept_per_limits():
+    # the lift is kept on the germ under its limits: another jet order gets
+    # its own jet, and a repeated call returns the kept result
+    R = ring("x", "y", local=True)
+    x, y = R.gens()
+    f = germ(R, x, y ** 2 + y ** 3, y ** 3)
+    lift = frontal_lift(f)
+    short = frontal_lift(f, 0, Limits(jet_order=6))
+    assert short[1].jet_order == 6
+    assert short[1].mu[0] == lift[1].mu[0].jet(6)
+    assert short[1].mu[0] != lift[1].mu[0]
+    assert frontal_lift(f) is lift
+    assert frontal_lift(f, 0, Limits(jet_order=6)) is short
+
+
 def test_multiplicity(e6, cusp):
     assert multiplicity(e6) == 3
     assert multiplicity(cusp) == 2

@@ -2,7 +2,8 @@
 
 import pytest
 
-from frontal_kernel import (INFINITE, InvariantError, M_F_dimension, associates,
+from frontal_kernel import (INFINITE, InvariantError, Limits, M_F_dimension,
+                            ResourceLimitError, associates,
                             conductor_colength, frontal_codimension,
                             frontal_milnor_siersma, good_equation, germ,
                             hat_M_dimension, image_equation, milnor_number,
@@ -16,6 +17,15 @@ def test_image_equation_e6(e6):
     R = img.ring
     y1, y2 = R.var(0), R.var(1)
     assert img.equation == y2 ** 3 - y1 ** 4
+
+
+def test_image_equation_limits_not_shared(e6):
+    # a result kept under the default limits is not returned under a pair
+    # limit too small for the elimination
+    img = image_equation(e6)
+    with pytest.raises(ResourceLimitError):
+        image_equation(e6, Limits(max_pairs=1))
+    assert image_equation(e6) is img
 
 
 def test_image_equation_cuspidal_edge(cuspidal_edge):

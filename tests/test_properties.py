@@ -3,8 +3,8 @@
 import random
 from fractions import Fraction
 
-from frontal_kernel import (associates, germ, image_equation, is_frontal,
-                            membership, milnor_number, normal_form,
+from frontal_kernel import (INFINITE, associates, germ, image_equation,
+                            is_frontal, membership, milnor_number, normal_form,
                             plane_curve_invariants, ring, std, eliminate,
                             vs_dimension)
 from frontal_kernel.germs import compose_linear, poly_det
@@ -206,7 +206,7 @@ def test_piene_identity_residuals(e6, cusp, cuspidal_edge, folded_umbrella):
     from frontal_kernel.germs import poly_det
     for f in (e6, cusp, cuspidal_edge, folded_umbrella):
         img = image_equation(f)
-        lam = piene_lambda(f, img)
+        lam = piene_lambda(f)
         g = img.equation
         comps = list(f.components)
         src = f.source
@@ -228,6 +228,32 @@ def test_milnor_additivity_on_quasihomogeneous():
             R = ring("y1", "y2", local=True)
             g = R.var(1) ** b - R.var(0) ** a
             assert milnor_number(g) == (a - 1) * (b - 1)
+
+
+def test_milnor_orlik_on_image_equations(e6, cusp, cuspidal_edge,
+                                         folded_umbrella, f4, swallowtail):
+    # mu = prod(d/w_i - 1) for a quasihomogeneous isolated singularity
+    # (Milnor-Orlik), on every image equation of the corpus and the fixtures
+    from frontal_kernel import germfile, quasihomogeneous_weights
+    from frontal_kernel.cli import _corpus_dir
+    maps = [e6, cusp, cuspidal_edge, folded_umbrella, f4, swallowtail]
+    for entry in _corpus_dir().iterdir():
+        if entry.name.endswith(".germ"):
+            maps += germfile.parse(entry.read_text(encoding="utf-8")).maps.values()
+    checked = set()
+    for f in maps:
+        g = image_equation(f).equation
+        qh = quasihomogeneous_weights(g)
+        mu = milnor_number(g)
+        if qh is None or mu is INFINITE:
+            continue
+        weights, d = qh[0], qh[1]
+        expected = Fraction(1)
+        for w in weights:
+            expected *= Fraction(d, w) - 1
+        assert mu == expected, str(g)
+        checked.add(str(g))
+    assert checked == {"y2^2 - y1^3", "y2^3 - y1^4"}
 
 
 def test_machine_report_byte_identical(tmp_path):
