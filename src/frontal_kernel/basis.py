@@ -9,7 +9,8 @@ which makes component elimination a plain block order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import heapq
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 from typing import Optional, Sequence, Union
@@ -81,11 +82,6 @@ def _vec_degree(v: Vector) -> int:
     return max((p.total_degree() for p in v if not p.is_zero()), default=-1)
 
 
-def _vec_ecart(v: Vector) -> int:
-    c, e, _ = _lt(v)
-    return _vec_degree(v) - sum(e)
-
-
 def _vec_sub_mult(v: Vector, w: Vector, exp, coeff) -> Vector:
     """v - coeff * x^exp * w."""
     return tuple(p - q.mul_term(exp, coeff) for p, q in zip(v, w))
@@ -128,9 +124,9 @@ def _divides(lead, comp, exp) -> bool:
     return c == comp and all(a <= b for a, b in zip(e, exp))
 
 
-def _divisors(T, comp, exp) -> list[int]:
-    """Indices of the elements of T whose leading term divides x^exp e_comp."""
-    return [i for i, g in enumerate(T) if _divides(_lt(g), comp, exp)]
+def _divisors(leads, comp, exp) -> list[int]:
+    """Indices of the leading terms in ``leads`` that divide x^exp e_comp."""
+    return [i for i, lead in enumerate(leads) if _divides(lead, comp, exp)]
 
 
 def _is_monomial(v: Vector) -> bool:
@@ -154,8 +150,8 @@ def _drop_known(v: Vector, monomials) -> Vector:
     return tuple(out)
 
 
-def _weak_nf(v: Vector, basis: list[Vector], ring: Ring, limits: Limits,
-             track: bool = False, gens_count: int = 0,
+def _weak_nf(v: Vector, basis: list[Vector], leads: list, ring: Ring,
+             limits: Limits, track: bool = False, gens_count: int = 0,
              lineage: Optional[list[list[Poly]]] = None):
     """Mora weak normal form: u*v = sum a_i * basis_i + h with u a local unit.
 
@@ -165,52 +161,53 @@ def _weak_nf(v: Vector, basis: list[Vector], ring: Ring, limits: Limits,
     single-term basis element divides is dropped as soon as it appears:
     that is a reduction by a module element, valid for every ordering, and
     it keeps the remainder inside the corner the monomials cut out.
+    ``leads`` holds the leading term (``_lt``) of each basis element.
     """
     is_global = ring.ordering.is_global()
+    # the working set T with its leading terms and ecarts, kept in step
+    T = list(basis)
+    L = list(leads)
+    E = [_vec_degree(g) - sum(lead[1]) for g, lead in zip(T, L)]
     # (component, exponent) of the single-term basis elements
     monomials = ([] if track else
-                 [_lt(g)[:2] for g in basis if _is_monomial(g)])
+                 [lead[:2] for g, lead in zip(T, L) if _is_monomial(g)])
     h = _drop_known(v, monomials)
-    T = list(basis)
     # representation data for working elements appended by Mora's trick
     reps: dict[int, tuple[Poly, list[Poly]]] = {}
     u = ring.one()
     cof = [ring.zero() for _ in range(gens_count)] if track else None
 
-    def elem_rep(idx):
-        # representation of T[idx] against the original gens
-        if idx < len(basis):
-            return None  # basis element: use its lineage directly
-        return reps[idx]
-
     steps = 0
     while not _vec_is_zero(h):
-        comp, exp, coeff = _lt(h)
-        divs_idx = _divisors(T, comp, exp)
+        comp, exp, coeff = lead_h = _lt(h)
+        divs_idx = _divisors(L, comp, exp)
         if not divs_idx:
             break
         steps += 1
         if steps > limits.max_pairs * 20:
             raise ResourceLimitError("normal form step limit exceeded")
-        i = min(divs_idx, key=lambda j: _vec_ecart(T[j]))
+        i = min(divs_idx, key=E.__getitem__)
         g = T[i]
-        if not is_global and _vec_ecart(g) > _vec_ecart(h):
-            if track:
-                reps[len(T)] = (u, list(cof))
-            T.append(h)
-        gc, ge = _lt(g)[2], _lt(g)[1]
+        if not is_global:
+            ecart_h = _vec_degree(h) - sum(exp)
+            if E[i] > ecart_h:
+                if track:
+                    reps[len(T)] = (u, list(cof))
+                T.append(h)
+                L.append(lead_h)
+                E.append(ecart_h)
+        _, ge, gc = L[i]
         mexp = tuple(a - b for a, b in zip(exp, ge))
         mc = coeff / gc
         if track:
-            rep = elem_rep(i)
-            if rep is None:
-                lin = lineage[i] if lineage is not None else None
-                if lin is None:
+            if i < len(basis):
+                # basis element: use its lineage directly
+                if lineage is None:
                     raise ValueError("tracking requires lineage")
-                for j, lp in enumerate(lin):
+                for j, lp in enumerate(lineage[i]):
                     cof[j] = cof[j] + lp.mul_term(mexp, mc)
             else:
-                gu, gcof = rep
+                gu, gcof = reps[i]
                 # h_new = h - m*g where g = gu*v - sum gcof*gen
                 u = u - gu.mul_term(mexp, mc)
                 for j in range(gens_count):
@@ -221,20 +218,22 @@ def _weak_nf(v: Vector, basis: list[Vector], ring: Ring, limits: Limits,
     return h
 
 
-def _full_nf(v: Vector, basis: list[Vector], ring: Ring, limits: Limits) -> Vector:
-    """Divide every term (global orderings only): canonical remainder."""
+def _full_nf(v: Vector, basis: list[Vector], leads: list, ring: Ring,
+             limits: Limits) -> Vector:
+    """Divide every term (global orderings only): canonical remainder.
+    ``leads`` holds the leading term of each basis element."""
     result = [ring.zero() for _ in v]
     h = v
     steps = 0
     while not _vec_is_zero(h):
         comp, exp, coeff = _lt(h)
-        divs = _divisors(basis, comp, exp)
+        divs = _divisors(leads, comp, exp)
         if divs:
             steps += 1
             if steps > limits.max_pairs * 40:
                 raise ResourceLimitError("normal form step limit exceeded")
             g = basis[divs[0]]
-            _, ge, gc = _lt(g)
+            _, ge, gc = leads[divs[0]]
             h = _vec_sub_mult(h, g, tuple(a - b for a, b in zip(exp, ge)), coeff / gc)
         else:
             result[comp] = result[comp] + ring.monomial(exp, coeff)
@@ -247,9 +246,10 @@ def _full_nf(v: Vector, basis: list[Vector], ring: Ring, limits: Limits) -> Vect
 def vector_normal_form(v: Vector, basis: StdBasis,
                        limits: Limits = DEFAULT_LIMITS) -> Vector:
     ring = basis.ring
+    leads = [_lt(g) for g in basis.elements]
     if ring.ordering.is_global():
-        return _full_nf(v, basis.elements, ring, limits)
-    return _weak_nf(v, basis.elements, ring, limits)
+        return _full_nf(v, basis.elements, leads, ring, limits)
+    return _weak_nf(v, basis.elements, leads, ring, limits)
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +266,7 @@ def std(gens: Sequence[Union[Poly, Vector]], *, limits: Limits = DEFAULT_LIMITS,
     is_global = ring.ordering.is_global()
 
     G: list[Vector] = []
+    LT: list = []  # leading (component, exponent, coefficient) of each G[i]
     lineage: Optional[list[list[Poly]]] = [] if track else None
     source = list(vecs)
 
@@ -276,6 +277,7 @@ def std(gens: Sequence[Union[Poly, Vector]], *, limits: Limits = DEFAULT_LIMITS,
         c, e, k = _lt(v)
         scaled = tuple(p.scale(1 / k) for p in v)
         G.append(scaled)
+        LT.append(_lt(scaled))
         if track:
             lineage.append([p.scale(1 / k) for p in lin])
 
@@ -283,33 +285,38 @@ def std(gens: Sequence[Union[Poly, Vector]], *, limits: Limits = DEFAULT_LIMITS,
         lin = [ring.one() if j == i else ring.zero() for j in range(len(vecs))] if track else None
         add_element(v, lin)
 
-    pairs = {(i, j) for i in range(len(G)) for j in range(i + 1, len(G))
-             if _lt(G[i])[0] == _lt(G[j])[0]}
+    # pending pairs, popped by (degree of the lcm, i, j)
+    pairs: list[tuple[int, int, int]] = []
+
+    def push_pairs(j):
+        cj, ej, _ = LT[j]
+        for i in range(j):
+            ci, ei, _ = LT[i]
+            if ci == cj:
+                heapq.heappush(pairs, (sum(map(max, ei, ej)), i, j))
+
+    for j in range(len(G)):
+        push_pairs(j)
     done = set()
     processed = 0
 
-    def lcm_exp(i, j):
-        return tuple(max(a, b) for a, b in zip(_lt(G[i])[1], _lt(G[j])[1]))
-
     while pairs:
-        i, j = min(pairs, key=lambda p: (sum(lcm_exp(*p)), p))
-        pairs.discard((i, j))
+        _, i, j = heapq.heappop(pairs)
         done.add((i, j))
         processed += 1
         if processed > limits.max_pairs:
             raise ResourceLimitError(f"pair limit {limits.max_pairs} exceeded")
-        ci, ei, _ = _lt(G[i])
-        cj, ej, _ = _lt(G[j])
-        lcm = tuple(max(a, b) for a, b in zip(ei, ej))
+        ci, ei, _ = LT[i]
+        _, ej, _ = LT[j]
+        lcm = tuple(map(max, ei, ej))
         # product criterion (valid for ideals only)
         if rank == 1 and all(a + b == c for a, b, c in zip(ei, ej, lcm)):
             continue
         # chain criterion
         skip = False
-        for k in range(len(G)):
+        for k, (ck, ek, _) in enumerate(LT):
             if k in (i, j):
                 continue
-            ck, ek, _ = _lt(G[k])
             if ck == ci and all(a <= b for a, b in zip(ek, lcm)):
                 pik = (min(i, k), max(i, k))
                 pjk = (min(j, k), max(j, k))
@@ -323,10 +330,10 @@ def std(gens: Sequence[Union[Poly, Vector]], *, limits: Limits = DEFAULT_LIMITS,
                   for p in G[i]),
             G[j], tuple(a - b for a, b in zip(lcm, ej)), Fraction(1))
         if track:
-            h, u, cof = _weak_nf(sp, G, ring, limits, track=True,
+            h, u, cof = _weak_nf(sp, G, LT, ring, limits, track=True,
                                  gens_count=len(vecs), lineage=lineage)
         else:
-            h = _weak_nf(sp, G, ring, limits)
+            h = _weak_nf(sp, G, LT, ring, limits)
             u = cof = None
         if _vec_is_zero(h):
             continue
@@ -343,30 +350,25 @@ def std(gens: Sequence[Union[Poly, Vector]], *, limits: Limits = DEFAULT_LIMITS,
                 lin[t] = lin[t] - cof[t]
         else:
             lin = None
-        newi = len(G)
         add_element(h, lin)
-        cn = _lt(G[newi])[0]
-        for k in range(newi):
-            if _lt(G[k])[0] == cn:
-                pairs.add((k, newi))
+        push_pairs(len(G) - 1)
 
     basis = StdBasis(ring, rank, G, lineage, source)
-    _minimalize(basis)
+    leads = _minimalize(basis, LT)
     if is_global and not track:
-        _interreduce(basis, limits)
+        _interreduce(basis, leads, limits)
     return basis
 
 
-def _minimalize(basis: StdBasis):
+def _minimalize(basis: StdBasis, leads: list) -> list:
+    """Drop the elements whose leading term another one divides (the first
+    of equal leading terms stays); returns the leading terms kept."""
     keep: list[int] = []
-    elems = basis.elements
-    for i in range(len(elems)):
-        ci, ei, _ = _lt(elems[i])
+    for i, (ci, ei, _) in enumerate(leads):
         redundant = False
-        for j in range(len(elems)):
+        for j, (cj, ej, _) in enumerate(leads):
             if i == j:
                 continue
-            cj, ej, _ = _lt(elems[j])
             if cj == ci and all(a <= b for a, b in zip(ej, ei)):
                 if tuple(ej) == tuple(ei) and j > i:
                     continue  # keep the first of equal leading terms
@@ -374,19 +376,24 @@ def _minimalize(basis: StdBasis):
                 break
         if not redundant:
             keep.append(i)
-    basis.elements = [elems[i] for i in keep]
+    basis.elements = [basis.elements[i] for i in keep]
     if basis.lineage is not None:
         basis.lineage = [basis.lineage[i] for i in keep]
+    return [leads[i] for i in keep]
 
 
-def _interreduce(basis: StdBasis, limits: Limits):
-    """Tail-reduce each element against the others (global orderings only)."""
+def _interreduce(basis: StdBasis, leads: list, limits: Limits):
+    """Tail-reduce each element against the others (global orderings only).
+
+    The leading terms of a minimal basis divide none of the others, so
+    reduction keeps every leading term and ``leads`` stays valid."""
     elems = basis.elements
     for i in range(len(elems)):
         others = elems[:i] + elems[i + 1:]
         if not others:
             continue
-        reduced = _full_nf(elems[i], others, basis.ring, limits)
+        reduced = _full_nf(elems[i], others, leads[:i] + leads[i + 1:],
+                           basis.ring, limits)
         if not _vec_is_zero(reduced):
             c, e, k = _lt(reduced)
             elems[i] = tuple(p.scale(1 / k) for p in reduced)
@@ -416,8 +423,10 @@ def membership_certificate(p: Poly, gens: Sequence[Poly],
     basis = std(gens, limits=limits, track=True)
     if basis.lineage is None:
         raise RuntimeError("lineage lost; certificate unavailable")
-    h, u, cof = _weak_nf((p,), basis.elements, basis.ring, limits, track=True,
-                         gens_count=len(basis.source), lineage=basis.lineage)
+    h, u, cof = _weak_nf((p,), basis.elements,
+                         [_lt(g) for g in basis.elements], basis.ring, limits,
+                         track=True, gens_count=len(basis.source),
+                         lineage=basis.lineage)
     if not _vec_is_zero(h):
         return None
     # u*p - sum cof_i*source_i = 0, sources are the nonzero original gens

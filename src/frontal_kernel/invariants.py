@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -11,10 +11,10 @@ from . import linalg
 from .basis import (DEFAULT_LIMITS, INFINITE, Limits, _Infinite, colon_submodule,
                     eliminate, membership_certificate, saturation, std,
                     subquotient_dimension, vs_dimension)
-from .germs import (GermError, MapGerm, jacobian_matrix, multiplicity, once,
-                    poly_det, target_names)
+from .germs import (GermError, MapGerm, multiplicity, once, poly_det,
+                    target_names)
 from .ring import Poly, Ring, associates, exact_divide, ring
-from .squarefree import is_squarefree, squarefree_part
+from .squarefree import is_squarefree
 
 
 class InvariantError(RuntimeError):
@@ -27,7 +27,12 @@ class InvariantError(RuntimeError):
 
 @dataclass(frozen=True)
 class ImageData:
-    """Reduced defining equation of the image hypersurface."""
+    """Reduced defining equation of the image hypersurface.
+
+    The equation is squarefree by construction, without a gcd: it is the
+    product of the distinct principal generators of the branch graph
+    eliminants, each irreducible over Q (see ``_image_equation``).
+    """
 
     ring: Ring          # local ring in the target variables
     equation: Poly      # squarefree, monic leading coefficient
@@ -81,6 +86,15 @@ def image_equation(f: MapGerm, limits: Limits = DEFAULT_LIMITS) -> ImageData:
 
 
 def _image_equation(f: MapGerm, limits: Limits) -> ImageData:
+    """The product of the distinct branch eliminants, monic.
+
+    No squarefree reduction is needed.  The graph ideal (y - f(x)) of a
+    branch is prime, since Q[x, y]/(y - f) is isomorphic to Q[x], so its
+    elimination ideal is prime; when it is principal its generator is
+    irreducible over Q.  Distinct branches give pairwise non-associate
+    irreducibles (associates are dropped below), so their product is
+    squarefree.
+    """
     tnames = target_names(f.n + 1)
     target = f.target_ring(local=True)
     factors: list[Poly] = []
@@ -92,7 +106,7 @@ def _image_equation(f: MapGerm, limits: Limits) -> ImageData:
     product = target.one()
     for g in factors:
         product = product * g
-    reduced = squarefree_part(product).monic()
+    reduced = product.monic()
     for comps in f.branches:
         _check_vanishes(reduced, comps)
     return ImageData(target, reduced)
@@ -189,10 +203,12 @@ def unfolding_image_equation(U: UnfoldingSpec,
 
 
 def _unfolding_image_equation(U: UnfoldingSpec, limits: Limits) -> Poly:
+    # the graph ideal of F is prime (Q[x, u, y]/(y - f_u) is Q[x, u]), so its
+    # principal eliminant is irreducible over Q and needs no squarefree gcd
     tnames = target_names(U.n + 1)
     _, g = _branch_eliminant(U.components, tnames, U.params, limits)
     target = U.target_ring()
-    reduced = squarefree_part(g.map_to(target)).monic()
+    reduced = g.map_to(target).monic()
     param_vars = [U.source.var(U.n + j) for j in range(U.r)]
     pulled = reduced.substitute(list(U.components) + param_vars, U.source)
     if not pulled.is_zero():

@@ -83,3 +83,13 @@ def swallowtail():
     y, u = R.var(0), R.var(1)
     return germ(R, u, (y ** 3).scale(-4) - (u * y).scale(2),
                 (y ** 4).scale(3) + u * y ** 2)
+
+
+@pytest.fixture
+def corpus_files():
+    """The parsed germ files of the bundled corpus, in file-name order."""
+    from frontal_kernel import germfile
+    from frontal_kernel.cli import _corpus_dir
+    return [germfile.parse(entry.read_text(encoding="utf-8"))
+            for entry in sorted(_corpus_dir().iterdir())
+            if entry.name.endswith(".germ")]

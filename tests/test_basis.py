@@ -6,6 +6,7 @@ from frontal_kernel import (INFINITE, Limits, ResourceLimitError, eliminate,
                             ideal_quotient, membership, membership_certificate,
                             normal_form, ring, saturation, std,
                             subquotient_dimension, syzygies, vs_dimension)
+from frontal_kernel.basis import colon_submodule
 from frontal_kernel.germs import min_generators, ramification_ideal
 from frontal_kernel.invariants import (M_F_dimension, _relative_module,
                                        frontal_codimension, good_equation)
@@ -108,6 +109,43 @@ def test_resource_limit():
             R.var(2) ** 7 + R.var(0) ** 8]
     with pytest.raises(ResourceLimitError):
         std(gens, limits=Limits(max_pairs=1))
+
+
+def test_limits_count_every_pair_and_step():
+    # every pair popped from the queue counts against max_pairs, the ones
+    # the product and chain criteria skip included
+    R = ring("x", "y", "z")
+    x, y, z = R.gens()
+    with pytest.raises(ResourceLimitError):
+        std([x, y], limits=Limits(max_pairs=0))  # product criterion
+    std([x, y], limits=Limits(max_pairs=1))
+    # (0, 1) and (0, 2) reduce to zero; the chain criterion skips (1, 2)
+    with pytest.raises(ResourceLimitError):
+        std([x * y, x * z, y * z], limits=Limits(max_pairs=2))
+    std([x * y, x * z, y * z], limits=Limits(max_pairs=3))
+    # a Mora normal form takes at most 20 * max_pairs steps; this one 25
+    L = ring("u", "v", local=True)
+    u, v = L.gens()
+    basis = std([u - v ** 2])
+    with pytest.raises(ResourceLimitError):
+        normal_form(u ** 25, basis, Limits(max_pairs=1))
+    assert normal_form(u ** 25, basis, Limits(max_pairs=2)) == v ** 50
+    # the cusp graph ideal and a rank-2 local colon module: the first
+    # max_pairs that suffices is unchanged by the order of the pair queue
+    G = ring("x", "y1", "y2")
+    t, y1, y2 = G.gens()
+    graph = [y1 - t ** 2, y2 - t ** 3]
+    for k in (1, 9):
+        with pytest.raises(ResourceLimitError):
+            eliminate(graph, [0], Limits(max_pairs=k))
+    assert eliminate(graph, [0], Limits(max_pairs=10))[1] == \
+        eliminate(graph, [0])[1]
+    numerator, denominator = [u ** 2 + v ** 3, v ** 2], [u ** 4, v ** 4]
+    for k in (1, 7):
+        with pytest.raises(ResourceLimitError):
+            colon_submodule(numerator, denominator, Limits(max_pairs=k))
+    assert colon_submodule(numerator, denominator, Limits(max_pairs=8)) == \
+        colon_submodule(numerator, denominator)
 
 
 def test_colength_ordering_independent():

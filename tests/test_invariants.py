@@ -156,8 +156,12 @@ def test_piene_lambda_and_conductor(cuspidal_edge, e6):
     assert conductor_colength(lam6) == 6
 
 
-def test_conductor_colength_is_two_delta(e6, cusp):
-    for f in (e6, cusp):
+def test_conductor_colength_is_two_delta(e6, cusp, corpus_files):
+    # c = 2*delta on every plane-curve germ of the fixtures and the corpus
+    plane = [e6, cusp] + [f for gf in corpus_files
+                          for f in gf.maps.values() if f.n == 1]
+    assert len(plane) == 5
+    for f in plane:
         pc = plane_curve_invariants(f)
         lam = piene_lambda(f)
         assert conductor_colength(lam) == 2 * pc.delta

@@ -8,6 +8,7 @@ from frontal_kernel import (INFINITE, associates, germ, image_equation,
                             plane_curve_invariants, ring, std, eliminate,
                             vs_dimension)
 from frontal_kernel.germs import compose_linear, poly_det
+from frontal_kernel.squarefree import _to_sympy
 
 
 def random_poly(rng, R, max_terms=4, max_deg=4, min_order=0):
@@ -323,3 +324,110 @@ def test_known_monomials_leave_std_unchanged():
         assert vs_dimension(more) == vs_dimension(basis)
         assert all(membership(g, more) for g in gens)
         assert all(membership(v, basis) for v in more.elements)
+
+
+def _term_set(polys, symbols):
+    """The polynomials as a set of term sets, monic in grevlex."""
+    import sympy
+    out = set()
+    for p in polys:
+        q = sympy.Poly(p, *symbols, domain="QQ")
+        q = q.quo_ground(q.LC(order="grevlex"))
+        out.add(frozenset((e, Fraction(int(c.p), int(c.q)))
+                          for e, c in q.terms()))
+    return out
+
+
+def _seeded_ideals(rng, R, count):
+    """Ideals of 2-3 generators of a few terms, none with a constant term."""
+    for _ in range(count):
+        gens = [random_poly(rng, R, 4, 2, min_order=1)
+                for _ in range(rng.randint(2, 3))]
+        gens = [g for g in gens if not g.is_zero()]
+        if gens:
+            yield gens
+
+
+def test_global_std_matches_sympy_groebner():
+    # oracle: the reduced, monic grevlex Groebner basis is unique, so std
+    # (degree first, ties by reverse lex) must return sympy's basis
+    import sympy
+    rng = random.Random(23)
+    for names in (("x", "y"), ("x", "y", "z")):
+        R = ring(*names)
+        symbols = sympy.symbols(names)
+        for gens in _seeded_ideals(rng, R, 12):
+            ours = {frozenset(g.terms) for g in std(gens).polys()}
+            theirs = sympy.groebner([_to_sympy(g, symbols) for g in gens],
+                                    *symbols, order="grevlex")
+            assert ours == _term_set(theirs.exprs, symbols), \
+                [str(g) for g in gens]
+
+
+def test_eliminate_matches_sympy_lex():
+    # oracle: the elements of a lex basis free of the eliminated variables
+    # generate the elimination ideal; compare both ideals by their reduced
+    # grevlex bases in the kept variables.  The graph ideals (y - f(x)) are
+    # the library's own use of eliminate.
+    import sympy
+    rng = random.Random(29)
+    cases = []
+    for names, elim in ((("x", "y"), [0]), (("x", "y", "z"), [0]),
+                        (("x", "y", "z"), [0, 1])):
+        cases += [(names, elim, gens)
+                  for gens in _seeded_ideals(rng, ring(*names), 6)]
+    # plane curves (x -> y1, y2) and surfaces (x, y^2, q(x, y))
+    for names, n in ((("x", "y1", "y2"), 1), (("x", "y", "y1", "y2", "y3"), 2)):
+        R, src = ring(*names), ring(*names[:n])
+        for _ in range(6):
+            if n == 1:
+                comps = [random_poly(rng, src, 3, 5, min_order=1)
+                         for _ in range(2)]
+            else:
+                comps = [src.var(0), src.var(1) ** 2,
+                         random_poly(rng, src, 3, 3, min_order=2)]
+            cases.append((names, list(range(n)),
+                          [R.var(n + j) - c.map_to(R)
+                           for j, c in enumerate(comps)]))
+    for names, elim, gens in cases:
+        symbols = sympy.symbols(names)
+        kept = [s for i, s in enumerate(symbols) if i not in elim]
+        _, ours = eliminate(gens, elim)
+        lex = sympy.groebner([_to_sympy(g, symbols) for g in gens],
+                             *symbols, order="lex")
+        theirs = [e for e in lex.exprs
+                  if not any(e.has(symbols[i]) for i in elim)]
+        ours = [_to_sympy(g, kept) for g in ours]
+        if not theirs:
+            assert not ours, [str(g) for g in gens]
+            continue
+        assert _term_set(
+            sympy.groebner(ours, *kept, order="grevlex").exprs, kept) == \
+            _term_set(sympy.groebner(theirs, *kept, order="grevlex").exprs,
+                      kept), [str(g) for g in gens]
+
+
+def test_image_equations_are_squarefree(e6, cusp, cuspidal_edge,
+                                        folded_umbrella, f4, swallowtail,
+                                        e6_unfolding, cusp_unfolding,
+                                        corpus_files):
+    # image equations take no squarefree gcd: each branch eliminant of a
+    # prime graph ideal is irreducible, so the product of the distinct ones
+    # must already be squarefree
+    from frontal_kernel import multigerm, unfolding_image_equation
+    from frontal_kernel.squarefree import is_squarefree, squarefree_part
+    R = ring("x", local=True)
+    x = R.var(0)
+    two_branches = multigerm(R, [x ** 2, x ** 3], [x ** 3, x ** 2])
+    maps = [e6, cusp, cuspidal_edge, folded_umbrella, f4, swallowtail,
+            two_branches]
+    maps += [f for gf in corpus_files for f in gf.maps.values()]
+    equations = [image_equation(f).equation for f in maps]
+    unfoldings = [e6_unfolding, cusp_unfolding]
+    unfoldings += [U for gf in corpus_files for U in gf.unfoldings.values()]
+    equations += [unfolding_image_equation(U) for U in unfoldings]
+    assert (len(maps), len(unfoldings)) == (15, 7)
+    for eq in equations:
+        assert is_squarefree(eq), str(eq)
+        assert squarefree_part(eq) == eq, str(eq)
+    assert image_equation(two_branches).equation.total_degree() == 6
