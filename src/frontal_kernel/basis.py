@@ -5,6 +5,18 @@ extension), global orderings plain division; the same Buchberger pair loop
 drives both.  Vectors are tuples of Poly; ideals are rank-1 modules.
 Module orderings are position-over-term with lower component index on top,
 which makes component elimination a plain block order.
+
+Arithmetic contract: inside ``std`` and its normal forms every vector is
+an integer vector with coprime coefficients (fraction-free reduction,
+Greuel-Pfister, *A Singular Introduction to Commutative Algebra*, 1.6-1.7).
+Each reduction step is a*h - b*x^m*g for integers a and b, through the one
+kernel ``_vec_comb``, followed by division by the content; only ``gcd`` and
+``//`` touch the coefficients.  Each such vector is a nonzero scalar
+multiple of the one that reduction over Q with monic basis elements gives
+at the same step, with the same leading terms, ecarts, divisor choices and
+pair order.  At the API the scalar is divided out: ``std`` returns monic
+``Fraction`` vectors, and normal forms and membership certificates return
+exactly the ``Fraction`` values of reduction over Q.
 """
 
 from __future__ import annotations
@@ -12,7 +24,10 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product as iproduct
+from math import gcd, lcm
+from operator import add, le, sub
 from typing import Optional, Sequence, Union
 
 from .ring import Ordering, Poly, Ring
@@ -69,11 +84,12 @@ def _as_vectors(gens: Sequence[Union[Poly, Vector]]) -> tuple[list[Vector], int]
     return vecs, rank
 
 
-def _lt(v: Vector):
-    """Leading (component, exponent, coefficient) under POT, component 0 on top."""
-    for c, p in enumerate(v):
-        if not p.is_zero():
-            e, k = p.leading_term()
+def _lt(v: Vector, width: Optional[int] = None):
+    """Leading (component, exponent, coefficient) of the first ``width``
+    components (all by default) under POT, component 0 on top."""
+    for c, p in enumerate(v[:width]):
+        if p.terms:
+            e, k = p.terms[0]
             return c, e, k
     return None
 
@@ -82,13 +98,61 @@ def _vec_degree(v: Vector) -> int:
     return max((p.total_degree() for p in v if not p.is_zero()), default=-1)
 
 
-def _vec_sub_mult(v: Vector, w: Vector, exp, coeff) -> Vector:
-    """v - coeff * x^exp * w."""
-    return tuple(p - q.mul_term(exp, coeff) for p, q in zip(v, w))
-
-
 def _vec_is_zero(v: Vector) -> bool:
     return all(p.is_zero() for p in v)
+
+
+def _vec_comb(a: int, v: Vector, b: int, exp, w: Vector) -> Vector:
+    """a*v - b*x^exp*w for integers a and b (b nonzero): the one
+    multiply-subtract of ``std`` and its normal forms.  Where w is zero the
+    component of v is only scaled by a (kept as is for a = 1); every other
+    component is merged in one dict pass and sorted once."""
+    out = []
+    for p, q in zip(v, w):
+        if not q.terms:
+            out.append(p if a == 1 or not p.terms else
+                       Poly(p.ring, tuple([(e, a * c) for e, c in p.terms])))
+            continue
+        acc = dict(p.terms) if a == 1 else {e: a * c for e, c in p.terms}
+        for e, c in q.terms:
+            e = tuple(map(add, e, exp))
+            c = acc.get(e, 0) - b * c
+            if c:
+                acc[e] = c
+            else:
+                del acc[e]
+        out.append(q.ring._from_dict(acc))
+    return tuple(out)
+
+
+def _divide(v: Vector, g: int) -> Vector:
+    """v / g for an integer g that divides every coefficient of v."""
+    return tuple(Poly(p.ring, tuple([(e, c // g) for e, c in p.terms]))
+                 for p in v)
+
+
+def _primitive(v: Vector) -> tuple[Vector, Fraction]:
+    """(t*v, t) for the rational t that makes t*v an integer vector with
+    coprime coefficients and a positive leading coefficient; v is nonzero."""
+    coeffs = [c for p in v for _, c in p.terms]
+    den = 1
+    if set(map(type, coeffs)) != {int}:
+        den = lcm(*[c.denominator for c in coeffs])
+        v = tuple(Poly(p.ring, tuple([(e, c.numerator * (den // c.denominator))
+                                      for e, c in p.terms])) for p in v)
+        coeffs = [c for p in v for _, c in p.terms]
+    g = gcd(*coeffs)
+    if _lt(v)[2] < 0:
+        g = -g
+    return (v if g == 1 else _divide(v, g)), Fraction(den, g)
+
+
+def _rational(v: Vector, s) -> Vector:
+    """The integer vector v divided by the rational s, as Fraction terms."""
+    s = Fraction(s)
+    num, den = s.numerator, s.denominator
+    return tuple(Poly(p.ring, tuple([(e, Fraction(c * den, num))
+                                     for e, c in p.terms])) for p in v)
 
 
 @dataclass
@@ -113,20 +177,31 @@ class StdBasis:
             stair.setdefault(c, []).append(e)
         return stair
 
+    @cached_property
+    def _reducers(self) -> tuple[list[Vector], list, list[int]]:
+        """The elements as primitive integer vectors, with their leading
+        terms and ecarts, for the normal forms (computed on first use;
+        ``elements`` does not change after ``std`` returns)."""
+        return _indexed([_primitive(v)[0] for v in self.elements])
+
+
+def _indexed(vecs: list[Vector], width: Optional[int] = None):
+    """(vecs, leading terms, ecarts) of integer vectors whose first
+    ``width`` components carry the leading terms."""
+    leads = [_lt(v, width) for v in vecs]
+    ecarts = [_vec_degree(v[:width]) - sum(lead[1])
+              for v, lead in zip(vecs, leads)]
+    return vecs, leads, ecarts
+
 
 # ---------------------------------------------------------------------------
 # Normal forms
 
 
-def _divides(lead, comp, exp) -> bool:
-    """Whether the leading (component, exponent, ...) divides x^exp e_comp."""
-    c, e = lead[:2]
-    return c == comp and all(a <= b for a, b in zip(e, exp))
-
-
 def _divisors(leads, comp, exp) -> list[int]:
     """Indices of the leading terms in ``leads`` that divide x^exp e_comp."""
-    return [i for i, lead in enumerate(leads) if _divides(lead, comp, exp)]
+    return [i for i, (c, e, _) in enumerate(leads)
+            if c == comp and all(map(le, e, exp))]
 
 
 def _is_monomial(v: Vector) -> bool:
@@ -140,116 +215,119 @@ def _drop_known(v: Vector, monomials) -> Vector:
         return v
     out = []
     for comp, p in enumerate(v):
-        mine = [m for m in monomials if m[0] == comp]
+        mine = [m[1] for m in monomials if m[0] == comp]
         if mine and p.terms:
             terms = tuple(t for t in p.terms
-                          if not any(_divides(m, comp, t[0]) for m in mine))
+                          if not any(all(map(le, m, t[0])) for m in mine))
             if len(terms) != len(p.terms):
                 p = Poly(p.ring, terms)
         out.append(p)
     return tuple(out)
 
 
-def _weak_nf(v: Vector, basis: list[Vector], leads: list, ring: Ring,
-             limits: Limits, track: bool = False, gens_count: int = 0,
-             lineage: Optional[list[list[Poly]]] = None):
-    """Mora weak normal form: u*v = sum a_i * basis_i + h with u a local unit.
+def _weak_nf(v: Vector, basis: list[Vector], leads: list, ecarts: list[int],
+             ring: Ring, limits: Limits, width: int) -> tuple[Vector, Fraction]:
+    """Mora weak normal form of the integer vector v over the integer
+    basis: u*v = sum a_i * basis_i + h/s with u a local unit (u = 1 for
+    global orderings).  Returns (h, s); h is integral, and h/s is the weak
+    normal form that the same reduction over Q with monic basis elements
+    gives.
 
-    With ``track`` the (u, a) data is returned, expressed against the
-    original generators through ``lineage``.  For global orderings u = 1.
-    Without ``track``, every term of h that the leading monomial of a
-    single-term basis element divides is dropped as soon as it appears:
-    that is a reduction by a module element, valid for every ordering, and
-    it keeps the remainder inside the corner the monomials cut out.
-    ``leads`` holds the leading term (``_lt``) of each basis element.
+    Only the first ``width`` components carry leading terms and ecarts; the
+    others are a payload (a lineage, or a unit and cofactors) that every
+    step combines like the rest, so a linear relation among the components
+    that holds for v and every basis element holds for h.  Without a
+    payload, every term of h that the leading monomial of a single-term
+    basis element divides is dropped as soon as it appears: that is a
+    reduction by a module element, valid for every ordering, and it keeps
+    the remainder inside the corner the monomials cut out.  ``leads`` and
+    ``ecarts`` belong to ``basis``.
     """
     is_global = ring.ordering.is_global()
     # the working set T with its leading terms and ecarts, kept in step
     T = list(basis)
     L = list(leads)
-    E = [_vec_degree(g) - sum(lead[1]) for g, lead in zip(T, L)]
+    E = list(ecarts)
     # (component, exponent) of the single-term basis elements
-    monomials = ([] if track else
-                 [lead[:2] for g, lead in zip(T, L) if _is_monomial(g)])
+    monomials = ([lead[:2] for g, lead in zip(T, L) if _is_monomial(g)]
+                 if width == len(v) else [])
     h = _drop_known(v, monomials)
-    # representation data for working elements appended by Mora's trick
-    reps: dict[int, tuple[Poly, list[Poly]]] = {}
-    u = ring.one()
-    cof = [ring.zero() for _ in range(gens_count)] if track else None
-
+    num = den = 1
     steps = 0
-    while not _vec_is_zero(h):
-        comp, exp, coeff = lead_h = _lt(h)
-        divs_idx = _divisors(L, comp, exp)
-        if not divs_idx:
+    while (lead_h := _lt(h, width)) is not None:
+        comp, exp, ch = lead_h
+        divs = _divisors(L, comp, exp)
+        if not divs:
             break
         steps += 1
         if steps > limits.max_pairs * 20:
             raise ResourceLimitError("normal form step limit exceeded")
-        i = min(divs_idx, key=E.__getitem__)
-        g = T[i]
+        i = min(divs, key=E.__getitem__)
         if not is_global:
-            ecart_h = _vec_degree(h) - sum(exp)
+            ecart_h = _vec_degree(h[:width]) - sum(exp)
             if E[i] > ecart_h:
-                if track:
-                    reps[len(T)] = (u, list(cof))
                 T.append(h)
                 L.append(lead_h)
                 E.append(ecart_h)
-        _, ge, gc = L[i]
-        mexp = tuple(a - b for a, b in zip(exp, ge))
-        mc = coeff / gc
-        if track:
-            if i < len(basis):
-                # basis element: use its lineage directly
-                if lineage is None:
-                    raise ValueError("tracking requires lineage")
-                for j, lp in enumerate(lineage[i]):
-                    cof[j] = cof[j] + lp.mul_term(mexp, mc)
-            else:
-                gu, gcof = reps[i]
-                # h_new = h - m*g where g = gu*v - sum gcof*gen
-                u = u - gu.mul_term(mexp, mc)
-                for j in range(gens_count):
-                    cof[j] = cof[j] - gcof[j].mul_term(mexp, mc)
-        h = _drop_known(_vec_sub_mult(h, g, mexp, mc), monomials)
-    if track:
-        return h, u, cof
-    return h
+        _, ge, gk = L[i]
+        d = gcd(gk, ch)
+        a = gk // d
+        h = _drop_known(_vec_comb(a, h, ch // d, tuple(map(sub, exp, ge)),
+                                  T[i]), monomials)
+        num *= a
+        content = gcd(*[c for p in h for _, c in p.terms])
+        if content > 1:
+            h = _divide(h, content)
+            den *= content
+    return h, Fraction(num, den)
 
 
-def _full_nf(v: Vector, basis: list[Vector], leads: list, ring: Ring,
+def _full_nf(v: Vector, basis: list[Vector], leads: list,
              limits: Limits) -> Vector:
-    """Divide every term (global orderings only): canonical remainder.
-    ``leads`` holds the leading term of each basis element."""
-    result = [ring.zero() for _ in v]
-    h = v
+    """Divide every term (global orderings only): the canonical remainder
+    of the nonzero rational vector v, exactly, with Fraction coefficients.
+    ``basis`` holds integer vectors and ``leads`` their leading terms."""
+    h, t = _primitive(v)
+    num, den = t.numerator, t.denominator  # h = num/den * the undivided rest
+    ring = v[0].ring
+    result = [[] for _ in v]
     steps = 0
-    while not _vec_is_zero(h):
-        comp, exp, coeff = _lt(h)
+    while (lead := _lt(h)) is not None:
+        comp, exp, ch = lead
         divs = _divisors(leads, comp, exp)
         if divs:
             steps += 1
             if steps > limits.max_pairs * 40:
                 raise ResourceLimitError("normal form step limit exceeded")
-            g = basis[divs[0]]
-            _, ge, gc = leads[divs[0]]
-            h = _vec_sub_mult(h, g, tuple(a - b for a, b in zip(exp, ge)), coeff / gc)
+            _, ge, gk = leads[divs[0]]
+            d = gcd(gk, ch)
+            a = gk // d
+            h = _vec_comb(a, h, ch // d, tuple(map(sub, exp, ge)),
+                          basis[divs[0]])
+            num *= a
+            content = gcd(*[c for p in h for _, c in p.terms])
+            if content > 1:
+                h = _divide(h, content)
+                den *= content
         else:
-            result[comp] = result[comp] + ring.monomial(exp, coeff)
-            h = list(h)
-            h[comp] = h[comp] - ring.monomial(exp, coeff)
-            h = tuple(h)
-    return tuple(result)
+            # the leading terms met in one component only decrease, so the
+            # remainder terms arrive in order
+            result[comp].append((exp, Fraction(ch * den, num)))
+            h = h[:comp] + (Poly(ring, h[comp].terms[1:]),) + h[comp + 1:]
+    return tuple(Poly(ring, tuple(terms)) for terms in result)
 
 
 def vector_normal_form(v: Vector, basis: StdBasis,
                        limits: Limits = DEFAULT_LIMITS) -> Vector:
-    ring = basis.ring
-    leads = [_lt(g) for g in basis.elements]
-    if ring.ordering.is_global():
-        return _full_nf(v, basis.elements, leads, ring, limits)
-    return _weak_nf(v, basis.elements, leads, ring, limits)
+    v = tuple(v)
+    if _vec_is_zero(v):
+        return v
+    elems, leads, ecarts = basis._reducers
+    if basis.ring.ordering.is_global():
+        return _full_nf(v, elems, leads, limits)
+    w, t = _primitive(v)
+    h, s = _weak_nf(w, elems, leads, ecarts, basis.ring, limits, len(w))
+    return _rational(h, s * t)
 
 
 # ---------------------------------------------------------------------------
@@ -258,32 +336,39 @@ def vector_normal_form(v: Vector, basis: StdBasis,
 
 def std(gens: Sequence[Union[Poly, Vector]], *, limits: Limits = DEFAULT_LIMITS,
         track: bool = False) -> StdBasis:
-    """Standard basis (local orderings) or Groebner basis (global)."""
+    """Standard basis (local orderings) or Groebner basis (global).
+
+    With ``track`` each element carries its lineage: the combination of
+    the generators that gives it, as payload components after the first
+    ``rank`` (see ``_weak_nf``)."""
     vecs, rank = _as_vectors(gens)
     if not vecs:
         raise ValueError("all generators are zero")
     ring = vecs[0][0].ring
     is_global = ring.ordering.is_global()
 
-    G: list[Vector] = []
+    G: list[Vector] = []  # primitive integer vectors, with lineage if tracked
     LT: list = []  # leading (component, exponent, coefficient) of each G[i]
-    lineage: Optional[list[list[Poly]]] = [] if track else None
-    source = list(vecs)
+    EC: list[int] = []  # ecart of each G[i]
 
-    def add_element(v: Vector, lin: Optional[list[Poly]]):
-        if _vec_degree(v) > limits.max_degree:
+    def add_element(v: Vector):
+        degree = _vec_degree(v[:rank])
+        if degree > limits.max_degree:
             raise ResourceLimitError(
                 f"basis element degree exceeds limit {limits.max_degree}")
-        c, e, k = _lt(v)
-        scaled = tuple(p.scale(1 / k) for p in v)
-        G.append(scaled)
-        LT.append(_lt(scaled))
-        if track:
-            lineage.append([p.scale(1 / k) for p in lin])
+        v, _ = _primitive(v)
+        lead = _lt(v, rank)
+        G.append(v)
+        LT.append(lead)
+        EC.append(degree - sum(lead[1]))
 
+    zero = ring.zero()
     for i, v in enumerate(vecs):
-        lin = [ring.one() if j == i else ring.zero() for j in range(len(vecs))] if track else None
-        add_element(v, lin)
+        if track:
+            v += tuple(ring.one() if j == i else zero
+                       for j in range(len(vecs)))
+        add_element(v)
+    zeros = (zero,) * len(G[0])
 
     # pending pairs, popped by (degree of the lcm, i, j)
     pairs: list[tuple[int, int, int]] = []
@@ -306,18 +391,18 @@ def std(gens: Sequence[Union[Poly, Vector]], *, limits: Limits = DEFAULT_LIMITS,
         processed += 1
         if processed > limits.max_pairs:
             raise ResourceLimitError(f"pair limit {limits.max_pairs} exceeded")
-        ci, ei, _ = LT[i]
-        _, ej, _ = LT[j]
-        lcm = tuple(map(max, ei, ej))
+        ci, ei, ki = LT[i]
+        _, ej, kj = LT[j]
+        lcm_exp = tuple(map(max, ei, ej))
         # product criterion (valid for ideals only)
-        if rank == 1 and all(a + b == c for a, b, c in zip(ei, ej, lcm)):
+        if rank == 1 and all(a + b == c for a, b, c in zip(ei, ej, lcm_exp)):
             continue
         # chain criterion
         skip = False
         for k, (ck, ek, _) in enumerate(LT):
             if k in (i, j):
                 continue
-            if ck == ci and all(a <= b for a, b in zip(ek, lcm)):
+            if ck == ci and all(map(le, ek, lcm_exp)):
                 pik = (min(i, k), max(i, k))
                 pjk = (min(j, k), max(j, k))
                 if pik in done and pjk in done:
@@ -325,81 +410,64 @@ def std(gens: Sequence[Union[Poly, Vector]], *, limits: Limits = DEFAULT_LIMITS,
                     break
         if skip:
             continue
-        sp = _vec_sub_mult(
-            tuple(p.mul_term(tuple(a - b for a, b in zip(lcm, ei)), Fraction(1))
-                  for p in G[i]),
-            G[j], tuple(a - b for a, b in zip(lcm, ej)), Fraction(1))
-        if track:
-            h, u, cof = _weak_nf(sp, G, LT, ring, limits, track=True,
-                                 gens_count=len(vecs), lineage=lineage)
-        else:
-            h = _weak_nf(sp, G, LT, ring, limits)
-            u = cof = None
-        if _vec_is_zero(h):
+        # the S-vector (kj/d)*x^(lcm-ei)*G[i] - (ki/d)*x^(lcm-ej)*G[j]; the
+        # inner call only shifts and scales G[i]
+        d = gcd(ki, kj)
+        sp = _vec_comb(1, _vec_comb(1, zeros, -(kj // d),
+                                    tuple(map(sub, lcm_exp, ei)), G[i]),
+                       ki // d, tuple(map(sub, lcm_exp, ej)), G[j])
+        h, _ = _weak_nf(sp, G, LT, EC, ring, limits, rank)
+        if _lt(h, rank) is None:
             continue
-        if track:
-            # sp = x^a*G[i] - x^b*G[j]; u*sp - sum cof*gens = h  =>  lineage of h
-            lin = [ring.zero() for _ in vecs]
-            ai = tuple(a - b for a, b in zip(lcm, ei))
-            aj = tuple(a - b for a, b in zip(lcm, ej))
-            for t, lp in enumerate(lineage[i]):
-                lin[t] = lin[t] + (u * lp).mul_term(ai, Fraction(1))
-            for t, lp in enumerate(lineage[j]):
-                lin[t] = lin[t] - (u * lp).mul_term(aj, Fraction(1))
-            for t in range(len(vecs)):
-                lin[t] = lin[t] - cof[t]
-        else:
-            lin = None
-        add_element(h, lin)
+        add_element(h)
         push_pairs(len(G) - 1)
 
-    basis = StdBasis(ring, rank, G, lineage, source)
-    leads = _minimalize(basis, LT)
+    keep = _minimal(LT)
+    G = [G[i] for i in keep]
+    LT = [LT[i] for i in keep]
     if is_global and not track:
-        _interreduce(basis, leads, limits)
-    return basis
+        _interreduce(G, LT, limits)
+    # monic at the API: divide each element and its lineage by its leading
+    # coefficient
+    elements = [_rational(v[:rank], lead[2]) for v, lead in zip(G, LT)]
+    lineage = ([list(_rational(v[rank:], lead[2])) for v, lead in zip(G, LT)]
+               if track else None)
+    return StdBasis(ring, rank, elements, lineage, list(vecs))
 
 
-def _minimalize(basis: StdBasis, leads: list) -> list:
-    """Drop the elements whose leading term another one divides (the first
-    of equal leading terms stays); returns the leading terms kept."""
+def _minimal(leads: list) -> list[int]:
+    """Indices of the leading terms no other one divides (the first of
+    equal leading terms stays)."""
     keep: list[int] = []
     for i, (ci, ei, _) in enumerate(leads):
         redundant = False
         for j, (cj, ej, _) in enumerate(leads):
             if i == j:
                 continue
-            if cj == ci and all(a <= b for a, b in zip(ej, ei)):
+            if cj == ci and all(map(le, ej, ei)):
                 if tuple(ej) == tuple(ei) and j > i:
                     continue  # keep the first of equal leading terms
                 redundant = True
                 break
         if not redundant:
             keep.append(i)
-    basis.elements = [basis.elements[i] for i in keep]
-    if basis.lineage is not None:
-        basis.lineage = [basis.lineage[i] for i in keep]
-    return [leads[i] for i in keep]
+    return keep
 
 
-def _interreduce(basis: StdBasis, leads: list, limits: Limits):
+def _interreduce(G: list[Vector], leads: list, limits: Limits):
     """Tail-reduce each element against the others (global orderings only).
 
     The leading terms of a minimal basis divide none of the others, so
-    reduction keeps every leading term and ``leads`` stays valid."""
-    elems = basis.elements
-    for i in range(len(elems)):
-        others = elems[:i] + elems[i + 1:]
+    reduction keeps every leading exponent; the leading coefficient of the
+    primitive result may change, so ``leads`` is refreshed."""
+    for i in range(len(G)):
+        others = G[:i] + G[i + 1:]
         if not others:
             continue
-        reduced = _full_nf(elems[i], others, leads[:i] + leads[i + 1:],
-                           basis.ring, limits)
+        reduced = _full_nf(G[i], others, leads[:i] + leads[i + 1:], limits)
         if not _vec_is_zero(reduced):
-            c, e, k = _lt(reduced)
-            elems[i] = tuple(p.scale(1 / k) for p in reduced)
-    # lineage is invalidated by tail reduction against peers
-    if basis.lineage is not None:
-        basis.lineage = None
+            G[i], _ = _primitive(reduced)
+            leads[i] = _lt(G[i])
 
 
 # ---------------------------------------------------------------------------
@@ -421,20 +489,23 @@ def membership_certificate(p: Poly, gens: Sequence[Poly],
     """If p is in <gens>, return (u, cofactors) with u*p = sum cof_i*gens_i,
     u a local unit (u = 1 for global orderings).  None otherwise."""
     basis = std(gens, limits=limits, track=True)
-    if basis.lineage is None:
-        raise RuntimeError("lineage lost; certificate unavailable")
-    h, u, cof = _weak_nf((p,), basis.elements,
-                         [_lt(g) for g in basis.elements], basis.ring, limits,
-                         track=True, gens_count=len(basis.source),
-                         lineage=basis.lineage)
-    if not _vec_is_zero(h):
+    ring = basis.ring
+    zero = ring.zero()
+    # vectors (h, u, c_1, ..., c_m) with h = u*p + sum c_j*source_j
+    reducers = _indexed([_primitive(v + (zero,) + tuple(lin))[0]
+                          for v, lin in zip(basis.elements, basis.lineage)], 1)
+    w, t = _primitive((p, ring.one()) + (zero,) * len(basis.source))
+    h, s = _weak_nf(w, *reducers, ring, limits, 1)
+    if h[0].terms:
         return None
+    u, *cof = _rational(h[1:], s * t)
+    cof = [-c for c in cof]
     # u*p - sum cof_i*source_i = 0, sources are the nonzero original gens
     full = []
     k = 0
     for g in gens:
         if isinstance(g, Poly) and g.is_zero():
-            full.append(basis.ring.zero())
+            full.append(ring.zero())
         else:
             full.append(cof[k])
             k += 1

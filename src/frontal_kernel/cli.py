@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import difflib
+import functools
 import io
 import os
 import sys
@@ -435,7 +436,9 @@ def _run_corpus(limits: Limits, out) -> int:
     return EXIT_OK if failures == 0 else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="frontal-kernel",
         description="Frontality, wave fronts and frontal singularity "

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -52,6 +53,11 @@ class Ordering:
         if self.local:
             deg = -deg
         return (deg, tuple(-e for e in reversed(exp)))
+
+    @functools.cached_property
+    def sort_key(self):
+        """``key`` memoised per ordering: each exponent is keyed once."""
+        return functools.cache(self.key)
 
     def is_global(self) -> bool:
         if self.blocks is not None:
@@ -126,9 +132,8 @@ class Ring:
         return self._from_dict(acc)
 
     def _from_dict(self, acc: dict[tuple[int, ...], Fraction]) -> "Poly":
-        key = self.ordering.key
-        terms = tuple(sorted(acc.items(), key=lambda t: key(t[0]), reverse=True))
-        return Poly(self, terms)
+        exps = sorted(acc, key=self.ordering.sort_key, reverse=True)
+        return Poly(self, tuple([(e, acc[e]) for e in exps]))
 
     def weighted_degree(self, exp: tuple[int, ...]) -> Fraction:
         if self.weights is None:

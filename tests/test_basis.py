@@ -1,12 +1,15 @@
 """Standard bases, normal forms, dimensions, elimination, quotients."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from frontal_kernel import (INFINITE, Limits, ResourceLimitError, eliminate,
                             ideal_quotient, membership, membership_certificate,
                             normal_form, ring, saturation, std,
                             subquotient_dimension, syzygies, vs_dimension)
-from frontal_kernel.basis import colon_submodule
+from frontal_kernel.basis import colon_submodule, vector_normal_form
 from frontal_kernel.germs import min_generators, ramification_ideal
 from frontal_kernel.invariants import (M_F_dimension, _relative_module,
                                        frontal_codimension, good_equation)
@@ -193,3 +196,106 @@ def test_relative_module_matches_explicit_products(
         assert M_F_dimension(ge) == _explicit_route(nums, dens, param_vars)
         assert frontal_codimension(ge) == _explicit_route(
             nums, dens + [ge.G], param_vars)
+
+
+# ---------------------------------------------------------------------------
+# Exact values: coefficients are integers inside std and Fractions outside
+
+
+def _terms(p):
+    return [(e, str(c)) for e, c in p.terms]
+
+
+def test_certificates_and_normal_forms_pinned():
+    # values recorded before std worked over the integers; every returned
+    # basis, remainder and certificate must stay exactly the same
+    R = ring("x", "y", local=True)
+    x, y = R.gens()
+    g1, g2 = Fraction(3, 2) * x ** 2 + y ** 3, x * y ** 2 - Fraction(2, 7) * y ** 4
+    S = ring("x", "y")
+    X, Y = S.gens()
+    h1, h2 = X ** 2 + Fraction(1, 3) * Y, X * Y - 2
+    cases = [
+        # local, the third basis element comes from an S-vector
+        ([g1, g2], y ** 5 + Fraction(6, 49) * y ** 6 + x * y * g1,
+         x ** 3 + x * y + 2 * y ** 2,
+         [((0, 0), "1")],
+         [[((1, 1), "1"), ((0, 2), "1")], [((1, 0), "-3/2"), ((0, 2), "-3/7")]],
+         [((1, 1), "1"), ((0, 2), "2"), ((3, 0), "1")]),
+        # local, the certificate's unit comes from Mora-appended elements
+        ([x + x ** 2 - Fraction(1, 3) * y ** 2, y ** 2 + Fraction(2, 5) * x * y ** 2],
+         x ** 2 + x * y, x * y + y ** 3 + Fraction(1, 7),
+         [((0, 0), "1"), ((1, 0), "1"), ((0, 1), "-1"), ((1, 1), "-1"),
+          ((0, 2), "7/15"), ((1, 2), "2/15"), ((0, 3), "-2/15")],
+         [[((1, 0), "1"), ((0, 1), "1"), ((1, 1), "-1"), ((0, 2), "-2/3"),
+           ((1, 2), "2/15")],
+          [((0, 1), "1/3"), ((0, 2), "-2/9")]],
+         [((0, 0), "1/7"), ((1, 1), "1"), ((0, 3), "1")]),
+        # global
+        ([h1, h2], Y ** 2 + 6 * X + (X + Y) * h1,
+         X ** 3 + Fraction(5, 2) * X * Y ** 2 + Y,
+         [((0, 0), "1")],
+         [[((1, 0), "1"), ((0, 1), "4")], [((1, 0), "-3")]],
+         [((0, 1), "6"), ((0, 0), "-2/3")]),
+    ]
+    for gens, member, other, unit, cofactors, remainder in cases:
+        u, cof = membership_certificate(member, gens)
+        assert _terms(u) == unit
+        assert [_terms(c) for c in cof] == cofactors
+        assert _terms(normal_form(other, std(gens))) == remainder
+    assert [[_terms(p) for p in v] for v in std(cases[0][0]).elements] == [
+        [[((2, 0), "1"), ((0, 3), "2/3")]],
+        [[((1, 2), "1"), ((0, 4), "-2/7")]],
+        [[((0, 5), "1"), ((0, 6), "6/49")]]]
+    assert [[_terms(p) for p in v] for v in std(cases[2][0]).elements] == [
+        [[((2, 0), "1"), ((0, 1), "1/3")]],
+        [[((1, 1), "1"), ((0, 0), "-2")]],
+        [[((0, 2), "1"), ((1, 0), "6")]]]
+
+
+def _random_poly(rng, R, min_order):
+    p = R.zero()
+    for _ in range(rng.randint(1, 3)):
+        exp = (rng.randint(0, 3), rng.randint(0, 3))
+        if sum(exp) >= min_order:
+            p = p + R.monomial(exp, Fraction(rng.randint(-9, 9),
+                                             rng.randint(1, 6)))
+    return p
+
+
+def test_returned_coefficients_are_fractions():
+    rng = random.Random(41)
+
+    def fractions(*polys):
+        return all(type(c) is Fraction for p in polys for _, c in p.terms)
+
+    for local in (True, False):
+        R = ring("x", "y", local=local)
+        x, y = R.gens()
+        for _ in range(8):
+            if local:
+                gens = [Fraction(rng.randint(1, 9), 4) * x ** 2
+                        + _random_poly(rng, R, 3),
+                        y ** 3 + _random_poly(rng, R, 4)]
+            else:
+                gens = [g for g in (_random_poly(rng, R, 1) for _ in range(3))
+                        if not g.is_zero()]
+            basis = std(gens)
+            assert fractions(*basis.polys())
+            assert fractions(normal_form(_random_poly(rng, R, 0), basis))
+            member = sum((R.monomial((rng.randint(0, 2), rng.randint(0, 2)),
+                                     Fraction(rng.randint(1, 9), 7)) * g
+                          for g in gens), R.zero())
+            u, cof = membership_certificate(member, gens)
+            assert fractions(u, *cof)
+    R = ring("x", "y", local=True)
+    x, y = R.gens()
+    zero = R.zero()
+    for _ in range(6):
+        gens = [(x ** 2 + _random_poly(rng, R, 3), 3 * y),
+                (y ** 3 + _random_poly(rng, R, 4), Fraction(1, 2) * x),
+                (zero, Fraction(5, 3) * x ** 2 + _random_poly(rng, R, 3))]
+        basis = std(gens)
+        assert fractions(*(p for v in basis.elements for p in v))
+        v = (_random_poly(rng, R, 0), _random_poly(rng, R, 0))
+        assert fractions(*vector_normal_form(v, basis))

@@ -78,6 +78,21 @@ def test_machine_output_deterministic(tmp_path, capsys):
     assert first == second
 
 
+def test_repeated_main_calls_share_one_parser(tmp_path, capsys):
+    # the parser is built once per process; options of one call must not
+    # leak into the next
+    path = write(tmp_path, E6)
+    runs = []
+    for argv in (["--format", "machine", "analyze", path],
+                 ["--max-pairs", "2", "analyze", path],
+                 ["--format", "machine", "analyze", path]):
+        code = main(argv)
+        runs.append((code, capsys.readouterr().out))
+    assert [code for code, _ in runs] == [0, 4, 0]
+    assert runs[0] == runs[2]
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_conjecture_violation_exit_5(tmp_path, capsys):
     # a user-supplied good equation that passes the formal checks but does
     # not come from the unfolding makes the two sides disagree

@@ -431,3 +431,32 @@ def test_image_equations_are_squarefree(e6, cusp, cuspidal_edge,
         assert is_squarefree(eq), str(eq)
         assert squarefree_part(eq) == eq, str(eq)
     assert image_equation(two_branches).equation.total_degree() == 6
+
+
+def test_std_is_invariant_under_scaling_the_generators():
+    # std makes every element primitive over the integers and monic at the
+    # end; a content or leading-coefficient slip shows as a changed basis
+    rng = random.Random(31)
+    factors = (Fraction(22, 7), Fraction(-35, 9), Fraction(121, 13),
+               Fraction(-64, 27))
+
+    def scaled(v):
+        k = rng.choice(factors)
+        return tuple(p.scale(k) for p in v) if isinstance(v, tuple) \
+            else v.scale(k)
+
+    def terms(basis):
+        return [[p.terms for p in v] for v in basis.elements]
+
+    for local in (True, False):
+        R = ring("x", "y", "z", local=local)
+        for gens in _seeded_ideals(rng, R, 10):
+            assert terms(std([scaled(g) for g in gens])) == terms(std(gens))
+    R = ring("x", "y", local=True)
+    x, y = R.gens()
+    zero = R.zero()
+    for _ in range(6):
+        gens = [(x ** 2 + random_poly(rng, R, 2, 4, min_order=3), y),
+                (y ** 3 + random_poly(rng, R, 2, 4, min_order=4), x),
+                (zero, x * y + random_poly(rng, R, 2, 4, min_order=3))]
+        assert terms(std([scaled(v) for v in gens])) == terms(std(gens))
