@@ -30,7 +30,7 @@ from math import gcd, lcm
 from operator import add, le, sub
 from typing import Optional, Sequence, Union
 
-from .ring import Ordering, Poly, Ring
+from .ring import Ordering, Poly, Ring, fresh_names
 
 
 class ResourceLimitError(RuntimeError):
@@ -65,14 +65,15 @@ DEFAULT_LIMITS = Limits()
 Vector = tuple[Poly, ...]
 
 
+def _vector(g: Union[Poly, Vector]) -> Vector:
+    return (g,) if isinstance(g, Poly) else tuple(g)
+
+
 def _as_vectors(gens: Sequence[Union[Poly, Vector]]) -> tuple[list[Vector], int]:
     vecs: list[Vector] = []
     rank = None
     for g in gens:
-        if isinstance(g, Poly):
-            v: Vector = (g,)
-        else:
-            v = tuple(g)
+        v = _vector(g)
         if rank is None:
             rank = len(v)
         elif rank != len(v):
@@ -581,62 +582,38 @@ def eliminate(gens: Sequence[Poly], elim: Sequence[int],
 
 def syzygies(gens: Sequence[Union[Poly, Vector]],
              limits: Limits = DEFAULT_LIMITS) -> list[Vector]:
-    """Generators of the first syzygy module of the given elements."""
-    vecs, rank = _as_vectors(gens)
-    m = len(vecs)
-    if m == 0:
-        raise ValueError("no nonzero generators")
-    ring = vecs[0][0].ring
-    big: list[Vector] = []
-    for i, v in enumerate(vecs):
-        unit = tuple(ring.one() if j == i else ring.zero() for j in range(m))
-        big.append(tuple(v) + unit)
-    basis = std(big, limits=limits)
-    out = []
-    for v in basis.elements:
-        if all(v[c].is_zero() for c in range(rank)):
-            out.append(v[rank:])
-    return out
+    """Generators of the first syzygy module of the given elements (a zero
+    generator keeps its slot)."""
+    return colon_submodule(gens, (), limits)[1]
 
 
 def ideal_quotient(gens: Sequence[Poly], f: Poly,
                    limits: Limits = DEFAULT_LIMITS) -> list[Poly]:
-    """(I : f) via the last syzygy coordinate of (gens, f)."""
+    """(I : f) = {c : c*f in I}, the colon module of the single numerator f."""
     if f.is_zero():
         raise ValueError("quotient by zero")
-    gens = [g for g in gens if not g.is_zero()]
-    syz = syzygies(list(gens) + [f], limits=limits)
-    out = [s[-1] for s in syz if not s[-1].is_zero()]
-    if not out:
-        out = [gens[0].ring.zero()]
-    return out
-
-
-def _same_ideal(a: Sequence[Poly], b: Sequence[Poly], limits: Limits) -> bool:
-    a = [g for g in a if not g.is_zero()]
-    b = [g for g in b if not g.is_zero()]
-    if not a or not b:
-        return not a and not b
-    ba = std(a, limits=limits)
-    bb = std(b, limits=limits)
-    return (all(membership(g, ba, limits) for g in b)
-            and all(membership(g, bb, limits) for g in a))
+    _, quotient = colon_submodule([f], gens, limits)
+    return [v[0] for v in quotient] or [f.ring.zero()]
 
 
 def saturation(gens: Sequence[Poly], f: Poly,
                limits: Limits = DEFAULT_LIMITS) -> list[Poly]:
-    """(I : f^infinity) by iterating the ideal quotient until it stabilises."""
+    """(I : f^infinity) = (I, 1 - s*f) meet R for a fresh variable s
+    (Rabinowitsch), by one elimination of s."""
     if f.is_zero():
         raise ValueError("saturation by zero")
-    current = [g for g in gens if not g.is_zero()]
-    if not current:
+    gens = [g for g in gens if not g.is_zero()]
+    if not gens:
         raise ValueError("no nonzero generators")
-    for _ in range(limits.max_pairs):
-        nxt = ideal_quotient(current, f, limits=limits)
-        if _same_ideal(current, nxt, limits):
-            return current
-        current = nxt
-    raise ResourceLimitError("saturation did not stabilise")
+    R = f.ring
+    s_name, = fresh_names("s", 1, R.names)
+    weights = None if R.weights is None else (Fraction(1),) + R.weights
+    work = Ring((s_name,) + R.names,
+                Ordering(local=R.ordering.local, weights=weights), weights)
+    s = work.var(0)
+    _, out = eliminate([g.map_to(work) for g in gens]
+                       + [work.one() - s * f.map_to(work)], [0], limits)
+    return [p.map_to(R) for p in out]
 
 
 # ---------------------------------------------------------------------------
@@ -647,37 +624,39 @@ class ContainmentError(ValueError):
     """Denominator generators do not lie in the numerator ideal."""
 
 
-def colon_submodule(numerator: Sequence[Poly], denominator: Sequence[Poly],
+def colon_submodule(numerator: Sequence[Union[Poly, Vector]],
+                    denominator: Sequence[Union[Poly, Vector]],
                     limits: Limits = DEFAULT_LIMITS,
                     times: Sequence[Poly] = ()) -> tuple[int, list[Vector]]:
     """N = {c in R^s : sum c_i a_i in <denominator> + a*<numerator>} for
-    numerator (a_1..a_s), where a is the ideal of the variables in ``times``.
+    numerator (a_1..a_s) in R^r, where a is the ideal of the variables in
+    ``times``.
 
     Presents I1/(I2 + a*I1) as R^s/N.  For each v in ``times`` and each a_c
     the monomial vector (0, v*e_c) is added to the generators (a_c, e_c) and
     (d, 0), d in I2; then (v*a_c, 0) = v*(a_c, e_c) - (0, v*e_c) is in the
     module, and ``std`` drops every term that a known monomial divides, so
     the tag components stay constants.  Returns (s, generators of N); the
-    generators form a standard basis of N under the module order.
+    generators form a standard basis of N under the module order.  A zero
+    numerator keeps its slot: e_c is in N.
     """
-    nums = list(numerator)
+    nums = [_vector(a) for a in numerator]
     s = len(nums)
     if s == 0:
         raise ValueError("empty numerator")
-    ring = nums[0].ring
+    r = len(nums[0])
+    ring = nums[0][0].ring
     zero = ring.zero()
-    zeros = (zero,) * s
 
     def tag(i, p):
         return tuple(p if j == i else zero for j in range(s))
 
-    dens = [d for d in denominator if not d.is_zero()]
-    big: list[Vector] = [(a,) + tag(i, ring.one()) for i, a in enumerate(nums)]
-    big += [(d,) + zeros for d in dens]
-    big += [(zero,) + tag(i, v) for v in times for i in range(s)]
+    dens = [d for d in map(_vector, denominator) if not _vec_is_zero(d)]
+    big: list[Vector] = [a + tag(i, ring.one()) for i, a in enumerate(nums)]
+    big += [d + (zero,) * s for d in dens]
+    big += [(zero,) * r + tag(i, v) for v in times for i in range(s)]
     basis = std(big, limits=limits)
-    out = [v[1:] for v in basis.elements if v[0].is_zero()]
-    return s, out
+    return s, [v[r:] for v in basis.elements if _vec_is_zero(v[:r])]
 
 
 def subquotient_dimension(numerator: Sequence[Poly], denominator: Sequence[Poly],

@@ -90,11 +90,6 @@ def _wants(directives, *keys) -> bool:
     return any(k in directives for k in keys)
 
 
-def _explicit(directives, key) -> bool:
-    """The user asked for this result itself, not just as a verify input."""
-    return not directives or "all" in directives or key in directives
-
-
 def _analyze_map(run: _Run, name: str, f, directives, limits: Limits) -> Report:
     report = Report(f"map {name}")
     report.add("source.variables", ", ".join(f.source.names))
@@ -233,7 +228,7 @@ def _analyze_unfolding(run: _Run, name: str, U, directives,
     if _wants(directives, "siersma", "verify") and U.r == 1:
         res = run.attempt(report, "siersma",
                           lambda: inv.frontal_milnor_siersma(U, limits),
-                          soft=not _explicit(directives, "siersma"))
+                          soft=not _wants(directives, "siersma"))
         if res is not None:
             siersma = res.value
             report.add("siersma", res.value, CERTIFIED,
@@ -242,10 +237,10 @@ def _analyze_unfolding(run: _Run, name: str, U, directives,
 
     ge = None
     if _wants(directives, "M_F", "codim_Fe", "samuel", "verify"):
-        soft_ge = not any(_explicit(directives, k)
-                          for k in ("M_F", "codim_Fe", "samuel"))
         ge = run.attempt(report, "good_equation",
-                         lambda: inv.good_equation(U, limits), soft=soft_ge)
+                         lambda: inv.good_equation(U, limits),
+                         soft=not _wants(directives, "M_F", "codim_Fe",
+                                         "samuel"))
         if ge is not None:
             report.add("good_equation.augmented", ge.augmented)
             report.add("good_equation.parameters", ", ".join(ge.params))
@@ -254,13 +249,13 @@ def _analyze_unfolding(run: _Run, name: str, U, directives,
     if ge is not None and _wants(directives, "M_F", "verify"):
         mf = run.attempt(report, "M_F",
                          lambda: inv.M_F_dimension(ge, limits),
-                         soft=not _explicit(directives, "M_F"))
+                         soft=not _wants(directives, "M_F"))
         if mf is not None:
             report.add("M_F", mf, _status_of(mf))
     if ge is not None and _wants(directives, "codim_Fe", "verify"):
         codim = run.attempt(report, "codim_Fe",
                             lambda: inv.frontal_codimension(ge, limits),
-                            soft=not _explicit(directives, "codim_Fe"))
+                            soft=not _wants(directives, "codim_Fe"))
         if codim is not None:
             report.add("codim_Fe", codim, _status_of(codim))
 
@@ -270,7 +265,7 @@ def _analyze_unfolding(run: _Run, name: str, U, directives,
         est = run.attempt(report, "samuel",
                           lambda: inv.samuel_multiplicity_estimate(
                               ge, limits=limits),
-                          soft=not _explicit(directives, "samuel"))
+                          soft=not _wants(directives, "samuel"))
         if est is not None:
             samuel = est.value
             note = (f"window k={est.window}" if est.window else est.note)

@@ -10,7 +10,7 @@ from .basis import DEFAULT_LIMITS, Limits, eliminate, membership, std
 from .germs import (DivisionError, GermError, MapGerm, NashData,
                     PrenormalForm, corank_branch, frontal_lift, target_names)
 from .invariants import ImageData, InvariantError, _branch_eliminant, image_equation
-from .ring import Poly, Ring, associates, ring
+from .ring import Poly, Ring, associates, fresh_names, ring
 from .squarefree import squarefree_part
 
 
@@ -36,19 +36,6 @@ class GeneratingFamily:
     jet_order: Optional[int]
 
 
-def _u_names(k: int, taken) -> tuple[str, ...]:
-    if k == 1 and "u" not in taken:
-        return ("u",)
-    names = []
-    i = 1
-    for _ in range(k):
-        while f"u{i}" in taken:
-            i += 1
-        names.append(f"u{i}")
-        i += 1
-    return tuple(names)
-
-
 def generating_family(pre: PrenormalForm, nash: NashData) -> GeneratingFamily:
     """h(u,x,y) = (x, u, q + sum mu_i (u_i - p_i)) from the lift data."""
     n, k = pre.n, pre.k
@@ -57,7 +44,7 @@ def generating_family(pre: PrenormalForm, nash: NashData) -> GeneratingFamily:
     if linalg.rank(dmu_dy) < k:
         raise GenFamError("d(mu)/dy is singular at the origin: the germ is "
                           "frontal but not a wave front")
-    unames = _u_names(k, set(pre.source.names))
+    unames = fresh_names("u", k, pre.source.names)
     big = ring(*pre.source.names, *unames, local=True)
     uvars = [big.var(n + i) for i in range(k)]
     p = tuple(pj.map_to(big) for pj in pre.p)

@@ -243,6 +243,15 @@ class PrenormalForm:
         return xs + list(self.p) + [self.q]
 
 
+def _combination(ring_: Ring, coeffs, polys) -> Poly:
+    """sum c_k * p_k over the nonzero coefficients c_k."""
+    acc = ring_.zero()
+    for c, p in zip(coeffs, polys):
+        if c:
+            acc = acc + p.scale(c)
+    return acc
+
+
 def _linear_part(p: Poly) -> list[Fraction]:
     n = p.ring.arity
     return [p.diff(i).constant_term() for i in range(n)]
@@ -298,13 +307,7 @@ def prenormal_candidates(f: MapGerm, branch: int = 0) -> list[PrenormalForm]:
             tuple(f"y{i + 1}" for i in range(k))
         new_ring = ring(*names, local=True)
         # old variable i = sum_j ainv[i][j] * new_j
-        images = []
-        for i in range(n):
-            img = new_ring.zero()
-            for j in range(n):
-                if ainv[i][j]:
-                    img = img + new_ring.var(j).scale(ainv[i][j])
-            images.append(img)
+        images = [_combination(new_ring, row, new_ring.gens()) for row in ainv]
         new_comps = [c.substitute(images, new_ring) for c in comps]
 
     rest = [j for j in range(n + 1) if j not in chosen]
@@ -312,12 +315,8 @@ def prenormal_candidates(f: MapGerm, branch: int = 0) -> list[PrenormalForm]:
     sheared = {}
     for j in rest:
         c = new_comps[j]
-        lin = _linear_part(c)
-        adjust = new_ring.zero()
-        for i in range(n):
-            if lin[i]:
-                adjust = adjust + new_ring.var(i).scale(lin[i])
-        sheared[j] = c - adjust
+        sheared[j] = c - _combination(new_ring, _linear_part(c),
+                                      new_ring.gens())
 
     out = []
     for qj in rest:
@@ -456,26 +455,13 @@ def is_wavefront(f: MapGerm, limits: Limits = DEFAULT_LIMITS) -> bool:
 def compose_linear(f: MapGerm, source_change: linalg.Matrix,
                    target_change: linalg.Matrix) -> MapGerm:
     """psi o f o phi^{-1} for linear phi (source) and psi (target)."""
-    n = f.n
     inv = linalg.inverse(source_change)
     if inv is None or linalg.inverse(target_change) is None:
         raise ValueError("coordinate changes must be invertible")
-    images = []
-    for i in range(n):
-        img = f.source.zero()
-        for j in range(n):
-            if inv[i][j]:
-                img = img + f.source.var(j).scale(inv[i][j])
-        images.append(img)
+    images = [_combination(f.source, row, f.source.gens()) for row in inv]
     new_branches = []
     for comps in f.branches:
         pulled = [c.substitute(images, f.source) for c in comps]
-        mixed = []
-        for row in target_change:
-            acc = f.source.zero()
-            for coef, c in zip(row, pulled):
-                if coef:
-                    acc = acc + c.scale(coef)
-            mixed.append(acc)
-        new_branches.append(tuple(mixed))
+        new_branches.append(tuple(_combination(f.source, row, pulled)
+                                  for row in target_change))
     return MapGerm(f.source, tuple(new_branches))

@@ -13,7 +13,7 @@ from .basis import (DEFAULT_LIMITS, INFINITE, Limits, _Infinite, colon_submodule
                     subquotient_dimension, vs_dimension)
 from .germs import (GermError, MapGerm, multiplicity, once, poly_det,
                     target_names)
-from .ring import Poly, Ring, associates, exact_divide, ring
+from .ring import Poly, Ring, associates, exact_divide, fresh_names, ring
 from .squarefree import is_squarefree
 
 
@@ -360,11 +360,7 @@ def good_equation(U: UnfoldingSpec,
         ge = GoodEquation(target, G0, y_count, U.params, False, u,
                           tuple(cof), g)
     else:
-        s_name = "s"
-        counter = 1
-        while s_name in target.names:
-            s_name = f"s{counter}"
-            counter += 1
+        s_name, = fresh_names("s", 1, target.names)
         ext = ring(*target.names, s_name, local=True)
         s = ext.var(ext.arity - 1)
         G = (ext.one() + s) * G0.map_to(ext)

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
+
+from .linalg import _echelon
 
 
 class RingMismatchError(ValueError):
@@ -148,6 +151,16 @@ def ring(*names: str, local: bool = False, weights=None) -> Ring:
     w = None if weights is None else tuple(Fraction(x) for x in weights)
     ordering = Ordering(local=local, weights=w)
     return Ring(tuple(names), ordering, w)
+
+
+def fresh_names(stem: str, k: int, taken) -> tuple[str, ...]:
+    """k variable names outside ``taken``: ``stem`` alone when k = 1 and it
+    is free, else stem1, stem2, ... skipping the taken ones."""
+    if k == 1 and stem not in taken:
+        return (stem,)
+    numbered = (f"{stem}{i}" for i in itertools.count(1))
+    return tuple(itertools.islice(
+        (name for name in numbered if name not in taken), k))
 
 
 # ---------------------------------------------------------------------------
@@ -469,26 +482,16 @@ def quasihomogeneous_weights(p: Poly):
         return None  # nonzero constant: w.a = d > 0 impossible
     m = len(present)
     base = exps[0]
+    # rows . w = 0 in reduced row echelon form
     rows = [[Fraction(e[i] - base[i]) for i in present] for e in exps[1:]]
-    # solve rows . w = 0 by Gaussian elimination
-    pivots: dict[int, list[Fraction]] = {}
-    for row in rows:
-        for col, piv in pivots.items():
-            if row[col]:
-                f = row[col]
-                row[:] = [a - f * b for a, b in zip(row, piv)]
-        lead = next((j for j, a in enumerate(row) if a), None)
-        if lead is None:
-            continue
-        row[:] = [a / row[lead] for a in row]
-        pivots[lead] = row
+    pivots = _echelon(rows, m)
     free_cols = [j for j in range(m) if j not in pivots]
 
     def solution(free_values):
         w = [Fraction(0)] * m
         for j, v in zip(free_cols, free_values):
             w[j] = Fraction(v)
-        for col, row in pivots.items():
+        for row, col in zip(rows, pivots):
             w[col] = -sum(row[j] * w[j] for j in free_cols)
         return w
 
@@ -500,17 +503,12 @@ def quasihomogeneous_weights(p: Poly):
             break
     if w is None:
         return None
-    scale = 1
-    for v in w:
-        scale = scale * v.denominator // _gcd_int(scale, v.denominator)
+    scale = math.lcm(*[v.denominator for v in w])
     scaled = [int(v * scale) for v in w]
-    g = 0
-    for v in scaled:
-        g = _gcd_int(g, v)
-    scaled = [v // g for v in scaled]
+    g = math.gcd(*scaled)
     ints = [1] * n
     for j, i in enumerate(present):
-        ints[i] = scaled[j]
+        ints[i] = scaled[j] // g
     d = sum(wi * ai for wi, ai in zip(ints, base))
     # re-check every term
     for e in exps:
@@ -518,9 +516,3 @@ def quasihomogeneous_weights(p: Poly):
             return None
     free_mask = tuple(i in absent for i in range(n))
     return tuple(ints), d, free_mask
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a

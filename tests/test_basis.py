@@ -12,7 +12,8 @@ from frontal_kernel import (INFINITE, Limits, ResourceLimitError, eliminate,
 from frontal_kernel.basis import colon_submodule, vector_normal_form
 from frontal_kernel.germs import min_generators, ramification_ideal
 from frontal_kernel.invariants import (M_F_dimension, _relative_module,
-                                       frontal_codimension, good_equation)
+                                       frontal_codimension, good_equation,
+                                       siersma_count)
 
 
 def test_vs_dimension_local_milnor():
@@ -87,6 +88,13 @@ def test_syzygies_vanish():
         assert acc.is_zero()
 
 
+def test_syzygies_keep_the_slot_of_a_zero_generator():
+    R = ring("x", "y")
+    x, y = R.gens()
+    assert syzygies([x, R.zero(), y]) == [(R.zero(), R.one(), R.zero()),
+                                         (y, R.zero(), -x)]
+
+
 def test_ideal_quotient_and_saturation():
     R = ring("x", "y")
     x, y = R.var(0), R.var(1)
@@ -97,6 +105,16 @@ def test_ideal_quotient_and_saturation():
     sat = saturation([x ** 2 * y], x)
     sb = std(sat)
     assert membership(y, sb) and not membership(R.one(), sb)
+
+
+@pytest.mark.parametrize("name, mu", [("e6", 1), ("e6_nonfrontal", 3),
+                                      ("infinite_mf", 12)])
+def test_siersma_count_pinned(name, mu):
+    from frontal_kernel import germfile
+    from frontal_kernel.cli import _corpus_dir
+    text = (_corpus_dir() / f"{name}.germ").read_text(encoding="utf-8")
+    U = germfile.parse(text).unfoldings["F"]
+    assert [siersma_count(U, t0) for t0 in (1, 2, 3)] == [mu] * 3
 
 
 def test_subquotient_dimension():
@@ -299,3 +317,52 @@ def test_returned_coefficients_are_fractions():
         assert fractions(*(p for v in basis.elements for p in v))
         v = (_random_poly(rng, R, 0), _random_poly(rng, R, 0))
         assert fractions(*vector_normal_form(v, basis))
+
+
+# ---------------------------------------------------------------------------
+# Saturation against an iterated-quotient reference
+
+
+def _saturation_reference(gens, f):
+    """I : f^infinity as the first I : f^k with I : f^(k+1) inside it."""
+    current = gens
+    while True:
+        nxt = ideal_quotient(current, f)
+        basis = std(current)
+        if all(membership(g, basis) for g in nxt):
+            return current
+        current = nxt
+
+
+def _is_unit_ideal(basis):
+    return any(not any(v[0].terms[0][0]) for v in basis.elements)
+
+
+def _nonzero(draw):
+    while (p := draw()).is_zero():
+        pass
+    return p
+
+
+def test_saturation_matches_iterated_quotients():
+    # f is the sum of two terms of degree <= 2 in each variable with integer
+    # coefficients in [-3, 3]; each of the two generators is f^a * p with
+    # a <= 2 and p as in _random_poly.  Every iterated quotient stays small;
+    # 21 of the 40 saturations are proper ideals.
+    rng = random.Random(7)
+    for case in range(40):
+        R = ring("x", "y", local=case % 2 == 1)
+        f = _nonzero(lambda: sum(
+            (R.monomial(e, rng.randint(-3, 3))
+             for e in [(rng.randint(0, 2), rng.randint(0, 2))
+                       for _ in range(2)] if any(e)),
+            R.zero()))
+        gens = [f ** rng.randint(0, 2) * _nonzero(
+            lambda: _random_poly(rng, R, 0)) for _ in range(2)]
+        sat, ref = std(saturation(gens, f)), std(_saturation_reference(gens, f))
+        if _is_unit_ideal(ref):
+            # normal forms against a unit with a long tail are slow
+            assert _is_unit_ideal(sat)
+            continue
+        assert all(membership(g, ref) for g in sat.polys())
+        assert all(membership(g, sat) for g in ref.polys())

@@ -1,5 +1,8 @@
 """Exact polynomial arithmetic and orderings."""
 
+import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -97,6 +100,39 @@ def test_quasihomogeneous_weights():
     w, d, _ = qh
     assert list(w) == [3, 4] and d == 12
     assert quasihomogeneous_weights(y1 ** 2 + y1 ** 3 + y2) is None
+
+
+def test_quasihomogeneous_weights_need_full_reduction():
+    # the pivot row of X is reduced by the later pivot of Z before the
+    # weights are read off it
+    R = ring("X", "Y", "Z")
+    X, Y, Z = R.gens()
+    g = Z ** 2 - X ** 2 * Y + 2 * X * Y ** 5 - Y ** 9
+    assert quasihomogeneous_weights(g) == ((8, 2, 9), 18, (False, False, False))
+
+
+def test_quasihomogeneous_weights_of_weighted_homogeneous_polynomials():
+    # with a pure power of every variable the weights are unique up to scale
+    rng = random.Random(8)
+    for _ in range(40):
+        n = rng.randint(2, 4)
+        R = ring(*[f"y{i + 1}" for i in range(n)])
+        w = [rng.randint(1, 4) for _ in range(n)]
+        d = math.lcm(*w) * rng.randint(1, 2)
+        pure = [tuple(d // w[i] if j == i else 0 for j in range(n))
+                for i in range(n)]
+        mixed = [e for e in itertools.product(*[range(d // wi) for wi in w])
+                 if sum(wi * a for wi, a in zip(w, e)) == d]
+        exps = pure + rng.sample(mixed, min(3, len(mixed)))
+        g = sum((R.monomial(e, rng.choice([-3, -2, -1, 1, 2, 3]))
+                 for e in exps), R.zero())
+        qh = quasihomogeneous_weights(g)
+        assert qh is not None, g
+        weights, degree, free = qh
+        assert all(sum(wi * a for wi, a in zip(weights, e)) == degree
+                   for e, _ in g.terms)
+        assert list(weights) == [wi // math.gcd(*w) for wi in w]
+        assert not any(free)
 
 
 def test_weighted_ring_degree():
