@@ -19,7 +19,7 @@ from . import invariants as inv
 from .derlog import DerlogError, derlog as compute_derlog, is_free_divisor
 from .basis import INFINITE, Limits, ResourceLimitError
 from .germs import (DivisionError, GermError, PrenormalError, corank,
-                    is_frontal, is_wavefront, frontal_lift)
+                    is_frontal, is_wavefront)
 from .report import (ASSUMED, CERTIFIED, ERROR, EXACT, INCONCLUSIVE,
                      INFINITE_STATUS, NOT_COMPUTED, Report)
 from .ring import quasihomogeneous_weights

@@ -43,43 +43,35 @@ class LogDerivations:
     # satisfies epsilon(g) = g; present iff g is in J(g).
 
 
-def _raw_syzygy_fields(g: Poly, limits: Limits) -> list[LogField]:
-    ring_ = g.ring
-    m = ring_.arity
-    partials = [g.diff(i) for i in range(m)]
-    live = [i for i in range(m) if not partials[i].is_zero()]
-    fields: list[LogField] = []
-    for i in range(m):
-        if i not in live:
-            unit = tuple(ring_.one() if j == i else ring_.zero() for j in range(m))
-            fields.append(LogField(unit, ring_.zero()))
-    syz = syzygies([partials[i] for i in live] + [g], limits)
-    for v in syz:
-        coeffs = [ring_.zero()] * m
-        for pos, i in enumerate(live):
-            coeffs[i] = v[pos]
-        fields.append(LogField(tuple(coeffs), -v[-1]))
-    return [f for f in fields if any(not c.is_zero() for c in f.coeffs)]
+def _syzygy_fields(g: Poly, gens: list[Poly],
+                   limits: Limits) -> list[LogField]:
+    """Fields sum v_i d/dy_i, cofactor -v_m, of the syzygies v of ``gens``:
+    the partials of g, with g itself last when a cofactor is wanted.  A
+    vanishing partial keeps its syzygy slot and gives d/dy_i itself."""
+    m = g.ring.arity
+    zero = g.ring.zero()
+    return [LogField(v[:m], -v[m] if len(v) > m else zero)
+            for v in syzygies(gens, limits)
+            if any(not c.is_zero() for c in v[:m])]
 
 
 def _prune_minimal(fields: list[LogField], limits: Limits) -> list[LogField]:
-    """Drop generators lying in the submodule spanned by the rest (Nakayama)."""
-    current = list(fields)
-    changed = True
-    while changed and len(current) > 1:
-        changed = False
-        # prefer removing the highest-order fields first
-        order = sorted(range(len(current)),
-                       key=lambda i: -min(c.order() for c in current[i].coeffs
-                                          if not c.is_zero()))
-        for i in order:
-            others = current[:i] + current[i + 1:]
-            basis = std([f.coeffs for f in others], limits=limits)
-            if membership(current[i].coeffs, basis, limits):
-                current = others
-                changed = True
-                break
-    return current
+    """Drop generators lying in the submodule spanned by the rest (Nakayama).
+
+    One pass, highest-order fields first.  Removing a redundant field only
+    shrinks the span of the others, so a field already found irredundant
+    stays irredundant: restarting after each removal keeps the same fields.
+    """
+    keep = list(range(len(fields)))
+    order = sorted(keep, key=lambda i: -min(c.order() for c in fields[i].coeffs
+                                            if not c.is_zero()))
+    for i in order:
+        others = [j for j in keep if j != i]
+        if others and membership(
+                fields[i].coeffs,
+                std([fields[j].coeffs for j in others], limits=limits), limits):
+            keep = others
+    return [fields[i] for i in keep]
 
 
 def derlog(g: Poly, limits: Limits = DEFAULT_LIMITS) -> LogDerivations:
@@ -89,7 +81,8 @@ def derlog(g: Poly, limits: Limits = DEFAULT_LIMITS) -> LogDerivations:
     ring_ = g.ring
     if ring_.ordering.is_global():
         raise DerlogError("logarithmic derivations are computed in local rings")
-    fields = _raw_syzygy_fields(g, limits)
+    partials = [g.diff(i) for i in range(ring_.arity)]
+    fields = _syzygy_fields(g, partials + [g], limits)
     if not fields:
         raise DerlogError("no logarithmic fields found (is g a unit?)")
     minimal = _prune_minimal(fields, limits)
@@ -129,24 +122,10 @@ def epsilon_split(g: Poly, limits: Limits = DEFAULT_LIMITS):
     if eps is None:
         raise DerlogError("g is not in its Jacobian ideal: no Euler-type "
                           "splitting exists")
-    ring_ = g.ring
-    m = ring_.arity
-    partials = [g.diff(i) for i in range(m)]
-    live = [i for i in range(m) if not partials[i].is_zero()]
-    kernel: list[LogField] = []
-    for i in range(m):
-        if i not in live:
-            unit = tuple(ring_.one() if j == i else ring_.zero() for j in range(m))
-            kernel.append(LogField(unit, ring_.zero()))
-    if live:
-        for v in syzygies([partials[i] for i in live], limits):
-            coeffs = [ring_.zero()] * m
-            for pos, i in enumerate(live):
-                coeffs[i] = v[pos]
-            kernel.append(LogField(tuple(coeffs), ring_.zero()))
-    kernel = [f for f in kernel if any(not c.is_zero() for c in f.coeffs)]
+    partials = [g.diff(i) for i in range(g.ring.arity)]
+    kernel = _syzygy_fields(g, partials, limits)
     u, coeffs = eps
-    check = ring_.zero()
+    check = g.ring.zero()
     for c, p in zip(coeffs, partials):
         check = check + c * p
     if check != u * g:

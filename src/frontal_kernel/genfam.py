@@ -7,9 +7,9 @@ from typing import Optional
 
 from . import linalg
 from .basis import DEFAULT_LIMITS, Limits, eliminate, membership, std
-from .germs import (DivisionError, GermError, MapGerm, NashData,
-                    PrenormalForm, corank_branch, frontal_lift, target_names)
-from .invariants import ImageData, InvariantError, _branch_eliminant, image_equation
+from .germs import (MapGerm, NashData, PrenormalForm, corank_branch,
+                    frontal_lift, target_names)
+from .invariants import ImageData, image_equation
 from .ring import Poly, Ring, associates, fresh_names, ring
 from .squarefree import squarefree_part
 

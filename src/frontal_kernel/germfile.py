@@ -13,12 +13,12 @@ Statements are semicolon-terminated; `#` starts a comment.  Supported:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Union
 
 from .basis import DEFAULT_LIMITS, ResourceLimitError
-from .germs import MapGerm, germ, target_names
+from .germs import MapGerm, germ
 from .invariants import UnfoldingSpec, unfolding
 from .ring import Poly, Ring, ring
 
@@ -437,9 +437,7 @@ class _Parser:
                           self.max_degree)
         equation = sub.parse_expr()
         self.pos = sub.pos
-        self.unfoldings[name] = UnfoldingSpec(
-            spec.base, spec.params, spec.source, spec.components,
-            equation, spec.stable_asserted)
+        self.unfoldings[name] = replace(spec, explicit_G=equation)
         self.statements.append(GoodEquationStmt(name, equation))
 
     def assert_stable_stmt(self) -> None:
@@ -447,9 +445,7 @@ class _Parser:
         spec = self.unfoldings.get(name)
         if spec is None:
             self.error(f"undeclared unfolding {name!r}")
-        self.unfoldings[name] = UnfoldingSpec(
-            spec.base, spec.params, spec.source, spec.components,
-            spec.explicit_G, True)
+        self.unfoldings[name] = replace(spec, stable_asserted=True)
         self.statements.append(AssertStableStmt(name))
 
     def analyze_stmt(self) -> None:

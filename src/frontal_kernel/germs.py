@@ -8,9 +8,9 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import linalg
-from .basis import (DEFAULT_LIMITS, INFINITE, Limits, membership,
-                    membership_certificate, std, subquotient_dimension)
-from .ring import Ordering, Poly, Ring, exact_divide, ring
+from .basis import (DEFAULT_LIMITS, INFINITE, Limits, membership_certificate,
+                    std, subquotient_dimension)
+from .ring import Poly, Ring, exact_divide, ring
 
 
 class GermError(ValueError):
@@ -182,20 +182,23 @@ def min_generators(gens: Sequence[Poly],
 
 def principal_generator(gens: Sequence[Poly],
                         limits: Limits = DEFAULT_LIMITS) -> Optional[Poly]:
-    """A single generator of <gens> when the ideal is principal, else None."""
+    """A single generator of <gens> when the ideal is principal, else None.
+
+    In a local degree ordering L(u*h*q) = L(h)*L(q) for a unit u, so the
+    leading ideal of a principal ideal (h) is (L(h)) and its minimal
+    standard basis is one element; conversely a standard basis generates
+    the ideal, so a one-element basis is a generator (Greuel-Pfister,
+    *A Singular Introduction to Commutative Algebra*, 1.7 and 2.3).
+    """
     gens = [g for g in gens if not g.is_zero()]
-    count, unit = min_generators(gens, limits)
-    if count > 1:
-        return None
-    if unit:
+    if not gens:
+        raise ValueError("zero ideal")
+    if gens[0].ring.ordering.is_global():
+        raise ValueError("minimal generator counts need a local ring")
+    if any(g.is_unit() for g in gens):
         return gens[0].ring.one()
-    basis = std(gens, limits=limits)
-    candidates = [v[0] for v in basis.elements] + list(gens)
-    for cand in candidates:
-        single = std([cand], limits=limits)
-        if all(membership(g, single, limits) for g in gens):
-            return cand.monic()
-    raise AssertionError("principal ideal without a principal witness")
+    basis = std(gens, limits=limits).polys()
+    return basis[0] if len(basis) == 1 else None
 
 
 def is_frontal(f: MapGerm,

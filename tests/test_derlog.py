@@ -2,8 +2,10 @@
 
 import pytest
 
-from frontal_kernel import (DerlogError, associates, derlog, epsilon_split,
-                            image_equation, is_free_divisor, ring)
+from frontal_kernel import (DerlogError, StdBasis, associates, derlog,
+                            epsilon_split, image_equation, is_free_divisor,
+                            ring, syzygies, vs_dimension)
+from frontal_kernel.basis import colon_submodule
 from frontal_kernel.derlog import commutator, is_logarithmic
 
 
@@ -80,3 +82,24 @@ def test_derlog_requires_local_ring():
     R = ring("X", "Y")
     with pytest.raises(DerlogError):
         derlog(R.var(0) * R.var(1))
+
+
+def test_derlog_count_is_nakayama_count_on_corpus_images(corpus_files):
+    # M is spanned by the fields of the syzygies of (dg/dy_1..dg/dy_m, g);
+    # a minimal generating set of M has dim M/mM elements, counted here as
+    # the colength of the presentation of M/mM
+    counts = []
+    for parsed in corpus_files:
+        g = image_equation(parsed.maps["f"]).equation
+        R = g.ring
+        m = R.arity
+        raw = [v[:m] for v in syzygies([g.diff(i) for i in range(m)] + [g])
+               if any(not c.is_zero() for c in v[:m])]
+        s, gens = colon_submodule(raw, (), times=R.gens())
+        der = derlog(g)
+        assert len(der.generators) == vs_dimension(StdBasis(R, s, gens))
+        assert all(field.verify(g) for field in der.generators)
+        counts.append(len(der.generators))
+    # cusp, cuspidal edge (dg/dX = 0), e6, e6_nonfrontal, f4, folded
+    # umbrella, infinite_mf, swallowtail
+    assert counts == [2, 3, 2, 2, 4, 4, 4, 3]

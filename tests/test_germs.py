@@ -148,13 +148,33 @@ def _parsed_map(components):
                  + components + ";\n").maps["f"]
 
 
-def test_frontal_generic_change_folded_umbrella():
+def _folded_umbrella_change():
     # a generic linear change of (x, y^2, x*y^3) that once ran for minutes
-    f = _parsed_map(
+    return _parsed_map(
         "-4*y + 2*y^2 - 8*x*y + 8*x^2 + 2*y^4 - 12*x*y^3 + 24*x^2*y^2 "
         "- 16*x^3*y, -4*y - y^2 + 4*x*y - 4*x^2, -4*y - y^2 + 4*x*y "
         "- 4*x^2 - 4*y^4 + 24*x*y^3 - 48*x^2*y^2 + 32*x^3*y")
-    assert is_frontal(f)[0] is True
+
+
+def _y7_change():
+    # a generic linear change of (x, y^2, y^7 + x^3*y) whose rank-4
+    # Nakayama count once ran past 30 s
+    f = _parsed_map("x, y^2, y^7 + x^3*y")
+    return compose_linear(
+        f, [[Fraction(-1), Fraction(-1)], [Fraction(-1), Fraction(-2)]],
+        [[Fraction(1), Fraction(0), Fraction(-2)],
+         [Fraction(-1), Fraction(2), Fraction(-2)],
+         [Fraction(2), Fraction(-1), Fraction(2)]])
+
+
+@pytest.mark.parametrize("build, frontal",
+                         [(_folded_umbrella_change, True), (_y7_change, False)],
+                         ids=["folded_umbrella", "y7"])
+def test_frontal_generic_change_folded_umbrella(build, frontal):
+    flag, witnesses = is_frontal(build())
+    assert flag is frontal
+    if not frontal:
+        assert witnesses is None
 
 
 @pytest.mark.parametrize("sign", ["+", "-"])
@@ -164,3 +184,4 @@ def test_min_generators_f4_shears(sign):
     tail = "y^4 + 3*x*y^3 + 3*x^2*y^2 + x^3*y + y^5"
     f = _parsed_map(f"y + x {sign} y^2 + {tail}, y^2 + {tail}, {tail}")
     assert min_generators(ramification_ideal(f)) == (2, False)
+    assert is_frontal(f) == (False, None)

@@ -135,7 +135,8 @@ def test_frontality_invariant_under_linear_changes(e6, cuspidal_edge, f4):
 
     for f, expected, make, trials in ((e6, True, random_invertible, 8),
                                       (cuspidal_edge, True, random_invertible, 8),
-                                      (f4, False, unipotent, 4)):
+                                      (f4, False, unipotent, 4),
+                                      (f4, False, random_invertible, 8)):
         n = f.n
         for _ in range(trials):
             sc = make(n)
