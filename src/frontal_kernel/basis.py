@@ -546,7 +546,10 @@ def eliminate(gens: Sequence[Poly], elim: Sequence[int],
     """Intersection of the ideal with the subring omitting the given variables.
 
     Returns the subring (inheriting the original ordering style on the kept
-    variables) and generators of the elimination ideal.
+    variables) and generators of the elimination ideal.  The generators are
+    the elements of a minimal block-order standard basis free of the
+    eliminated variables, so they are a minimal standard basis of the
+    elimination ideal in the subring's ordering.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -599,7 +602,8 @@ def ideal_quotient(gens: Sequence[Poly], f: Poly,
 def saturation(gens: Sequence[Poly], f: Poly,
                limits: Limits = DEFAULT_LIMITS) -> list[Poly]:
     """(I : f^infinity) = (I, 1 - s*f) meet R for a fresh variable s
-    (Rabinowitsch), by one elimination of s."""
+    (Rabinowitsch), by one elimination of s: a minimal standard basis in
+    R's ordering."""
     if f.is_zero():
         raise ValueError("saturation by zero")
     gens = [g for g in gens if not g.is_zero()]

@@ -9,7 +9,7 @@ from typing import Optional, Sequence
 from .basis import (DEFAULT_LIMITS, Limits, membership, membership_certificate,
                     std, syzygies)
 from .germs import poly_det
-from .ring import Poly, Ring, associates, quasihomogeneous_weights
+from .ring import Poly, Ring, exact_divide, quasihomogeneous_weights
 
 
 class DerlogError(RuntimeError):
@@ -143,7 +143,10 @@ class FreenessReport:
 
 def is_free_divisor(g: Poly, limits: Limits = DEFAULT_LIMITS,
                     derivations: Optional[LogDerivations] = None) -> FreenessReport:
-    """Saito's criterion on a minimal generating set of Der(-log V(g))."""
+    """Saito's criterion on a minimal generating set of Der(-log V(g)):
+    g is free iff the determinant of the fields is u*g for a unit u of the
+    local ring.  The fields are polynomial, so for a reduced g the
+    determinant is a polynomial multiple of g, and u is the quotient."""
     if derivations is None:
         derivations = derlog(g, limits)
     gens = derivations.generators
@@ -157,7 +160,8 @@ def is_free_divisor(g: Poly, limits: Limits = DEFAULT_LIMITS,
     det = poly_det(matrix)
     if det.is_zero():
         return FreenessReport(False, m, det, "singular Saito matrix")
-    if associates(det.monic(), g.monic()):
+    unit = exact_divide(det, g)
+    if unit is not None and unit.is_unit():
         return FreenessReport(True, m, det)
     return FreenessReport(False, m, det,
                           "Saito determinant is not a unit multiple of g")

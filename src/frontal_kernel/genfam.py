@@ -111,7 +111,7 @@ def discriminant(fam: GeneratingFamily,
     if len(gens) > 1:
         raise GenFamError("discriminant is not a hypersurface: "
                           f"{len(gens)} generators")
-    reduced = squarefree_part(gens[0].map_to(target)).monic()
+    reduced = squarefree_part(gens[0].map_to(target), limits).monic()
     return ImageData(target, reduced)
 
 

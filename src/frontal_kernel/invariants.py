@@ -8,9 +8,9 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from . import linalg
-from .basis import (DEFAULT_LIMITS, INFINITE, Limits, _Infinite, colon_submodule,
-                    eliminate, membership_certificate, saturation, std,
-                    subquotient_dimension, vs_dimension)
+from .basis import (DEFAULT_LIMITS, INFINITE, Limits, StdBasis, _Infinite,
+                    colon_submodule, eliminate, membership_certificate,
+                    saturation, std, subquotient_dimension, vs_dimension)
 from .germs import (GermError, MapGerm, multiplicity, once, poly_det,
                     target_names)
 from .ring import Poly, Ring, associates, exact_divide, fresh_names, ring
@@ -239,8 +239,9 @@ def siersma_count(U: UnfoldingSpec, t0,
     partials = [p for p in partials if not p.is_zero()]
     if not partials:
         raise InvariantError(f"specialization at t = {t0} is constant")
+    # the saturation is already a degrevlex Groebner basis (see eliminate)
     sat = saturation(partials, gt, limits)
-    dim = vs_dimension(std(sat, limits=limits))
+    dim = vs_dimension(StdBasis(gring, 1, [(q,) for q in sat]))
     if dim is INFINITE:
         raise InvariantError(
             f"non-isolated critical locus off the zero level at t = {t0}")
@@ -342,7 +343,7 @@ def good_equation(U: UnfoldingSpec,
         G0 = U.explicit_G.map_to(target).monic()
     else:
         G0 = unfolding_image_equation(U, limits)
-    if not is_squarefree(G0):
+    if not is_squarefree(G0, limits):
         raise InvariantError("defining equation is not reduced (squarefree "
                              "test failed)")
     y_count = U.n + 1

@@ -1,55 +1,48 @@
 """Squarefree reduction of exact-rational polynomials.
 
-Multivariate gcd is delegated to sympy (subresultant machinery over Q);
-everything else stays in the native representation.
+The gcd comes from the least common multiple: for nonzero p and q the ideal
+(p) ∩ (q) is principal, generated by l = lcm(p, q), and gcd(p, q) = p·q / l.
+The intersection is one elimination of a fresh variable t from
+(t·p, (1 − t)·q) in a global ring (Cox–Little–O'Shea, *Ideals, Varieties,
+and Algorithms*, Ch. 4 §3).  A principal ideal has a one-element minimal
+Gröbner basis, so the elimination returns l alone.  The gcd is polynomial
+even when p lives in a local ring; it is returned monic in p's ordering.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-import sympy
-
-from .ring import Poly, Ring, exact_divide
+from .basis import DEFAULT_LIMITS, Limits, eliminate
+from .ring import Poly, exact_divide, fresh_names, ring
 
 
-def _to_sympy(p: Poly, symbols):
-    expr = sympy.Integer(0)
-    for e, c in p.terms:
-        term = sympy.Rational(c.numerator, c.denominator)
-        for s, a in zip(symbols, e):
-            if a:
-                term *= s ** a
-        expr += term
-    return expr
+def gcd(p: Poly, q: Poly, limits: Limits = DEFAULT_LIMITS) -> Poly:
+    """The monic greatest common divisor of p and q, in p's ring."""
+    if q.is_zero():
+        return p.monic()
+    if p.is_zero():
+        return q.map_to(p.ring).monic()
+    t_name, = fresh_names("t", 1, p.ring.names)
+    work = ring(t_name, *p.ring.names)
+    t = work.var(0)
+    sub, lcm = eliminate([t * p.map_to(work), (work.one() - t) * q.map_to(work)],
+                         [0], limits)
+    if len(lcm) != 1:
+        raise AssertionError(f"(p) ∩ (q) has {len(lcm)} basis elements, not 1")
+    quotient = exact_divide(p.map_to(sub) * q.map_to(sub), lcm[0])
+    if quotient is None:
+        raise AssertionError("lcm(p, q) does not divide p·q")
+    return quotient.map_to(p.ring).monic()
 
 
-def _from_sympy(expr, ring: Ring, symbols) -> Poly:
-    poly = sympy.Poly(expr, *symbols, domain="QQ")
-    terms = []
-    for exp, coeff in poly.terms():
-        q = sympy.Rational(coeff)
-        terms.append((tuple(int(a) for a in exp), Fraction(int(q.p), int(q.q))))
-    return ring.from_terms(terms)
-
-
-def gcd(p: Poly, q: Poly) -> Poly:
-    symbols = sympy.symbols(p.ring.names)
-    if len(p.ring.names) == 1:
-        symbols = (symbols[0],) if not isinstance(symbols, tuple) else symbols
-    g = sympy.gcd(_to_sympy(p, symbols), _to_sympy(q, symbols))
-    return _from_sympy(g, p.ring, symbols)
-
-
-def squarefree_part(p: Poly) -> Poly:
-    """p divided by its repeated factors (monic leading coefficient kept)."""
+def squarefree_part(p: Poly, limits: Limits = DEFAULT_LIMITS) -> Poly:
+    """p divided by its repeated factors, with p's leading coefficient."""
     if p.is_zero():
         raise ValueError("squarefree part of 0")
     g = p
     for i in range(p.ring.arity):
         d = p.diff(i)
         if not d.is_zero():
-            g = gcd(g, d)
+            g = gcd(g, d, limits)
     if g.is_constant():
         return p
     quotient = exact_divide(p, g)
@@ -58,6 +51,6 @@ def squarefree_part(p: Poly) -> Poly:
     return quotient
 
 
-def is_squarefree(p: Poly) -> bool:
-    reduced = squarefree_part(p)
+def is_squarefree(p: Poly, limits: Limits = DEFAULT_LIMITS) -> bool:
+    reduced = squarefree_part(p, limits)
     return reduced.total_degree() == p.total_degree()

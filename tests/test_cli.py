@@ -1,6 +1,10 @@
 """Command-line interface: exit codes, formats, determinism."""
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -196,3 +200,13 @@ analyze b frontal;
     assert out.startswith("report\tmap a\n")
     assert "frontal\ttrue\t" in out
     assert "map b" not in out
+
+
+def test_cli_import_leaves_sympy_unloaded():
+    # sympy is a test oracle only; the library must not load it
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import sys, frontal_kernel.cli; "
+            "sys.exit('sympy' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
+    assert done.returncode == 0

@@ -78,6 +78,18 @@ def test_normal_crossings_free():
     assert report.free
 
 
+def test_free_divisor_unit_is_local():
+    # every plane curve is free (Saito); here det = (-3/2 - 2*y1*y2)*g, a
+    # unit of the local ring times g but not a constant times g
+    R = ring("y1", "y2", local=True)
+    y1, y2 = R.gens()
+    g = y2 ** 2 - y1 ** 3 - y1 ** 4 * y2
+    report = is_free_divisor(g)
+    assert report.free
+    assert report.generator_count == 2
+    assert not associates(report.determinant, g)
+
+
 def test_derlog_requires_local_ring():
     R = ring("X", "Y")
     with pytest.raises(DerlogError):

@@ -8,7 +8,7 @@ from frontal_kernel import (INFINITE, associates, germ, image_equation,
                             plane_curve_invariants, ring, std, eliminate,
                             vs_dimension)
 from frontal_kernel.germs import compose_linear, poly_det
-from frontal_kernel.squarefree import _to_sympy
+from frontal_kernel.squarefree import gcd, squarefree_part
 
 
 def random_poly(rng, R, max_terms=4, max_deg=4, min_order=0):
@@ -327,6 +327,18 @@ def test_known_monomials_leave_std_unchanged():
         assert all(membership(v, basis) for v in more.elements)
 
 
+def _to_sympy(p, symbols):
+    import sympy
+    expr = sympy.Integer(0)
+    for e, c in p.terms:
+        term = sympy.Rational(c.numerator, c.denominator)
+        for s, a in zip(symbols, e):
+            if a:
+                term *= s ** a
+        expr += term
+    return expr
+
+
 def _term_set(polys, symbols):
     """The polynomials as a set of term sets, monic in grevlex."""
     import sympy
@@ -461,3 +473,45 @@ def test_std_is_invariant_under_scaling_the_generators():
                 (y ** 3 + random_poly(rng, R, 2, 4, min_order=4), x),
                 (zero, x * y + random_poly(rng, R, 2, 4, min_order=3))]
         assert terms(std([scaled(v) for v in gens])) == terms(std(gens))
+
+
+def test_gcd_matches_sympy_gcd():
+    # oracle: sympy's gcd over Q; both are defined up to a scalar, so they
+    # are compared monic.  Products a^k*b and a*c share the factor a, in
+    # local and global rings of 2 and 3 variables.  squarefree_part is also
+    # checked against the same loop over the partials run on sympy's gcd.
+    import sympy
+    rng = random.Random(37)
+
+    def draw(R):
+        while True:
+            p = random_poly(rng, R, 3, 2)
+            if not p.is_constant():
+                return p
+
+    checked = 0
+    for names in (("x", "y"), ("x", "y", "z")):
+        symbols = sympy.symbols(names)
+
+        def theirs(p):
+            return sympy.Poly(_to_sympy(p, symbols), *symbols, domain="QQ")
+
+        for local in (False, True):
+            R = ring(*names, local=local)
+            for _ in range(8):
+                a, b, c = draw(R), draw(R), draw(R)
+                p = a ** rng.randint(2, 3) * b
+                q = a * c
+                ours = gcd(p, q)
+                assert ours.ring is R
+                assert theirs(ours).monic() == \
+                    theirs(p).gcd(theirs(q)).monic(), (str(p), str(q))
+                g = theirs(p)
+                for s in symbols:
+                    d = theirs(p).diff(s)
+                    if not d.is_zero:
+                        g = g.gcd(d)
+                assert theirs(squarefree_part(p)).monic() == \
+                    theirs(p).exquo(g).monic(), str(p)
+                checked += 1
+    assert checked == 32
