@@ -29,6 +29,7 @@ EXIT_SYNTAX = 2
 EXIT_PRECONDITION = 3
 EXIT_RESOURCE = 4
 EXIT_VIOLATION = 5
+EXIT_INTERNAL = 6
 
 _PRECONDITION_ERRORS = (GermError, PrenormalError, DivisionError,
                         inv.InvariantError, gf.GenFamError, DerlogError,
@@ -64,7 +65,9 @@ class _Run:
         """Run fn(); record its value or the error class.
 
         Soft attempts feed a verdict only: their failure makes the verdict
-        inconclusive instead of failing the run.
+        inconclusive instead of failing the run.  A failed internal soundness
+        check (AssertionError) is a bug, soft or not: it is recorded as
+        internal-error and the run exits 6.
         """
         try:
             return fn()
@@ -77,6 +80,9 @@ class _Run:
             else:
                 report.add(key, "failed", ERROR, str(exc))
                 self.flag(EXIT_PRECONDITION)
+        except AssertionError as exc:
+            report.add(key, "internal-error", ERROR, str(exc))
+            self.flag(EXIT_INTERNAL)
         return None
 
 

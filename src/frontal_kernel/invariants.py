@@ -527,53 +527,57 @@ class PlaneCurveInvariants:
 
 
 def _ae_dimension_at_order(f: MapGerm, N: int) -> int:
-    """dim of theta(f) / (TA_e f + m^N theta(f)) by jet linear algebra."""
-    B = len(f.branches)
-    width = 2 * N * B
-    tring = f.target_ring(local=True)
+    """dim of theta(f) / (TA_e f + m^N theta(f)) by jet linear algebra.
 
-    def col(branch: int, comp: int, power: int) -> int:
-        return (branch * 2 + comp) * N + power
-
+    The columns are the coefficients of x^k, k < N, of both components on
+    every branch.  The rows span tf (x^i * f' on one branch) and wf
+    ((p^a q^b, 0) and (0, p^a q^b) on all branches at once, a + b <= N).
+    Only rows of order < N are built: the source is C^1, so
+    ord(x^i f') = i + ord f' and ord(p^a q^b) = a ord p + b ord q, and a
+    row of order >= N on every branch is zero mod x^N and leaves the rank
+    as it is.  Powers are kept as (N - 1)-jets, which is exact because
+    truncation mod x^N is a ring map.
+    """
     rows: list[list[Fraction]] = []
 
-    def add_vector(entries):
-        # entries: list over branches of (poly, poly)
-        row = [Fraction(0)] * width
-        for b, (a0, a1) in enumerate(entries):
-            for comp, p in enumerate((a0, a1)):
-                for e, c in p.terms:
-                    if e[0] < N:
-                        row[col(b, comp, e[0])] += c
+    def add_row(entries):
+        # entries: (branch, component, poly); one column block per pair
+        row = [Fraction(0)] * (2 * N * len(f.branches))
+        for b, comp, p in entries:
+            base = (2 * b + comp) * N
+            for e, c in p.terms:
+                if e[0] < N:
+                    row[base + e[0]] += c
         rows.append(row)
 
-    zero2 = None
-    for b, comps in enumerate(f.branches):
-        src = comps[0].ring
-        if zero2 is None:
-            zero2 = (src.zero(), src.zero())
-        dp, dq = comps[0].diff(0), comps[1].diff(0)
-        for i in range(N):
-            mono = src.monomial((i,))
-            entries = [zero2] * B
-            entries[b] = (mono * dp, mono * dq)
-            add_vector(entries)
+    def jets(p: Poly) -> list[Poly]:
+        # p^k mod x^N for each k with k ord p < N
+        seq, o = [p.ring.one()], p.order()
+        while len(seq) * o < N:
+            seq.append((seq[-1] * p).jet(N - 1))
+        return seq
+
+    for b, (p, q) in enumerate(f.branches):
+        dp, dq = p.diff(0), q.diff(0)
+        for i in range(N - min(dp.order(), dq.order())):
+            mono = p.ring.monomial((i,))
+            add_row([(b, 0, mono * dp), (b, 1, mono * dq)])
+
+    orders = [(p.order(), q.order()) for p, q in f.branches]
+    powers = [(jets(p), jets(q)) for p, q in f.branches]
     for a in range(N + 1):
         for bexp in range(N + 1 - a):
-            entries0 = []
-            entries1 = []
-            for comps in f.branches:
-                src = comps[0].ring
-                m = (comps[0] ** a) * (comps[1] ** bexp)
-                entries0.append((m, src.zero()))
-                entries1.append((src.zero(), m))
-            add_vector(entries0)
-            add_vector(entries1)
-    return width - linalg.rank(rows)
+            live = [b for b, (op, oq) in enumerate(orders)
+                    if a * op + bexp * oq < N]
+            if not live:    # the orders only grow with bexp
+                break
+            prods = [(b, powers[b][0][a] * powers[b][1][bexp]) for b in live]
+            add_row([(b, 0, m) for b, m in prods])
+            add_row([(b, 1, m) for b, m in prods])
+    return 2 * N * len(f.branches) - linalg.rank(rows)
 
 
-def _ae_codimension(f: MapGerm, mu: int,
-                    limits: Limits = DEFAULT_LIMITS) -> tuple[int, int]:
+def _ae_codimension(f: MapGerm, mu: int) -> tuple[int, int]:
     N = max(2 * mu + 2, 4)
     prev = _ae_dimension_at_order(f, N)
     for _ in range(6):
@@ -602,7 +606,7 @@ def plane_curve_invariants(f: MapGerm,
     mult = multiplicity(f)
     mu_image = delta
     mu_frontal = mu_image - mult + 1
-    codim_ae, order = _ae_codimension(f, mu, limits)
+    codim_ae, order = _ae_codimension(f, mu)
     codim_fe = codim_ae - mult + 1
     return PlaneCurveInvariants(mu, delta, rb, mult, mu_image, mu_frontal,
                                 codim_ae, codim_fe, order, image.equation)

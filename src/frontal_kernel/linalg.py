@@ -11,7 +11,8 @@ Matrix = list[list[Fraction]]
 def _echelon(a: Matrix, cols: int) -> list[int]:
     """Gauss-Jordan on a in place, pivoting in its first cols columns.
 
-    Returns the pivot columns; stops once every row has a pivot.
+    Returns the pivot columns; stops once every row has a pivot.  Zero
+    entries take no Fraction arithmetic: x / f and x - g * 0 are x.
     """
     rows = len(a)
     pivots: list[int] = []
@@ -24,11 +25,11 @@ def _echelon(a: Matrix, cols: int) -> list[int]:
             continue
         a[r], a[piv] = a[piv], a[r]
         f = a[r][c]
-        a[r] = [x / f for x in a[r]]
+        a[r] = [x / f if x else x for x in a[r]]
         for i in range(rows):
             if i != r and a[i][c]:
                 g = a[i][c]
-                a[i] = [x - g * y for x, y in zip(a[i], a[r])]
+                a[i] = [x - g * y if y else x for x, y in zip(a[i], a[r])]
         pivots.append(c)
     return pivots
 

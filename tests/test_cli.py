@@ -210,3 +210,17 @@ def test_cli_import_leaves_sympy_unloaded():
             "sys.exit('sympy' in sys.modules)")
     done = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
     assert done.returncode == 0
+
+
+def test_internal_error_exit_6(tmp_path, monkeypatch, capsys):
+    # a failed soundness check inside one stage is reported on that stage's
+    # line and exits 6; the other analyses still run
+    def unsound(f, limits):
+        raise AssertionError("membership certificate is unsound")
+    monkeypatch.setattr(invariants, "plane_curve_invariants", unsound)
+    assert main(["--format", "machine", "analyze", write(tmp_path, E6)]) == 6
+    captured = capsys.readouterr()
+    assert ("plane_curve\tinternal-error\terror\t"
+            "membership certificate is unsound\n") in captured.out
+    assert "verify.verdict\tequality\t" in captured.out
+    assert "Traceback" not in captured.out + captured.err

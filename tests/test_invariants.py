@@ -1,5 +1,7 @@
 """Image equations, Milnor numbers, Siersma counts, Jacobian modules."""
 
+from fractions import Fraction
+
 import pytest
 
 from frontal_kernel import (INFINITE, InvariantError, Limits, M_F_dimension,
@@ -10,6 +12,7 @@ from frontal_kernel import (INFINITE, InvariantError, Limits, M_F_dimension,
                             piene_lambda, plane_curve_invariants, ring,
                             samuel_multiplicity_estimate, siersma_count,
                             unfolding)
+from frontal_kernel.invariants import _ae_dimension_at_order
 
 
 def test_image_equation_e6(e6):
@@ -183,6 +186,67 @@ def test_plane_curve_chain_cusp(cusp):
     assert pc.mu_frontal == 0
     assert pc.codim_ae == 1
     assert pc.codim_fe == 0
+
+
+@pytest.mark.parametrize("a, b, delta", [
+    (2, 3, 1), (2, 5, 2), (3, 4, 3), (2, 7, 3), (3, 5, 4), (3, 7, 6),
+    (4, 5, 6), (3, 8, 7), (4, 7, 9), (5, 6, 10)])
+def test_codim_ae_equals_delta_quasihomogeneous(a, b, delta):
+    # Mond (Looking at bent wires, 1995): codim_Ae <= delta for a plane
+    # curve, with equality exactly for the quasihomogeneous ones
+    R = ring("x", local=True)
+    x = R.var(0)
+    pc = plane_curve_invariants(germ(R, x ** a, x ** b))
+    assert pc.delta == delta == (a - 1) * (b - 1) // 2
+    assert pc.codim_ae == delta
+
+
+def test_codim_ae_below_delta_not_quasihomogeneous():
+    R = ring("x", local=True)
+    x = R.var(0)
+    for f in (germ(R, x ** 3, x ** 7 + x ** 8), germ(R, x ** 4, x ** 5 + x ** 7)):
+        pc = plane_curve_invariants(f)
+        assert (pc.codim_ae, pc.delta) == (5, 6)
+
+
+def _ae_dimension_dense(f, N):
+    # the unpruned construction: x^i * f' for every i < N and the untruncated
+    # p^a * q^b for every a + b <= N, ranked by sympy
+    import sympy
+    B = len(f.branches)
+    rows = []
+
+    def add_row(entries):
+        row = [Fraction(0)] * (2 * N * B)
+        for b, comp, p in entries:
+            for e, c in p.terms:
+                if e[0] < N:
+                    row[(2 * b + comp) * N + e[0]] += c
+        rows.append(row)
+    for b, (p, q) in enumerate(f.branches):
+        for i in range(N):
+            mono = p.ring.monomial((i,))
+            add_row([(b, 0, mono * p.diff(0)), (b, 1, mono * q.diff(0))])
+    for a in range(N + 1):
+        for e in range(N + 1 - a):
+            prods = [(b, p ** a * q ** e) for b, (p, q) in enumerate(f.branches)]
+            add_row([(b, 0, m) for b, m in prods])
+            add_row([(b, 1, m) for b, m in prods])
+    matrix = sympy.Matrix([[sympy.Rational(c.numerator, c.denominator)
+                            for c in row] for row in rows])
+    return 2 * N * B - matrix.rank()
+
+
+@pytest.mark.parametrize("N", [8, 12, 16])
+def test_ae_jet_rows_pruned_match_dense(N, e6, cusp):
+    from frontal_kernel import multigerm
+    R = ring("x", local=True)
+    x = R.var(0)
+    germs = [cusp, e6, germ(R, x ** 3, x ** 7 + x ** 8),
+             # ord p^a q^b differs between the branches
+             multigerm(R, [x, x ** 3], [x ** 2, x ** 3])]
+    for f in germs:
+        assert _ae_dimension_at_order(f, N) == _ae_dimension_dense(f, N)
 
 
 def test_plane_curve_immersion():
