@@ -164,7 +164,6 @@ class StdBasis:
     rank: int
     elements: list[Vector]
     lineage: Optional[list[list[Poly]]] = None  # element i = sum lineage[i][j]*gen j
-    source: Optional[list[Vector]] = None
 
     def polys(self) -> list[Poly]:
         if self.rank != 1:
@@ -205,27 +204,6 @@ def _divisors(leads, comp, exp) -> list[int]:
             if c == comp and all(map(le, e, exp))]
 
 
-def _is_monomial(v: Vector) -> bool:
-    return sum(len(p.terms) for p in v) == 1
-
-
-def _drop_known(v: Vector, monomials) -> Vector:
-    """v without the terms that one of the (component, exponent) monomials
-    divides.  Each monomial lies in the module, so this is a reduction."""
-    if not monomials:
-        return v
-    out = []
-    for comp, p in enumerate(v):
-        mine = [m[1] for m in monomials if m[0] == comp]
-        if mine and p.terms:
-            terms = tuple(t for t in p.terms
-                          if not any(all(map(le, m, t[0])) for m in mine))
-            if len(terms) != len(p.terms):
-                p = Poly(p.ring, terms)
-        out.append(p)
-    return tuple(out)
-
-
 def _weak_nf(v: Vector, basis: list[Vector], leads: list, ecarts: list[int],
              ring: Ring, limits: Limits, width: int) -> tuple[Vector, Fraction]:
     """Mora weak normal form of the integer vector v over the integer
@@ -237,11 +215,8 @@ def _weak_nf(v: Vector, basis: list[Vector], leads: list, ecarts: list[int],
     Only the first ``width`` components carry leading terms and ecarts; the
     others are a payload (a lineage, or a unit and cofactors) that every
     step combines like the rest, so a linear relation among the components
-    that holds for v and every basis element holds for h.  Without a
-    payload, every term of h that the leading monomial of a single-term
-    basis element divides is dropped as soon as it appears: that is a
-    reduction by a module element, valid for every ordering, and it keeps
-    the remainder inside the corner the monomials cut out.  ``leads`` and
+    that holds for v and every basis element holds for h; the reduction is
+    the same with or without one (Greuel-Pfister 1.7).  ``leads`` and
     ``ecarts`` belong to ``basis``.
     """
     is_global = ring.ordering.is_global()
@@ -249,10 +224,7 @@ def _weak_nf(v: Vector, basis: list[Vector], leads: list, ecarts: list[int],
     T = list(basis)
     L = list(leads)
     E = list(ecarts)
-    # (component, exponent) of the single-term basis elements
-    monomials = ([lead[:2] for g, lead in zip(T, L) if _is_monomial(g)]
-                 if width == len(v) else [])
-    h = _drop_known(v, monomials)
+    h = v
     num = den = 1
     steps = 0
     while (lead_h := _lt(h, width)) is not None:
@@ -273,8 +245,7 @@ def _weak_nf(v: Vector, basis: list[Vector], leads: list, ecarts: list[int],
         _, ge, gk = L[i]
         d = gcd(gk, ch)
         a = gk // d
-        h = _drop_known(_vec_comb(a, h, ch // d, tuple(map(sub, exp, ge)),
-                                  T[i]), monomials)
+        h = _vec_comb(a, h, ch // d, tuple(map(sub, exp, ge)), T[i])
         num *= a
         content = gcd(*[c for p in h for _, c in p.terms])
         if content > 1:
@@ -433,7 +404,7 @@ def std(gens: Sequence[Union[Poly, Vector]], *, limits: Limits = DEFAULT_LIMITS,
     elements = [_rational(v[:rank], lead[2]) for v, lead in zip(G, LT)]
     lineage = ([list(_rational(v[rank:], lead[2])) for v, lead in zip(G, LT)]
                if track else None)
-    return StdBasis(ring, rank, elements, lineage, list(vecs))
+    return StdBasis(ring, rank, elements, lineage)
 
 
 def _minimal(leads: list) -> list[int]:
@@ -495,7 +466,7 @@ def membership_certificate(p: Poly, gens: Sequence[Poly],
     # vectors (h, u, c_1, ..., c_m) with h = u*p + sum c_j*source_j
     reducers = _indexed([_primitive(v + (zero,) + tuple(lin))[0]
                           for v, lin in zip(basis.elements, basis.lineage)], 1)
-    w, t = _primitive((p, ring.one()) + (zero,) * len(basis.source))
+    w, t = _primitive((p, ring.one()) + (zero,) * len(basis.lineage[0]))
     h, s = _weak_nf(w, *reducers, ring, limits, 1)
     if h[0].terms:
         return None
@@ -639,10 +610,9 @@ def colon_submodule(numerator: Sequence[Union[Poly, Vector]],
     Presents I1/(I2 + a*I1) as R^s/N.  For each v in ``times`` and each a_c
     the monomial vector (0, v*e_c) is added to the generators (a_c, e_c) and
     (d, 0), d in I2; then (v*a_c, 0) = v*(a_c, e_c) - (0, v*e_c) is in the
-    module, and ``std`` drops every term that a known monomial divides, so
-    the tag components stay constants.  Returns (s, generators of N); the
-    generators form a standard basis of N under the module order.  A zero
-    numerator keeps its slot: e_c is in N.
+    module.  Returns (s, generators of N); the generators form a standard
+    basis of N under the module order.  A zero numerator keeps its slot:
+    e_c is in N.
     """
     nums = [_vector(a) for a in numerator]
     s = len(nums)
@@ -670,8 +640,7 @@ def subquotient_dimension(numerator: Sequence[Poly], denominator: Sequence[Poly]
     """dim_C I1/(I2 + a*I1) for ideals I2 <= I1, finite or INFINITE.
 
     ``times`` lists ring variables generating the ideal a (none by default,
-    giving I1/I2); with every variable it is I1/(I2 + m*I1).  The monomial
-    vectors this adds bound the local standard basis (see
+    giving I1/I2); with every variable it is I1/(I2 + m*I1) (see
     ``colon_submodule``).
     """
     nums = [g for g in numerator if not g.is_zero()]

@@ -110,6 +110,7 @@ class Token:
 
 
 PUNCT = set(";,=:+-*/^()")
+DIGITS = "0123456789"  # str.isdigit also accepts digits that int() rejects
 
 
 def tokenize(text: str) -> list[Token]:
@@ -135,10 +136,10 @@ def tokenize(text: str) -> list[Token]:
                 i += 1
                 col += 1
             tokens.append(Token("name", text[start:i], line, startcol))
-        elif c.isdigit():
+        elif c in DIGITS:
             start = i
             startcol = col
-            while i < len(text) and text[i].isdigit():
+            while i < len(text) and text[i] in DIGITS:
                 i += 1
                 col += 1
             tokens.append(Token("number", text[start:i], line, startcol))
@@ -366,15 +367,15 @@ class _Parser:
         values = []
         while True:
             tok = self.peek()
-            if tok.kind != "number":
+            if tok.kind != "number" or int(tok.text) == 0:
                 self.error("expected a positive integer weight")
             self.take()
             num = int(tok.text)
             if self.peek().kind == "punct" and self.peek().text == "/":
                 self.take()
                 den = self.peek()
-                if den.kind != "number":
-                    self.error("expected a denominator")
+                if den.kind != "number" or int(den.text) == 0:
+                    self.error("expected a positive denominator")
                 self.take()
                 values.append(Fraction(num, int(den.text)))
             else:
@@ -419,7 +420,10 @@ class _Parser:
         self.expect_keyword("params")
         params = self.name_list()
         self.expect_punct(":")
-        uring = ring(*base.source.names, *params, local=True)
+        try:
+            uring = ring(*base.source.names, *params, local=True)
+        except ValueError as exc:
+            self.error(str(exc))
         comps = self.expr_list(uring)
         try:
             self.unfoldings[name] = unfolding(base, params, comps)
@@ -433,8 +437,11 @@ class _Parser:
         if spec is None:
             self.error(f"undeclared unfolding {name!r}")
         self.expect_punct("=")
-        sub = _ExprParser(self.tokens, self.pos, spec.target_ring(),
-                          self.max_degree)
+        try:
+            target = spec.target_ring()
+        except ValueError as exc:
+            self.error(str(exc))
+        sub = _ExprParser(self.tokens, self.pos, target, self.max_degree)
         equation = sub.parse_expr()
         self.pos = sub.pos
         self.unfoldings[name] = replace(spec, explicit_G=equation)

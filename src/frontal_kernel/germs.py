@@ -132,13 +132,14 @@ def jacobian_minors(comps: Sequence[Poly], k: int) -> list[Poly]:
     return out
 
 
+def _linear_part(p: Poly) -> list[Fraction]:
+    n = p.ring.arity
+    return [p.diff(i).constant_term() for i in range(n)]
+
+
 def jacobian_at_zero(comps: Sequence[Poly]) -> linalg.Matrix:
     """d f(0): one row per component, one column per source variable."""
-    n = comps[0].ring.arity
-    rows = []
-    for c in comps:
-        rows.append([c.diff(i).constant_term() for i in range(n)])
-    return rows
+    return [_linear_part(c) for c in comps]
 
 
 def corank_branch(comps: Sequence[Poly]) -> int:
@@ -253,11 +254,6 @@ def _combination(ring_: Ring, coeffs, polys) -> Poly:
         if c:
             acc = acc + p.scale(c)
     return acc
-
-
-def _linear_part(p: Poly) -> list[Fraction]:
-    n = p.ring.arity
-    return [p.diff(i).constant_term() for i in range(n)]
 
 
 def prenormal_candidates(f: MapGerm, branch: int = 0) -> list[PrenormalForm]:

@@ -71,8 +71,7 @@ def _branch_eliminant(comps: Sequence[Poly], target: Sequence[str],
 def _check_vanishes(equation: Poly, comps: Sequence[Poly],
                     params: Sequence[Poly] = ()) -> None:
     src = comps[0].ring
-    images = list(comps) + [p.map_to(src) for p in params]
-    pulled = equation.substitute(images, src)
+    pulled = equation.substitute(list(comps) + list(params), src)
     if not pulled.is_zero():
         raise InvariantError("image equation does not vanish on the "
                              "parametrization (internal error)")
@@ -210,9 +209,7 @@ def _unfolding_image_equation(U: UnfoldingSpec, limits: Limits) -> Poly:
     target = U.target_ring()
     reduced = g.map_to(target).monic()
     param_vars = [U.source.var(U.n + j) for j in range(U.r)]
-    pulled = reduced.substitute(list(U.components) + param_vars, U.source)
-    if not pulled.is_zero():
-        raise InvariantError("unfolding image equation fails to vanish on F")
+    _check_vanishes(reduced, U.components, param_vars)
     return reduced
 
 
@@ -413,12 +410,16 @@ class SamuelEstimate:
     note: str = ""
 
 
-def samuel_multiplicity_estimate(ge: GoodEquation, K: int = 12,
+SAMUEL_MAX_K = 12
+
+
+def samuel_multiplicity_estimate(ge: GoodEquation,
                                  limits: Limits = DEFAULT_LIMITS) -> SamuelEstimate:
     """e(m_r; M_y(G)) from the Hilbert-Samuel values d_k.
 
-    d_k is computed for k = 1..K; the r-th finite difference of the d_k must
-    be constant over three consecutive k before the value is accepted.
+    d_k is computed for k = 1..SAMUEL_MAX_K; the r-th finite difference of
+    the d_k must be constant over three consecutive k before the value is
+    accepted.
     """
     nums, dens, param_vars = _relative_module(ge)
     r = len(ge.params)
@@ -434,7 +435,7 @@ def samuel_multiplicity_estimate(ge: GoodEquation, K: int = 12,
     ring_ = ge.ring
     param_idx = list(range(ge.y_count, ring_.arity))
     dims: list[int] = []
-    for k in range(1, K + 1):
+    for k in range(1, SAMUEL_MAX_K + 1):
         extras: list[tuple[Poly, ...]] = []
         for combo in itertools.combinations_with_replacement(param_idx, k):
             exp = [0] * ring_.arity
@@ -458,7 +459,7 @@ def samuel_multiplicity_estimate(ge: GoodEquation, K: int = 12,
                 window = (k - 2, k - 1, k)
                 return SamuelEstimate(diffs[-1], window, tuple(dims))
     raise InvariantError(f"Hilbert-Samuel differences did not stabilise for "
-                         f"k <= {K}: estimate inconclusive")
+                         f"k <= {SAMUEL_MAX_K}: estimate inconclusive")
 
 
 # ---------------------------------------------------------------------------

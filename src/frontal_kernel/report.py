@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 from .basis import INFINITE
 from .ring import Poly
@@ -47,12 +46,6 @@ class Report:
 
     def add(self, key: str, value, status: str = EXACT, note: str = "") -> None:
         self.entries.append(Entry(key, value, status, note))
-
-    def get(self, key: str) -> Optional[Entry]:
-        for e in self.entries:
-            if e.key == key:
-                return e
-        return None
 
     def machine(self) -> str:
         lines = [f"report\t{self.title}"]

@@ -220,12 +220,6 @@ class Poly:
     def ecart(self) -> int:
         return self.total_degree() - sum(self.leading_exp())
 
-    def coeff(self, exp: tuple[int, ...]) -> Fraction:
-        for e, c in self.terms:
-            if e == exp:
-                return c
-        return Fraction(0)
-
     def monic(self) -> "Poly":
         if self.is_zero():
             return self
@@ -370,13 +364,9 @@ class Poly:
             result = result + term
         return result
 
-    def jet(self, d, weighted: bool = False) -> "Poly":
-        """Truncate to terms of (weighted) total degree <= d."""
-        if weighted:
-            deg = self.ring.weighted_degree
-        else:
-            deg = sum
-        return Poly(self.ring, tuple(t for t in self.terms if deg(t[0]) <= d))
+    def jet(self, d) -> "Poly":
+        """Truncate to terms of total degree <= d."""
+        return Poly(self.ring, tuple(t for t in self.terms if sum(t[0]) <= d))
 
     def weighted_degree(self) -> Fraction:
         if not self.terms:

@@ -319,6 +319,40 @@ def test_returned_coefficients_are_fractions():
         assert fractions(*vector_normal_form(v, basis))
 
 
+def test_certificates_agree_with_membership_on_monomial_ideals():
+    # local ideals with a monomial generator; the tracked and the untracked
+    # normal form must decide membership alike, and each certificate must
+    # satisfy u*p = sum c_i*g_i with u a unit.  The members take one-term
+    # cofactors: with random polynomial cofactors some certificates swell
+    # past minutes (see CHANGES.md)
+    rng = random.Random(13)
+    R = ring("x", "y", local=True)
+    x, y = R.gens()
+    decided = {True: 0, False: 0}
+    for _ in range(40):
+        gens = [R.monomial((rng.randint(1, 3), rng.randint(0, 2))),
+                y ** rng.randint(2, 4) + _random_poly(rng, R, 2),
+                _random_poly(rng, R, 1)]
+        gens = [g for g in gens if not g.is_zero()]
+        basis = std(gens)
+        member = sum((R.monomial((rng.randint(0, 2), rng.randint(0, 2)),
+                                 Fraction(rng.randint(1, 9), 7)) * g
+                      for g in gens), R.zero())
+        for p in (member, _random_poly(rng, R, 1), _random_poly(rng, R, 2)):
+            if p.is_zero():
+                continue
+            cert = membership_certificate(p, gens)
+            inside = membership(p, basis)
+            assert (cert is not None) == inside
+            decided[inside] += 1
+            if cert is not None:
+                u, cof = cert
+                assert u.is_unit()
+                assert sum((c * g for c, g in zip(cof, gens)),
+                           R.zero()) == u * p
+    assert decided[True] >= 20 and decided[False] >= 20
+
+
 # ---------------------------------------------------------------------------
 # Saturation against an iterated-quotient reference
 

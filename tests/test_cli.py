@@ -224,3 +224,38 @@ def test_internal_error_exit_6(tmp_path, monkeypatch, capsys):
             "membership certificate is unsound\n") in captured.out
     assert "verify.verdict\tequality\t" in captured.out
     assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("body", [
+    "ring x, y;\nweights 1/0, 1;\n",
+    "ring x, y;\nweights 0, 1;\n",
+    "ring x;\nmap f = x^2, x^3;\nunfold F of f params x: x^2, x^3;\n",
+    "ring x;\nmap f = x^2, x^3;\nunfold F of f params t, t: x^2, x^3;\n",
+    "ring x;\nmap f = x^2, x^3;\nunfold F of f params y1: x^2, x^3;\n"
+    "good_equation F = y2^2 - y1^3;\n",
+    "ring x;\nmap f = x^\u00b2, x^3;\n",
+], ids=["zero-denominator", "zero-weight", "param-is-source-variable",
+        "repeated-param", "param-is-target-variable", "superscript-digit"])
+def test_malformed_germ_file_exit_2(tmp_path, capsys, body):
+    # a zero weight or denominator, clashing variable names and a non-ASCII
+    # digit are syntax errors, reported with their position, never a
+    # traceback
+    text = "frontal-kernel v1\n" + body
+    assert main(["--format", "machine", "check", write(tmp_path, text)]) == 2
+    out = capsys.readouterr()
+    assert out.out.startswith("report\tparse\nsyntax\tfailed\terror\tline ")
+    assert "Traceback" not in out.out + out.err
+
+
+@pytest.mark.parametrize("name, weights", [("cusp", "2"),
+                                           ("cuspidal_edge", "2, 3")])
+def test_weighted_source_gives_the_golden(tmp_path, capsys, name, weights):
+    # every report line is the same with weights on the source variables
+    corpus = cli._corpus_dir()
+    text = (corpus / f"{name}.germ").read_text(encoding="utf-8")
+    ring_line = next(line for line in text.splitlines()
+                     if line.startswith("ring "))
+    text = text.replace(ring_line, f"{ring_line}\nweights {weights};")
+    assert main(["--format", "machine", "analyze", write(tmp_path, text)]) == 0
+    golden = (corpus / f"{name}.golden").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == golden

@@ -68,3 +68,12 @@ def test_division_by_variable_rejected():
     bad = "frontal-kernel v1\nring x;\nmap f = x/x, x^2;\n"
     with pytest.raises(SyntaxErrorAt):
         parse(bad)
+
+
+def test_serialize_round_trip_weighted():
+    text = ("frontal-kernel v1\nring x, y;\nweights 2, 3/2;\n"
+            "map f = x, y^2, y^3;\nanalyze f frontal;\n")
+    once = serialize(parse(text))
+    assert "weights 2, 3/2;" in once
+    assert serialize(parse(once)) == once
+    assert parse(once).weights == parse(text).weights
