@@ -633,6 +633,27 @@ def colon_submodule(numerator: Sequence[Union[Poly, Vector]],
     return s, [v[r:] for v in basis.elements if _vec_is_zero(v[:r])]
 
 
+def minimal_subset(gens: Sequence[Union[Poly, Vector]],
+                   limits: Limits = DEFAULT_LIMITS) -> list[int]:
+    """Indices of a minimal generating subset of M = <gens> in a local ring.
+
+    One standard basis of N = {c : sum c_i g_i in m*M}, the colon module of
+    ``gens`` over zero with every variable in ``times``.  Under POT
+    (component 0 on top) e_t*1 is a leading term of N exactly when g_t lies
+    in <g_{t+1}, ...> + m*M, i.e. when g_t is redundant beside the later
+    generators (Nakayama); every other index is kept.  A zero generator is
+    dropped.
+    """
+    if not gens:
+        return []
+    ring = _vector(gens[0])[0].ring
+    if ring.ordering.is_global():
+        raise ValueError("minimal generator counts need a local ring")
+    _, basis = colon_submodule(gens, (), limits, times=ring.gens())
+    redundant = {t for t, e, _ in map(_lt, basis) if not any(e)}
+    return [t for t in range(len(gens)) if t not in redundant]
+
+
 def subquotient_dimension(numerator: Sequence[Poly], denominator: Sequence[Poly],
                           limits: Limits = DEFAULT_LIMITS,
                           check_containment: bool = True,

@@ -7,7 +7,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .basis import (DEFAULT_LIMITS, Limits, membership, membership_certificate,
-                    std, syzygies)
+                    minimal_subset, std, syzygies)
 from .germs import poly_det
 from .ring import Poly, Ring, exact_divide, quasihomogeneous_weights
 
@@ -56,22 +56,16 @@ def _syzygy_fields(g: Poly, gens: list[Poly],
 
 
 def _prune_minimal(fields: list[LogField], limits: Limits) -> list[LogField]:
-    """Drop generators lying in the submodule spanned by the rest (Nakayama).
+    """A minimal generating subset of the fields (Nakayama), in their order.
 
-    One pass, highest-order fields first.  Removing a redundant field only
-    shrinks the span of the others, so a field already found irredundant
-    stays irredundant: restarting after each removal keeps the same fields.
+    The fields are offered highest order first, so a field is dropped when
+    it is redundant beside the fields of lower or equal order after it.
     """
-    keep = list(range(len(fields)))
-    order = sorted(keep, key=lambda i: -min(c.order() for c in fields[i].coeffs
-                                            if not c.is_zero()))
-    for i in order:
-        others = [j for j in keep if j != i]
-        if others and membership(
-                fields[i].coeffs,
-                std([fields[j].coeffs for j in others], limits=limits), limits):
-            keep = others
-    return [fields[i] for i in keep]
+    order = sorted(range(len(fields)),
+                   key=lambda i: -min(c.order() for c in fields[i].coeffs
+                                      if not c.is_zero()))
+    kept = minimal_subset([fields[i].coeffs for i in order], limits)
+    return [fields[i] for i in sorted(order[t] for t in kept)]
 
 
 def derlog(g: Poly, limits: Limits = DEFAULT_LIMITS) -> LogDerivations:
@@ -125,10 +119,7 @@ def epsilon_split(g: Poly, limits: Limits = DEFAULT_LIMITS):
     partials = [g.diff(i) for i in range(g.ring.arity)]
     kernel = _syzygy_fields(g, partials, limits)
     u, coeffs = eps
-    check = g.ring.zero()
-    for c, p in zip(coeffs, partials):
-        check = check + c * p
-    if check != u * g:
+    if not LogField(coeffs, u).verify(g):
         raise AssertionError("epsilon certificate is unsound")
     return eps, _prune_minimal(kernel, limits)
 
@@ -184,9 +175,7 @@ def commutator(a: LogField, b: LogField) -> tuple[Poly, ...]:
 def is_logarithmic(g: Poly, coeffs: Sequence[Poly],
                    limits: Limits = DEFAULT_LIMITS) -> bool:
     """Check xi(g) in (g) for the field with the given coefficients."""
-    val = g.ring.zero()
-    for i, c in enumerate(coeffs):
-        val = val + c * g.diff(i)
+    val = LogField(tuple(coeffs), g.ring.zero()).apply(g)
     if val.is_zero():
         return True
     return membership(val, std([g], limits=limits), limits)

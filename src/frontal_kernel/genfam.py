@@ -7,8 +7,8 @@ from typing import Optional
 
 from . import linalg
 from .basis import DEFAULT_LIMITS, Limits, eliminate, membership, std
-from .germs import (MapGerm, NashData, PrenormalForm, corank_branch,
-                    frontal_lift, target_names)
+from .germs import (MapGerm, NashData, PrenormalForm, _linear_part,
+                    corank_branch, frontal_lift, target_names)
 from .invariants import ImageData, image_equation
 from .ring import Poly, Ring, associates, fresh_names, ring
 from .squarefree import squarefree_part
@@ -39,8 +39,7 @@ class GeneratingFamily:
 def generating_family(pre: PrenormalForm, nash: NashData) -> GeneratingFamily:
     """h(u,x,y) = (x, u, q + sum mu_i (u_i - p_i)) from the lift data."""
     n, k = pre.n, pre.k
-    dmu_dy = [[nash.mu[j].diff(n - k + ell).constant_term() for ell in range(k)]
-              for j in range(k)]
+    dmu_dy = [_linear_part(m)[n - k:] for m in nash.mu]
     if linalg.rank(dmu_dy) < k:
         raise GenFamError("d(mu)/dy is singular at the origin: the germ is "
                           "frontal but not a wave front")

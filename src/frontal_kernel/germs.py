@@ -8,8 +8,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import linalg
-from .basis import (DEFAULT_LIMITS, INFINITE, Limits, membership_certificate,
-                    std, subquotient_dimension)
+from .basis import (DEFAULT_LIMITS, Limits, membership_certificate,
+                    minimal_subset, std)
 from .ring import Poly, Ring, exact_divide, ring
 
 
@@ -133,8 +133,12 @@ def jacobian_minors(comps: Sequence[Poly], k: int) -> list[Poly]:
 
 
 def _linear_part(p: Poly) -> list[Fraction]:
-    n = p.ring.arity
-    return [p.diff(i).constant_term() for i in range(n)]
+    """Coefficients of x_1, ..., x_n in p: its degree-1 terms."""
+    out = [Fraction(0)] * p.ring.arity
+    for e, c in p.terms:
+        if sum(e) == 1:
+            out[e.index(1)] = c
+    return out
 
 
 def jacobian_at_zero(comps: Sequence[Poly]) -> linalg.Matrix:
@@ -169,16 +173,10 @@ def min_generators(gens: Sequence[Poly],
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         raise ValueError("zero ideal")
-    ring_ = gens[0].ring
-    if ring_.ordering.is_global():
-        raise ValueError("minimal generator counts need a local ring")
-    if any(g.is_unit() for g in gens):
+    if (any(g.is_unit() for g in gens)
+            and not gens[0].ring.ordering.is_global()):
         return 1, True
-    dim = subquotient_dimension(gens, [], limits=limits,
-                                check_containment=False, times=ring_.gens())
-    if dim is INFINITE:
-        raise AssertionError("I/mI infinite for a finitely generated ideal")
-    return dim, False
+    return len(minimal_subset(gens, limits)), False
 
 
 def principal_generator(gens: Sequence[Poly],

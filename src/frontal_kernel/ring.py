@@ -455,12 +455,37 @@ def associates(p: Poly, q: Poly) -> bool:
     return exact_divide(p, q) is not None and exact_divide(q, p) is not None
 
 
+def _vertex_weights(exps: list[list[int]]) -> Optional[list[Fraction]]:
+    """Positive w with w.e = w.e' for all rows e, e' of ``exps``, or None.
+
+    Every such w is a multiple of a point of the polytope
+    P = {w >= 0 : w.e = 1 for every e}.  A vertex of P is the unique
+    solution on its support, whose columns are independent, so the vertices
+    are read off the positive solutions over all column subsets.  A positive
+    point exists iff the vertices cover every column, and then their sum is
+    one.
+    """
+    m = len(exps[0])
+    total = [Fraction(0)] * m
+    for size in range(1, m + 1):
+        for cols in itertools.combinations(range(m), size):
+            a = [[Fraction(e[j]) for j in cols] + [Fraction(1)] for e in exps]
+            pivots = _echelon(a, size)
+            if (len(pivots) == size and not any(row[size] for row in a[size:])
+                    and all(row[size] > 0 for row in a[:size])):
+                for j, row in zip(cols, a):
+                    total[j] += row[size]
+    return total if all(total) else None
+
+
 def quasihomogeneous_weights(p: Poly):
     """Positive integer weights w and degree d with w.a = d for every term.
 
     Returns (weights, degree, free_mask) or None.  Variables absent from p
-    get weight 1 and are flagged free; an underdetermined system among the
-    present variables is completed with small positive values when possible.
+    get weight 1 and are flagged free.  An underdetermined system among the
+    present variables takes the first free values in 1..6 that make every
+    weight positive, else the vertex sum of ``_vertex_weights``, which
+    decides whether positive weights exist at all.
     """
     if p.is_zero():
         raise ValueError("quasihomogeneity is undefined for 0")
@@ -491,6 +516,8 @@ def quasihomogeneous_weights(p: Poly):
         if all(v > 0 for v in cand):
             w = cand
             break
+    if w is None:
+        w = _vertex_weights([[e[i] for i in present] for e in exps])
     if w is None:
         return None
     scale = math.lcm(*[v.denominator for v in w])

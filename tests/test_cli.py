@@ -259,3 +259,33 @@ def test_weighted_source_gives_the_golden(tmp_path, capsys, name, weights):
     assert main(["--format", "machine", "analyze", write(tmp_path, text)]) == 0
     golden = (corpus / f"{name}.golden").read_text(encoding="utf-8")
     assert capsys.readouterr().out == golden
+
+
+def test_image_of_a_large_weight_ratio_is_quasihomogeneous(tmp_path, capsys):
+    # Z - X*Y^7 has positive weights only with w_Z > 7*w_Y
+    text = ("frontal-kernel v1\nring x, y;\nmap f = x, y, x*y^7;\n"
+            "analyze f image;\n")
+    assert main(["--format", "machine", "analyze", write(tmp_path, text)]) == 0
+    out = capsys.readouterr().out
+    assert "image.equation\tZ - X*Y^7\t" in out
+    assert "image.quasihomogeneous\ttrue\t" in out
+
+
+def test_benchmark_tracer_finds_every_boundary():
+    # bench/spans.py wraps library functions by name; a boundary deleted or
+    # renamed in the library makes install() raise here, not in a traced run
+    import importlib.util
+
+    import frontal_kernel
+    path = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    std = frontal_kernel.std
+    tracer = spans.Tracer(frontal_kernel)
+    try:
+        tracer.install()
+        assert frontal_kernel.std is not std
+    finally:
+        tracer.uninstall()
+    assert frontal_kernel.std is std

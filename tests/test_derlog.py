@@ -1,12 +1,18 @@
 """Logarithmic vector fields and Saito's freeness test."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from frontal_kernel import (DerlogError, StdBasis, associates, derlog,
                             epsilon_split, image_equation, is_free_divisor,
-                            ring, syzygies, vs_dimension)
-from frontal_kernel.basis import colon_submodule
-from frontal_kernel.derlog import commutator, is_logarithmic
+                            membership, ring, std, syzygies, vs_dimension)
+from frontal_kernel.basis import (DEFAULT_LIMITS, colon_submodule,
+                                  minimal_subset)
+from frontal_kernel.derlog import (LogField, _prune_minimal, _syzygy_fields,
+                                   commutator, is_logarithmic)
+from frontal_kernel.germs import min_generators
 
 
 def test_cuspidal_edge_image_is_free(cuspidal_edge):
@@ -115,3 +121,119 @@ def test_derlog_count_is_nakayama_count_on_corpus_images(corpus_files):
     # cusp, cuspidal edge (dg/dX = 0), e6, e6_nonfrontal, f4, folded
     # umbrella, infinite_mf, swallowtail
     assert counts == [2, 3, 2, 2, 4, 4, 4, 3]
+
+
+# ---------------------------------------------------------------------------
+# Minimal generating subsets against the one-at-a-time pruning
+
+
+def _prune_one_at_a_time(fields):
+    """Reference: drop each field, highest order first, that lies in the
+    submodule spanned by the fields still kept (one std and one membership
+    per field)."""
+    keep = list(range(len(fields)))
+    order = sorted(keep, key=lambda i: -min(c.order() for c in fields[i].coeffs
+                                            if not c.is_zero()))
+    for i in order:
+        others = [j for j in keep if j != i]
+        if others and membership(
+                fields[i].coeffs, std([fields[j].coeffs for j in others])):
+            keep = others
+    return [fields[i] for i in keep]
+
+
+def test_pruning_matches_one_at_a_time_on_corpus_images(corpus_files):
+    # both field families: Der(-log g) (partials and g) and the kernel of
+    # epsilon_split (partials only)
+    for parsed in corpus_files:
+        g = image_equation(parsed.maps["f"]).equation
+        partials = [g.diff(i) for i in range(g.ring.arity)]
+        for gens in (partials + [g], partials):
+            fields = _syzygy_fields(g, gens, DEFAULT_LIMITS)
+            assert (_prune_minimal(fields, DEFAULT_LIMITS)
+                    == _prune_one_at_a_time(fields)), str(g)
+
+
+def _small_term(rng, R):
+    """0 or a term of order 1 or 2."""
+    exp = rng.choice([(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)])
+    return R.monomial(exp, rng.choice([-2, -1, 0, 1, 2, 3]))
+
+
+def _planted_module(rng, R, rank):
+    """Random vectors of the given rank plus planted redundant ones, inserted
+    at random places: combinations of the others with coefficients
+    c + c'*x_i (units or not) and a variable multiple of one of them."""
+    gens = []
+    while len(gens) < 3:
+        v = tuple(_small_term(rng, R) for _ in range(rank))
+        if any(not c.is_zero() for c in v):
+            gens.append(v)
+    for _ in range(2):
+        coef = [R.const(rng.randint(-2, 2))
+                + R.var(rng.randint(0, 1)).scale(rng.randint(-2, 2))
+                for _ in gens]
+        v = tuple(sum((c * g[k] for c, g in zip(coef, gens)), R.zero())
+                  for k in range(rank))
+        if any(not c.is_zero() for c in v):
+            gens.insert(rng.randint(0, len(gens)), v)
+    x = R.var(rng.randint(0, R.arity - 1))
+    g = rng.choice(gens)
+    gens.insert(rng.randint(0, len(gens)), tuple(x * c for c in g))
+    return gens
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_pruning_matches_one_at_a_time_on_planted_modules(rank):
+    rng = random.Random(14 + rank)
+    R = ring("x", "y", local=True)
+    for _ in range(12):
+        gens = _planted_module(rng, R, rank)
+        fields = [LogField(v, R.zero()) for v in gens]
+        pruned = _prune_minimal(fields, DEFAULT_LIMITS)
+        assert pruned == _prune_one_at_a_time(fields)
+        # the three random vectors generate the module
+        assert len(pruned) <= 3 < len(fields)
+        if rank == 1:
+            ideal = [v[0] for v in gens]
+            assert min_generators(ideal) == (len(minimal_subset(ideal)), False)
+
+
+def test_minimal_subset_edge_cases():
+    R = ring("x", "y", local=True)
+    x, y = R.gens()
+    assert minimal_subset([]) == []
+    # a zero generator and a multiple of a later one are dropped
+    assert minimal_subset([R.zero(), x * y + y ** 3, y, x]) == [2, 3]
+    with pytest.raises(ValueError):
+        minimal_subset([ring("x", "y").var(0)])
+    with pytest.raises(ValueError):
+        min_generators([ring("x", "y").one()])
+
+
+def test_minimal_subset_of_a_principal_ideal_with_long_generators():
+    # (y) with 3y fourth: every other generator is a multiple of a later one
+    # or lies in m*(y).  A membership test of each generator in the span of
+    # the others runs past 10 s here; the one standard basis of N takes ms.
+    R = ring("x", "y", local=True)
+    x, y = R.gens()
+    h = Fraction(1, 2)
+    gens = [-6 * y - 4 * x * y - 3 * h * x * y ** 2 - 4 * x * y ** 3
+            - 3 * h * x ** 3 * y ** 2 + 4 * x ** 2 * y ** 3,
+            3 * h * x * y ** 3,
+            -3 * y - 4 * x * y + 3 * x * y ** 2 + Fraction(4, 3) * x ** 3 * y
+            + 19 * h * x * y ** 3 + Fraction(4, 3) * x ** 2 * y ** 3
+            + 2 * x ** 2 * y ** 4 + Fraction(4, 3) * x ** 2 * y ** 5
+            + h * x ** 4 * y ** 4 - Fraction(4, 3) * x ** 3 * y ** 5,
+            4 * x * y, 3 * y, 3 * h * x * y ** 2]
+    assert minimal_subset(gens) == [4]
+    assert min_generators(gens) == (1, False)
+
+
+def test_epsilon_split_of_a_one_variable_germ_has_no_kernel():
+    # one partial has no syzygies: the kernel is empty, not an error
+    R = ring("y", local=True)
+    y = R.var(0)
+    (unit, coeffs), kernel = epsilon_split(y ** 2 + y ** 3)
+    assert kernel == []
+    assert LogField(coeffs, unit).verify(y ** 2 + y ** 3)

@@ -1,5 +1,6 @@
 """Map germs, frontality, Nash lifts, wave fronts."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from frontal_kernel import (DivisionError, GermError, corank, frontal_lift,
                             prenormal_candidates, ramification_ideal, ring, std)
 from frontal_kernel.basis import DEFAULT_LIMITS, Limits, ResourceLimitError
 from frontal_kernel.germfile import parse
-from frontal_kernel.germs import compose_linear, min_generators
+from frontal_kernel.germs import _linear_part, compose_linear, min_generators
 
 
 def test_corank(cuspidal_edge, e6):
@@ -185,3 +186,15 @@ def test_min_generators_f4_shears(sign):
     f = _parsed_map(f"y + x {sign} y^2 + {tail}, y^2 + {tail}, {tail}")
     assert min_generators(ramification_ideal(f)) == (2, False)
     assert is_frontal(f) == (False, None)
+
+
+def test_linear_part_is_the_gradient_at_zero():
+    rng = random.Random(14)
+    R = ring("x", "y", "z", local=True)
+    for _ in range(30):
+        p = R.zero()
+        for _ in range(rng.randint(0, 5)):
+            exp = tuple(rng.randint(0, 2) for _ in range(3))
+            p = p + R.monomial(exp, Fraction(rng.randint(-5, 5),
+                                             rng.randint(1, 4)))
+        assert _linear_part(p) == [p.diff(i).constant_term() for i in range(3)]

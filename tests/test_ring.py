@@ -139,3 +139,50 @@ def test_weighted_ring_degree():
     R = ring("x", "y", weights=(2, 3))
     p = R.var(0) ** 3 + R.var(1) ** 2
     assert p.weighted_degree() == 6
+
+
+def test_quasihomogeneous_weights_beyond_small_free_values():
+    # Z - X*Y^7 needs w_Z > 7*w_Y, out of reach of free values 1..6
+    R = ring("X", "Y", "Z")
+    X, Y, Z = R.gens()
+    qh = quasihomogeneous_weights(Z - X * Y ** 7)
+    assert qh is not None
+    w, d, free = qh
+    assert all(wi > 0 for wi in w) and not any(free)
+    assert w[2] == d == w[0] + 7 * w[1]
+
+
+def test_quasihomogeneous_weights_of_planted_weights():
+    # terms of one weighted degree under weights up to 12, often beyond the
+    # free values 1..6; and no weights in 1..12 fit when None is returned
+    rng = random.Random(14)
+    R = ring("X", "Y", "Z")
+    X, Y, Z = R.gens()
+    for _ in range(40):
+        w = [rng.randint(1, 12) for _ in range(3)]
+        e0 = tuple(rng.randint(0, 4) for _ in range(3))
+        d = sum(wi * a for wi, a in zip(w, e0))
+        same = [e for e in itertools.product(*[range(d // wi + 1) for wi in w])
+                if sum(wi * a for wi, a in zip(w, e)) == d and e != e0]
+        if not same:
+            continue
+        g = sum((R.monomial(e, 1) for e in [e0] + rng.sample(
+            same, min(rng.randint(1, 2), len(same)))), R.zero())
+        qh = quasihomogeneous_weights(g)
+        assert qh is not None, g
+        assert all(wi > 0 for wi in qh[0])
+        assert len({sum(wi * a for wi, a in zip(qh[0], e))
+                    for e, _ in g.terms}) == 1
+    # Z^a - X^b*Y^c needs a*w_Z > c*w_Y
+    for a, b, c in itertools.product(range(1, 3), range(1, 4), range(1, 13)):
+        qh = quasihomogeneous_weights(Z ** a - X ** b * Y ** c)
+        assert qh is not None
+        (wx, wy, wz), d, _ = qh
+        assert min(wx, wy, wz) > 0 and a * wz == b * wx + c * wy == d
+    for _ in range(40):
+        exps = {tuple(rng.randint(0, 6) for _ in range(3)) for _ in range(3)}
+        g = sum((R.monomial(e, 1) for e in exps), R.zero())
+        if quasihomogeneous_weights(g) is None:
+            assert not any(
+                len({sum(wi * a for wi, a in zip(w, e)) for e in exps}) == 1
+                for w in itertools.product(range(1, 13), repeat=3)), g
