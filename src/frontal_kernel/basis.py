@@ -1,8 +1,10 @@
 """Standard and Groebner bases for ideals and submodules of free modules.
 
-Local orderings use Mora's tangent-cone normal form (with the working-set
-extension), global orderings plain division; the same Buchberger pair loop
-drives both.  Vectors are tuples of Poly; ideals are rank-1 modules.
+One pair loop (``_std``) and one reduction loop (``_weak_nf``) serve every
+ordering: Mora's tangent-cone normal form with the working-set extension
+for local orderings, plain division for global ones, which also divides
+past an irreducible leading term for remainders and interreduction.
+Vectors are tuples of Poly; ideals are rank-1 modules.
 Module orderings are position-over-term with lower component index on top,
 which makes component elimination a plain block order.
 
@@ -30,7 +32,7 @@ from math import gcd, lcm
 from operator import add, le, sub
 from typing import Optional, Sequence, Union
 
-from .ring import Ordering, Poly, Ring, fresh_names
+from .ring import Ordering, Poly, Ring, block_ordering, fresh_names
 
 
 class ResourceLimitError(RuntimeError):
@@ -163,7 +165,6 @@ class StdBasis:
     ring: Ring
     rank: int
     elements: list[Vector]
-    lineage: Optional[list[list[Poly]]] = None  # element i = sum lineage[i][j]*gen j
 
     def polys(self) -> list[Poly]:
         if self.rank != 1:
@@ -182,16 +183,10 @@ class StdBasis:
         """The elements as primitive integer vectors, with their leading
         terms and ecarts, for the normal forms (computed on first use;
         ``elements`` does not change after ``std`` returns)."""
-        return _indexed([_primitive(v)[0] for v in self.elements])
-
-
-def _indexed(vecs: list[Vector], width: Optional[int] = None):
-    """(vecs, leading terms, ecarts) of integer vectors whose first
-    ``width`` components carry the leading terms."""
-    leads = [_lt(v, width) for v in vecs]
-    ecarts = [_vec_degree(v[:width]) - sum(lead[1])
-              for v, lead in zip(vecs, leads)]
-    return vecs, leads, ecarts
+        vecs = [_primitive(v)[0] for v in self.elements]
+        leads = [_lt(v) for v in vecs]
+        return vecs, leads, [_vec_degree(v) - sum(lead[1])
+                             for v, lead in zip(vecs, leads)]
 
 
 # ---------------------------------------------------------------------------
@@ -205,19 +200,27 @@ def _divisors(leads, comp, exp) -> list[int]:
 
 
 def _weak_nf(v: Vector, basis: list[Vector], leads: list, ecarts: list[int],
-             ring: Ring, limits: Limits, width: int) -> tuple[Vector, Fraction]:
+             ring: Ring, limits: Limits, width: int,
+             full: bool = False) -> tuple[Vector, Fraction]:
     """Mora weak normal form of the integer vector v over the integer
     basis: u*v = sum a_i * basis_i + h/s with u a local unit (u = 1 for
-    global orderings).  Returns (h, s); h is integral, and h/s is the weak
-    normal form that the same reduction over Q with monic basis elements
-    gives.
+    global orderings).  Returns (h, s): h/s is the normal form that the
+    same reduction over Q with monic basis elements gives, and h is
+    integral unless ``full``.
+
+    With ``full`` (global orderings, no payload) the loop goes on past an
+    irreducible leading term: the term moves to the remainder, recorded
+    with its exact ``Fraction`` coefficient at the scale of v, and the
+    remainder is returned with s = 1.  Modulo a Groebner basis this is the
+    canonical remainder of v.
 
     Only the first ``width`` components carry leading terms and ecarts; the
-    others are a payload (a lineage, or a unit and cofactors) that every
-    step combines like the rest, so a linear relation among the components
-    that holds for v and every basis element holds for h; the reduction is
-    the same with or without one (Greuel-Pfister 1.7).  ``leads`` and
-    ``ecarts`` belong to ``basis``.
+    others are a payload (a unit and cofactors) that every step combines
+    like the rest, so a linear relation among the components that holds
+    for v and every basis element holds for h; the reduction is the same
+    with or without one (Greuel-Pfister 1.7).  ``leads`` and ``ecarts``
+    belong to ``basis``.  Every normal form stops after 20 * max_pairs
+    reduction steps.
     """
     is_global = ring.ordering.is_global()
     # the working set T with its leading terms and ecarts, kept in step
@@ -225,13 +228,20 @@ def _weak_nf(v: Vector, basis: list[Vector], leads: list, ecarts: list[int],
     L = list(leads)
     E = list(ecarts)
     h = v
-    num = den = 1
+    num = den = 1  # h = num/den * the undivided rest of v
+    rest = [[] for _ in v]
     steps = 0
     while (lead_h := _lt(h, width)) is not None:
         comp, exp, ch = lead_h
         divs = _divisors(L, comp, exp)
         if not divs:
-            break
+            if not full:
+                break
+            # the leading terms met in one component only decrease, so the
+            # remainder terms arrive in order
+            rest[comp].append((exp, Fraction(ch * den, num)))
+            h = h[:comp] + (Poly(ring, h[comp].terms[1:]),) + h[comp + 1:]
+            continue
         steps += 1
         if steps > limits.max_pairs * 20:
             raise ResourceLimitError("normal form step limit exceeded")
@@ -251,42 +261,9 @@ def _weak_nf(v: Vector, basis: list[Vector], leads: list, ecarts: list[int],
         if content > 1:
             h = _divide(h, content)
             den *= content
+    if full:
+        return tuple(Poly(ring, tuple(terms)) for terms in rest), Fraction(1)
     return h, Fraction(num, den)
-
-
-def _full_nf(v: Vector, basis: list[Vector], leads: list,
-             limits: Limits) -> Vector:
-    """Divide every term (global orderings only): the canonical remainder
-    of the nonzero rational vector v, exactly, with Fraction coefficients.
-    ``basis`` holds integer vectors and ``leads`` their leading terms."""
-    h, t = _primitive(v)
-    num, den = t.numerator, t.denominator  # h = num/den * the undivided rest
-    ring = v[0].ring
-    result = [[] for _ in v]
-    steps = 0
-    while (lead := _lt(h)) is not None:
-        comp, exp, ch = lead
-        divs = _divisors(leads, comp, exp)
-        if divs:
-            steps += 1
-            if steps > limits.max_pairs * 40:
-                raise ResourceLimitError("normal form step limit exceeded")
-            _, ge, gk = leads[divs[0]]
-            d = gcd(gk, ch)
-            a = gk // d
-            h = _vec_comb(a, h, ch // d, tuple(map(sub, exp, ge)),
-                          basis[divs[0]])
-            num *= a
-            content = gcd(*[c for p in h for _, c in p.terms])
-            if content > 1:
-                h = _divide(h, content)
-                den *= content
-        else:
-            # the leading terms met in one component only decrease, so the
-            # remainder terms arrive in order
-            result[comp].append((exp, Fraction(ch * den, num)))
-            h = h[:comp] + (Poly(ring, h[comp].terms[1:]),) + h[comp + 1:]
-    return tuple(Poly(ring, tuple(terms)) for terms in result)
 
 
 def vector_normal_form(v: Vector, basis: StdBasis,
@@ -294,11 +271,9 @@ def vector_normal_form(v: Vector, basis: StdBasis,
     v = tuple(v)
     if _vec_is_zero(v):
         return v
-    elems, leads, ecarts = basis._reducers
-    if basis.ring.ordering.is_global():
-        return _full_nf(v, elems, leads, limits)
     w, t = _primitive(v)
-    h, s = _weak_nf(w, elems, leads, ecarts, basis.ring, limits, len(w))
+    h, s = _weak_nf(w, *basis._reducers, basis.ring, limits, len(w),
+                    full=basis.ring.ordering.is_global())
     return _rational(h, s * t)
 
 
@@ -306,41 +281,51 @@ def vector_normal_form(v: Vector, basis: StdBasis,
 # Buchberger / Mora main loop
 
 
-def std(gens: Sequence[Union[Poly, Vector]], *, limits: Limits = DEFAULT_LIMITS,
-        track: bool = False) -> StdBasis:
-    """Standard basis (local orderings) or Groebner basis (global).
-
-    With ``track`` each element carries its lineage: the combination of
-    the generators that gives it, as payload components after the first
-    ``rank`` (see ``_weak_nf``)."""
+def std(gens: Sequence[Union[Poly, Vector]], *,
+        limits: Limits = DEFAULT_LIMITS) -> StdBasis:
+    """Standard basis (local orderings) or reduced Groebner basis (global),
+    monic.  An ideal that contains a unit gets the basis [1], so every
+    normal form against it ends after one pass over the terms."""
     vecs, rank = _as_vectors(gens)
+    G, LT, EC = _std(vecs, rank, limits)
+    ring = G[0][0].ring
+    if rank == 1 and not any(LT[0][1]):
+        # a minimal basis with a unit leading term has no other element
+        G, LT = [(ring.one(),)], [(0, LT[0][1], 1)]
+    elif ring.ordering.is_global():
+        _interreduce(G, LT, EC, ring, limits)
+    return StdBasis(ring, rank,
+                    [_rational(v, lead[2]) for v, lead in zip(G, LT)])
+
+
+def _std(vecs: list[Vector], width: int, limits: Limits):
+    """The Buchberger/Mora pair loop over nonzero vectors whose first
+    ``width`` components carry the leading terms; the rest is a payload
+    (see ``_weak_nf``).  Returns the minimal basis (G, LT, EC): primitive
+    integer vectors, their leading (component, exponent, coefficient) and
+    their ecarts."""
     if not vecs:
         raise ValueError("all generators are zero")
     ring = vecs[0][0].ring
-    is_global = ring.ordering.is_global()
 
-    G: list[Vector] = []  # primitive integer vectors, with lineage if tracked
-    LT: list = []  # leading (component, exponent, coefficient) of each G[i]
-    EC: list[int] = []  # ecart of each G[i]
+    G: list[Vector] = []
+    LT: list = []
+    EC: list[int] = []
 
     def add_element(v: Vector):
-        degree = _vec_degree(v[:rank])
+        degree = _vec_degree(v[:width])
         if degree > limits.max_degree:
             raise ResourceLimitError(
                 f"basis element degree exceeds limit {limits.max_degree}")
         v, _ = _primitive(v)
-        lead = _lt(v, rank)
+        lead = _lt(v, width)
         G.append(v)
         LT.append(lead)
         EC.append(degree - sum(lead[1]))
 
-    zero = ring.zero()
-    for i, v in enumerate(vecs):
-        if track:
-            v += tuple(ring.one() if j == i else zero
-                       for j in range(len(vecs)))
+    for v in vecs:
         add_element(v)
-    zeros = (zero,) * len(G[0])
+    zeros = (ring.zero(),) * len(G[0])
 
     # pending pairs, popped by (degree of the lcm, i, j)
     pairs: list[tuple[int, int, int]] = []
@@ -367,7 +352,7 @@ def std(gens: Sequence[Union[Poly, Vector]], *, limits: Limits = DEFAULT_LIMITS,
         _, ej, kj = LT[j]
         lcm_exp = tuple(map(max, ei, ej))
         # product criterion (valid for ideals only)
-        if rank == 1 and all(a + b == c for a, b, c in zip(ei, ej, lcm_exp)):
+        if width == 1 and all(a + b == c for a, b, c in zip(ei, ej, lcm_exp)):
             continue
         # chain criterion
         skip = False
@@ -388,23 +373,15 @@ def std(gens: Sequence[Union[Poly, Vector]], *, limits: Limits = DEFAULT_LIMITS,
         sp = _vec_comb(1, _vec_comb(1, zeros, -(kj // d),
                                     tuple(map(sub, lcm_exp, ei)), G[i]),
                        ki // d, tuple(map(sub, lcm_exp, ej)), G[j])
-        h, _ = _weak_nf(sp, G, LT, EC, ring, limits, rank)
-        if _lt(h, rank) is None:
+        h, _ = _weak_nf(sp, G, LT, EC, ring, limits, width)
+        if _lt(h, width) is None:
             continue
         add_element(h)
         push_pairs(len(G) - 1)
 
     keep = _minimal(LT)
-    G = [G[i] for i in keep]
-    LT = [LT[i] for i in keep]
-    if is_global and not track:
-        _interreduce(G, LT, limits)
-    # monic at the API: divide each element and its lineage by its leading
-    # coefficient
-    elements = [_rational(v[:rank], lead[2]) for v, lead in zip(G, LT)]
-    lineage = ([list(_rational(v[rank:], lead[2])) for v, lead in zip(G, LT)]
-               if track else None)
-    return StdBasis(ring, rank, elements, lineage)
+    return ([G[i] for i in keep], [LT[i] for i in keep],
+            [EC[i] for i in keep])
 
 
 def _minimal(leads: list) -> list[int]:
@@ -426,20 +403,23 @@ def _minimal(leads: list) -> list[int]:
     return keep
 
 
-def _interreduce(G: list[Vector], leads: list, limits: Limits):
+def _interreduce(G: list[Vector], leads: list, ecarts: list[int], ring: Ring,
+                 limits: Limits):
     """Tail-reduce each element against the others (global orderings only).
 
     The leading terms of a minimal basis divide none of the others, so
     reduction keeps every leading exponent; the leading coefficient of the
-    primitive result may change, so ``leads`` is refreshed."""
+    primitive result and the ecart may change, so both are refreshed."""
+    if len(G) == 1:
+        return
     for i in range(len(G)):
-        others = G[:i] + G[i + 1:]
-        if not others:
-            continue
-        reduced = _full_nf(G[i], others, leads[:i] + leads[i + 1:], limits)
-        if not _vec_is_zero(reduced):
-            G[i], _ = _primitive(reduced)
-            leads[i] = _lt(G[i])
+        reduced, _ = _weak_nf(G[i], G[:i] + G[i + 1:],
+                              leads[:i] + leads[i + 1:],
+                              ecarts[:i] + ecarts[i + 1:], ring, limits,
+                              len(G[i]), full=True)
+        G[i], _ = _primitive(reduced)
+        leads[i] = _lt(G[i])
+        ecarts[i] = _vec_degree(G[i]) - sum(leads[i][1])
 
 
 # ---------------------------------------------------------------------------
@@ -459,29 +439,25 @@ def membership(p: Union[Poly, Vector], basis: StdBasis,
 def membership_certificate(p: Poly, gens: Sequence[Poly],
                            limits: Limits = DEFAULT_LIMITS):
     """If p is in <gens>, return (u, cofactors) with u*p = sum cof_i*gens_i,
-    u a local unit (u = 1 for global orderings).  None otherwise."""
-    basis = std(gens, limits=limits, track=True)
-    ring = basis.ring
-    zero = ring.zero()
-    # vectors (h, u, c_1, ..., c_m) with h = u*p + sum c_j*source_j
-    reducers = _indexed([_primitive(v + (zero,) + tuple(lin))[0]
-                          for v, lin in zip(basis.elements, basis.lineage)], 1)
-    w, t = _primitive((p, ring.one()) + (zero,) * len(basis.lineage[0]))
-    h, s = _weak_nf(w, *reducers, ring, limits, 1)
+    u a local unit (u = 1 for global orderings).  None otherwise.
+
+    The pair loop runs on the vectors (g_i, 0, e_i), whose payload keeps
+    each element's combination of the generators, and (p, 1, 0) is reduced
+    against them: a result (0, u, -c) gives u*p = sum c_i*g_i.  A zero
+    generator gets the cofactor 0."""
+    ring = p.ring
+    zero, one = ring.zero(), ring.one()
+    m = len(gens)
+    G, LT, EC = _std([(g, zero) + tuple(one if j == i else zero
+                                        for j in range(m))
+                      for i, g in enumerate(gens) if not g.is_zero()],
+                     1, limits)
+    w, t = _primitive((p, one) + (zero,) * m)
+    h, s = _weak_nf(w, G, LT, EC, ring, limits, 1)
     if h[0].terms:
         return None
     u, *cof = _rational(h[1:], s * t)
-    cof = [-c for c in cof]
-    # u*p - sum cof_i*source_i = 0, sources are the nonzero original gens
-    full = []
-    k = 0
-    for g in gens:
-        if isinstance(g, Poly) and g.is_zero():
-            full.append(ring.zero())
-        else:
-            full.append(cof[k])
-            k += 1
-    return u, full
+    return u, [-c for c in cof]
 
 
 def vs_dimension(basis: StdBasis) -> Union[int, _Infinite]:
@@ -534,7 +510,6 @@ def eliminate(gens: Sequence[Poly], elim: Sequence[int],
     kept_weights = (None if ring.weights is None
                     else tuple(ring.weights[i] for i in keep))
     inner = Ordering(local=ring.ordering.local, weights=kept_weights)
-    from .ring import block_ordering
     order = block_ordering((len(elim), len(keep)), (Ordering(), inner))
     work = Ring(names, order)
     mapped = [g.map_to(work) for g in gens]

@@ -9,7 +9,7 @@ from . import linalg
 from .basis import DEFAULT_LIMITS, Limits, eliminate, membership, std
 from .germs import (MapGerm, NashData, PrenormalForm, _linear_part,
                     corank_branch, frontal_lift, target_names)
-from .invariants import ImageData, image_equation
+from .invariants import ImageData, _graph_ideal, image_equation
 from .ring import Poly, Ring, associates, fresh_names, ring
 from .squarefree import squarefree_part
 
@@ -98,12 +98,10 @@ def discriminant(fam: GeneratingFamily,
     target = ring(*tnames, local=True)
     if k == 0:
         return image_equation(MapGerm(r, (fam.components,)), limits)
-    big = ring(*r.names, *tnames)
-    graph = [big.var(r.arity + j) - c.map_to(big)
-             for j, c in enumerate(fam.components)]
-    crit = [fam.hprime.diff(n - k + j).map_to(big) for j in range(k)]
+    crit = [fam.hprime.diff(n - k + j) for j in range(k)]
     crit = [c for c in crit if not c.is_zero()]
-    sub, gens = eliminate(graph + crit, range(r.arity), limits)
+    _, gens = eliminate(*_graph_ideal(fam.components, tnames, extra=crit),
+                        limits)
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         raise GenFamError("discriminant eliminant is zero")

@@ -38,26 +38,28 @@ class ImageData:
     equation: Poly      # squarefree, monic leading coefficient
 
 
-def _graph_ring(source_names: Sequence[str], target: Sequence[str],
-                params: Sequence[str] = ()) -> Ring:
-    names = tuple(source_names) + tuple(target) + tuple(params)
+def _graph_ideal(comps: Sequence[Poly], target: Sequence[str],
+                 params: Sequence[str] = (), extra: Sequence[Poly] = (),
+                 local: bool = False) -> tuple[list[Poly], range]:
+    """The graph ideal (y_j - f_j) of ``comps`` plus the ``extra``
+    generators, both on the source, in the ring of the source variables,
+    then ``target``, then the trailing ``params`` of the source; with the
+    indices of the source variables, for ``eliminate``."""
+    src = comps[0].ring
+    n = src.arity - len(params)
+    names = src.names[:n] + tuple(target) + tuple(params)
     if len(set(names)) != len(names):
         raise InvariantError(
             f"source/target/parameter name clash in {names}; rename variables")
-    return ring(*names)
+    big = ring(*names, local=local)
+    gens = [big.var(n + j) - c.map_to(big) for j, c in enumerate(comps)]
+    return gens + [p.map_to(big) for p in extra], range(n)
 
 
 def _branch_eliminant(comps: Sequence[Poly], target: Sequence[str],
                       params: Sequence[str], limits: Limits) -> tuple[Ring, Poly]:
     """Eliminate the source variables from the graph ideal of one branch."""
-    src = comps[0].ring
-    n = src.arity - len(params)
-    big = _graph_ring(src.names[:n], target, params)
-    graph = []
-    for j, c in enumerate(comps):
-        yj = big.var(n + j)
-        graph.append(yj - c.map_to(big))
-    sub, gens = eliminate(graph, range(n), limits)
+    sub, gens = eliminate(*_graph_ideal(comps, target, params), limits)
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         raise InvariantError("elimination yields the zero ideal: image is "
@@ -286,10 +288,8 @@ def hat_M_dimension(f: MapGerm,
     pullbacks = [p for p in pullbacks if not p.is_zero()]
     if not pullbacks:
         raise InvariantError("all Jacobian pullbacks vanish (g not reduced?)")
-    big = ring(*src.names, *target.names, local=True)
-    graph = [big.var(src.arity + j) - c.map_to(big) for j, c in enumerate(comps)]
-    gens = graph + [p.map_to(big) for p in pullbacks]
-    sub, pre_gens = eliminate(gens, range(src.arity), limits)
+    _, pre_gens = eliminate(*_graph_ideal(comps, target.names,
+                                          extra=pullbacks, local=True), limits)
     pre_gens = [p.map_to(target) for p in pre_gens if not p.is_zero()]
     if not pre_gens:
         raise InvariantError("empty preimage ideal (internal error)")

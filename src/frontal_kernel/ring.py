@@ -23,9 +23,6 @@ class RingMismatchError(ValueError):
 # larger monomial.  All keys are injective on exponent vectors, so every
 # ordering here is total.
 
-GLOBAL_DEGREVLEX = "degrevlex"
-LOCAL_DS = "ds"  # antigraded reverse lexicographic
-
 
 @dataclass(frozen=True)
 class Ordering:

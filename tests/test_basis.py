@@ -1,6 +1,7 @@
 """Standard bases, normal forms, dimensions, elimination, quotients."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -53,6 +54,35 @@ def test_membership_certificate_soundness():
         acc = acc + c * g
     assert acc == unit * p
     assert membership_certificate(x, gens) is None
+
+
+def test_membership_certificate_keeps_the_slot_of_a_zero_generator():
+    R = ring("x", "y", local=True)
+    x, y = R.gens()
+    g1, g2 = x ** 2 + y ** 3, x * y - y ** 4
+    p = y * g1 + (1 + x) * g2
+    unit, cof = membership_certificate(p, [g1, R.zero(), g2])
+    assert len(cof) == 3 and cof[1].is_zero()
+    assert unit.is_unit()
+    assert cof[0] * g1 + cof[2] * g2 == unit * p
+
+
+def test_an_ideal_with_a_unit_has_the_basis_one():
+    # the saturation of this local ideal is the unit ideal; a long unit
+    # kept as its basis made membership run past 20 s
+    R = ring("x", "y", local=True)
+    x, y = R.gens()
+    gens = [Fraction(21, 2) * x * y ** 3 - 48 * x ** 3 * y ** 3
+            + Fraction(129, 2) * x ** 5 * y ** 3 - 27 * x ** 7 * y ** 3,
+            -Fraction(2, 5) * y - Fraction(5, 6) * y ** 2 + 8 * x ** 3]
+    basis = std(saturation(gens, 3 * y - 3 * x ** 2 * y))
+    assert basis.polys() == [R.one()]
+    start = time.perf_counter()
+    assert membership(1 - 2 * x ** 2 + x * y + y ** 3, basis)
+    assert time.perf_counter() - start < 1
+    assert std([1 + x, x * y]).polys() == [R.one()]
+    S = ring("x", "y")
+    assert std([S.var(0) + 3, S.var(0)]).polys() == [S.one()]
 
 
 def test_normal_form_idempotent():
@@ -167,6 +197,17 @@ def test_limits_count_every_pair_and_step():
             colon_submodule(numerator, denominator, Limits(max_pairs=k))
     assert colon_submodule(numerator, denominator, Limits(max_pairs=8)) == \
         colon_submodule(numerator, denominator)
+
+
+def test_every_normal_form_takes_one_step_budget():
+    # global remainders divide through the same loop as Mora's normal
+    # form, so they too stop after 20 * max_pairs steps; this one takes 25
+    R = ring("X", "Y")
+    X, Y = R.gens()
+    basis = std([X - Y])
+    with pytest.raises(ResourceLimitError):
+        normal_form(X ** 25, basis, Limits(max_pairs=1))
+    assert normal_form(X ** 25, basis, Limits(max_pairs=2)) == Y ** 25
 
 
 def test_colength_ordering_independent():

@@ -515,3 +515,29 @@ def test_gcd_matches_sympy_gcd():
                     theirs(p).exquo(g).monic(), str(p)
                 checked += 1
     assert checked == 32
+
+
+def test_global_normal_form_matches_sympy_reduced():
+    # oracle: the remainder modulo a Groebner basis is unique (Cox, Little
+    # and O'Shea, Ch. 2 section 6), so normal_form against std must equal
+    # the remainder of sympy's division by its grevlex basis
+    import sympy
+    rng = random.Random(43)
+    checked = 0
+    for names in (("x", "y"), ("x", "y", "z")):
+        R = ring(*names)
+        symbols = sympy.symbols(names)
+        for gens in _seeded_ideals(rng, R, 10):
+            basis = std(gens)
+            theirs = sympy.groebner([_to_sympy(g, symbols) for g in gens],
+                                    *symbols, order="grevlex")
+            for _ in range(3):
+                p = random_poly(rng, R, 5, 5)
+                _, remainder = sympy.reduced(_to_sympy(p, symbols),
+                                             theirs.exprs, *symbols,
+                                             order="grevlex")
+                ours = _to_sympy(normal_form(p, basis), symbols)
+                assert sympy.expand(ours - remainder) == 0, \
+                    ([str(g) for g in gens], str(p))
+                checked += 1
+    assert checked == 60
