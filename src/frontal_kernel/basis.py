@@ -16,9 +16,13 @@ kernel ``_vec_comb``, followed by division by the content; only ``gcd`` and
 ``//`` touch the coefficients.  Each such vector is a nonzero scalar
 multiple of the one that reduction over Q with monic basis elements gives
 at the same step, with the same leading terms, ecarts, divisor choices and
-pair order.  At the API the scalar is divided out: ``std`` returns monic
-``Fraction`` vectors, and normal forms and membership certificates return
-exactly the ``Fraction`` values of reduction over Q.
+pair order.  At the API the scalar is divided out: a ``StdBasis`` holds
+the primitive integer vectors of ``_std`` with their leading terms and
+ecarts and builds the monic ``Fraction`` vectors only when ``elements`` is
+read, and normal forms and membership certificates return exactly the
+``Fraction`` values of reduction over Q.  ``Poly`` products, substitution
+and derivatives run on integer numerators as well (see ``ring``), forming
+one ``Fraction`` per term of their result.
 """
 
 from __future__ import annotations
@@ -98,7 +102,12 @@ def _lt(v: Vector, width: Optional[int] = None):
 
 
 def _vec_degree(v: Vector) -> int:
-    return max((p.total_degree() for p in v if not p.is_zero()), default=-1)
+    ordering = v[0].ring.ordering
+    if ordering.blocks is None and ordering.weights is None:
+        # a degree ordering sorts a top-degree term first (global) or last
+        at = -1 if ordering.local else 0
+        return max((sum(p.terms[at][0]) for p in v if p.terms), default=-1)
+    return max((p.total_degree() for p in v if p.terms), default=-1)
 
 
 def _vec_is_zero(v: Vector) -> bool:
@@ -134,9 +143,10 @@ def _divide(v: Vector, g: int) -> Vector:
                  for p in v)
 
 
-def _primitive(v: Vector) -> tuple[Vector, Fraction]:
-    """(t*v, t) for the rational t that makes t*v an integer vector with
-    coprime coefficients and a positive leading coefficient; v is nonzero."""
+def _primitive(v: Vector) -> tuple[Vector, int, int]:
+    """(d/g * v, d, g) for the integers d > 0 and g that make d/g * v an
+    integer vector with coprime coefficients and a positive leading
+    coefficient; v is nonzero."""
     coeffs = [c for p in v for _, c in p.terms]
     den = 1
     if set(map(type, coeffs)) != {int}:
@@ -147,24 +157,48 @@ def _primitive(v: Vector) -> tuple[Vector, Fraction]:
     g = gcd(*coeffs)
     if _lt(v)[2] < 0:
         g = -g
-    return (v if g == 1 else _divide(v, g)), Fraction(den, g)
+    return (v if g == 1 else _divide(v, g)), den, g
 
 
-def _rational(v: Vector, s) -> Vector:
-    """The integer vector v divided by the rational s, as Fraction terms."""
-    s = Fraction(s)
-    num, den = s.numerator, s.denominator
+def _rational(v: Vector, num: int, den: int = 1) -> Vector:
+    """The integer vector v divided by num/den, as Fraction terms."""
     return tuple(Poly(p.ring, tuple([(e, Fraction(c * den, num))
                                      for e, c in p.terms])) for p in v)
 
 
-@dataclass
 class StdBasis:
-    """A confluent basis with minimal pairwise non-divisible leading terms."""
+    """A confluent basis with minimal pairwise non-divisible leading terms.
 
-    ring: Ring
-    rank: int
-    elements: list[Vector]
+    It holds primitive integer vectors (``vectors``) with their leading
+    (component, exponent, coefficient) (``leads``) and ecarts (``ecarts``),
+    which the normal forms reduce by.  ``elements``, the vectors over Q,
+    is built on first read: monic for a basis from ``std``, as given for
+    one built as ``StdBasis(ring, rank, elements)``.
+    """
+
+    def __init__(self, ring: Ring, rank: int, elements: Sequence[Vector]):
+        self.ring = ring
+        self.rank = rank
+        self.elements = list(elements)
+        self.vectors = [_primitive(v)[0] for v in self.elements]
+        self.leads = [_lt(v) for v in self.vectors]
+        self.ecarts = [_vec_degree(v) - sum(lead[1])
+                       for v, lead in zip(self.vectors, self.leads)]
+
+    @classmethod
+    def _of(cls, ring: Ring, rank: int, vectors: list[Vector], leads: list,
+            ecarts: list[int]) -> "StdBasis":
+        """The basis of primitive integer vectors with their leading terms
+        and ecarts, as ``_std`` returns them."""
+        basis = cls.__new__(cls)
+        basis.ring, basis.rank = ring, rank
+        basis.vectors, basis.leads, basis.ecarts = vectors, leads, ecarts
+        return basis
+
+    @cached_property
+    def elements(self) -> list[Vector]:
+        return [_rational(v, lead[2]) for v, lead in zip(self.vectors,
+                                                         self.leads)]
 
     def polys(self) -> list[Poly]:
         if self.rank != 1:
@@ -173,20 +207,9 @@ class StdBasis:
 
     def leading_data(self) -> dict[int, list[tuple[int, ...]]]:
         stair: dict[int, list[tuple[int, ...]]] = {}
-        for v in self.elements:
-            c, e, _ = _lt(v)
+        for c, e, _ in self.leads:
             stair.setdefault(c, []).append(e)
         return stair
-
-    @cached_property
-    def _reducers(self) -> tuple[list[Vector], list, list[int]]:
-        """The elements as primitive integer vectors, with their leading
-        terms and ecarts, for the normal forms (computed on first use;
-        ``elements`` does not change after ``std`` returns)."""
-        vecs = [_primitive(v)[0] for v in self.elements]
-        leads = [_lt(v) for v in vecs]
-        return vecs, leads, [_vec_degree(v) - sum(lead[1])
-                             for v, lead in zip(vecs, leads)]
 
 
 # ---------------------------------------------------------------------------
@@ -201,12 +224,12 @@ def _divisors(leads, comp, exp) -> list[int]:
 
 def _weak_nf(v: Vector, basis: list[Vector], leads: list, ecarts: list[int],
              ring: Ring, limits: Limits, width: int,
-             full: bool = False) -> tuple[Vector, Fraction]:
+             full: bool = False) -> tuple[Vector, int, int]:
     """Mora weak normal form of the integer vector v over the integer
     basis: u*v = sum a_i * basis_i + h/s with u a local unit (u = 1 for
-    global orderings).  Returns (h, s): h/s is the normal form that the
-    same reduction over Q with monic basis elements gives, and h is
-    integral unless ``full``.
+    global orderings).  Returns (h, num, den) with s = num/den: h/s is the
+    normal form that the same reduction over Q with monic basis elements
+    gives, and h is integral unless ``full``.
 
     With ``full`` (global orderings, no payload) the loop goes on past an
     irreducible leading term: the term moves to the remainder, recorded
@@ -262,8 +285,8 @@ def _weak_nf(v: Vector, basis: list[Vector], leads: list, ecarts: list[int],
             h = _divide(h, content)
             den *= content
     if full:
-        return tuple(Poly(ring, tuple(terms)) for terms in rest), Fraction(1)
-    return h, Fraction(num, den)
+        return tuple(Poly(ring, tuple(terms)) for terms in rest), 1, 1
+    return h, num, den
 
 
 def vector_normal_form(v: Vector, basis: StdBasis,
@@ -271,10 +294,11 @@ def vector_normal_form(v: Vector, basis: StdBasis,
     v = tuple(v)
     if _vec_is_zero(v):
         return v
-    w, t = _primitive(v)
-    h, s = _weak_nf(w, *basis._reducers, basis.ring, limits, len(w),
-                    full=basis.ring.ordering.is_global())
-    return _rational(h, s * t)
+    w, d, g = _primitive(v)
+    h, num, den = _weak_nf(w, basis.vectors, basis.leads, basis.ecarts,
+                           basis.ring, limits, len(w),
+                           full=basis.ring.ordering.is_global())
+    return _rational(h, num * d, den * g)
 
 
 # ---------------------------------------------------------------------------
@@ -291,11 +315,11 @@ def std(gens: Sequence[Union[Poly, Vector]], *,
     ring = G[0][0].ring
     if rank == 1 and not any(LT[0][1]):
         # a minimal basis with a unit leading term has no other element
-        G, LT = [(ring.one(),)], [(0, LT[0][1], 1)]
+        one = LT[0][1]
+        G, LT, EC = [(Poly(ring, ((one, 1),)),)], [(0, one, 1)], [0]
     elif ring.ordering.is_global():
         _interreduce(G, LT, EC, ring, limits)
-    return StdBasis(ring, rank,
-                    [_rational(v, lead[2]) for v, lead in zip(G, LT)])
+    return StdBasis._of(ring, rank, G, LT, EC)
 
 
 def _std(vecs: list[Vector], width: int, limits: Limits):
@@ -311,17 +335,20 @@ def _std(vecs: list[Vector], width: int, limits: Limits):
     G: list[Vector] = []
     LT: list = []
     EC: list[int] = []
+    # partners[i]: the indices k whose pair with i is done
+    partners: list[set[int]] = []
 
     def add_element(v: Vector):
         degree = _vec_degree(v[:width])
         if degree > limits.max_degree:
             raise ResourceLimitError(
                 f"basis element degree exceeds limit {limits.max_degree}")
-        v, _ = _primitive(v)
+        v = _primitive(v)[0]
         lead = _lt(v, width)
         G.append(v)
         LT.append(lead)
         EC.append(degree - sum(lead[1]))
+        partners.append(set())
 
     for v in vecs:
         add_element(v)
@@ -339,12 +366,12 @@ def _std(vecs: list[Vector], width: int, limits: Limits):
 
     for j in range(len(G)):
         push_pairs(j)
-    done = set()
     processed = 0
 
     while pairs:
         _, i, j = heapq.heappop(pairs)
-        done.add((i, j))
+        partners[i].add(j)
+        partners[j].add(i)
         processed += 1
         if processed > limits.max_pairs:
             raise ResourceLimitError(f"pair limit {limits.max_pairs} exceeded")
@@ -354,18 +381,10 @@ def _std(vecs: list[Vector], width: int, limits: Limits):
         # product criterion (valid for ideals only)
         if width == 1 and all(a + b == c for a, b, c in zip(ei, ej, lcm_exp)):
             continue
-        # chain criterion
-        skip = False
-        for k, (ck, ek, _) in enumerate(LT):
-            if k in (i, j):
-                continue
-            if ck == ci and all(map(le, ek, lcm_exp)):
-                pik = (min(i, k), max(i, k))
-                pjk = (min(j, k), max(j, k))
-                if pik in done and pjk in done:
-                    skip = True
-                    break
-        if skip:
+        # chain criterion: some k, paired with i and with j (so in
+        # component ci), whose leading term divides the lcm
+        if any(all(map(le, LT[k][1], lcm_exp))
+               for k in partners[i] & partners[j]):
             continue
         # the S-vector (kj/d)*x^(lcm-ei)*G[i] - (ki/d)*x^(lcm-ej)*G[j]; the
         # inner call only shifts and scales G[i]
@@ -373,7 +392,7 @@ def _std(vecs: list[Vector], width: int, limits: Limits):
         sp = _vec_comb(1, _vec_comb(1, zeros, -(kj // d),
                                     tuple(map(sub, lcm_exp, ei)), G[i]),
                        ki // d, tuple(map(sub, lcm_exp, ej)), G[j])
-        h, _ = _weak_nf(sp, G, LT, EC, ring, limits, width)
+        h = _weak_nf(sp, G, LT, EC, ring, limits, width)[0]
         if _lt(h, width) is None:
             continue
         add_element(h)
@@ -413,11 +432,10 @@ def _interreduce(G: list[Vector], leads: list, ecarts: list[int], ring: Ring,
     if len(G) == 1:
         return
     for i in range(len(G)):
-        reduced, _ = _weak_nf(G[i], G[:i] + G[i + 1:],
-                              leads[:i] + leads[i + 1:],
-                              ecarts[:i] + ecarts[i + 1:], ring, limits,
-                              len(G[i]), full=True)
-        G[i], _ = _primitive(reduced)
+        reduced = _weak_nf(G[i], G[:i] + G[i + 1:], leads[:i] + leads[i + 1:],
+                           ecarts[:i] + ecarts[i + 1:], ring, limits,
+                           len(G[i]), full=True)[0]
+        G[i] = _primitive(reduced)[0]
         leads[i] = _lt(G[i])
         ecarts[i] = _vec_degree(G[i]) - sum(leads[i][1])
 
@@ -452,11 +470,11 @@ def membership_certificate(p: Poly, gens: Sequence[Poly],
                                         for j in range(m))
                       for i, g in enumerate(gens) if not g.is_zero()],
                      1, limits)
-    w, t = _primitive((p, one) + (zero,) * m)
-    h, s = _weak_nf(w, G, LT, EC, ring, limits, 1)
+    w, d, g = _primitive((p, one) + (zero,) * m)
+    h, num, den = _weak_nf(w, G, LT, EC, ring, limits, 1)
     if h[0].terms:
         return None
-    u, *cof = _rational(h[1:], s * t)
+    u, *cof = _rational(h[1:], num * d, den * g)
     return u, [-c for c in cof]
 
 
@@ -518,10 +536,10 @@ def eliminate(gens: Sequence[Poly], elim: Sequence[int],
                Ordering(local=ring.ordering.local, weights=kept_weights),
                kept_weights)
     out = []
-    for v in basis.elements:
-        p = v[0]
-        if all(all(e[i] == 0 for i in range(len(elim))) for e, _ in p.terms):
-            out.append(p.map_to(sub))
+    m = len(elim)
+    for (p,), (_, _, k) in zip(basis.vectors, basis.leads):
+        if not any(any(e[:m]) for e, _ in p.terms):
+            out.append(_rational((p,), k)[0].map_to(sub))
     return sub, out
 
 
@@ -589,6 +607,16 @@ def colon_submodule(numerator: Sequence[Union[Poly, Vector]],
     basis of N under the module order.  A zero numerator keeps its slot:
     e_c is in N.
     """
+    s, basis = _colon_basis(numerator, denominator, limits, times)
+    return s, basis.elements
+
+
+def _colon_basis(numerator: Sequence[Union[Poly, Vector]],
+                 denominator: Sequence[Union[Poly, Vector]], limits: Limits,
+                 times: Sequence[Poly]) -> tuple[int, StdBasis]:
+    """(s, the standard basis of N) for ``colon_submodule``: the integer
+    vectors of the big module's basis that vanish in the first r
+    components, cut to the last s.  None is converted to Fractions here."""
     nums = [_vector(a) for a in numerator]
     s = len(nums)
     if s == 0:
@@ -605,7 +633,11 @@ def colon_submodule(numerator: Sequence[Union[Poly, Vector]],
     big += [d + (zero,) * s for d in dens]
     big += [(zero,) * r + tag(i, v) for v in times for i in range(s)]
     basis = std(big, limits=limits)
-    return s, [v[r:] for v in basis.elements if _vec_is_zero(v[:r])]
+    keep = [i for i, lead in enumerate(basis.leads) if lead[0] >= r]
+    leads = [basis.leads[i] for i in keep]
+    return s, StdBasis._of(ring, s, [basis.vectors[i][r:] for i in keep],
+                           [(c - r, e, k) for c, e, k in leads],
+                           [basis.ecarts[i] for i in keep])
 
 
 def minimal_subset(gens: Sequence[Union[Poly, Vector]],
@@ -624,8 +656,8 @@ def minimal_subset(gens: Sequence[Union[Poly, Vector]],
     ring = _vector(gens[0])[0].ring
     if ring.ordering.is_global():
         raise ValueError("minimal generator counts need a local ring")
-    _, basis = colon_submodule(gens, (), limits, times=ring.gens())
-    redundant = {t for t, e, _ in map(_lt, basis) if not any(e)}
+    _, basis = _colon_basis(gens, (), limits, ring.gens())
+    redundant = {t for t, e, _ in basis.leads if not any(e)}
     return [t for t in range(len(gens)) if t not in redundant]
 
 
@@ -650,8 +682,7 @@ def subquotient_dimension(numerator: Sequence[Poly], denominator: Sequence[Poly]
         for d in dens:
             if not membership(d, nbasis, limits):
                 raise ContainmentError(f"{d} is not in the numerator ideal")
-    s, ngens = colon_submodule(nums, dens, limits, times)
-    if not ngens:
+    s, sub = _colon_basis(nums, dens, limits, times)
+    if not sub.vectors:
         return INFINITE if nums[0].ring.arity > 0 else s
-    sub = StdBasis(nums[0].ring, s, ngens)
     return vs_dimension(sub)

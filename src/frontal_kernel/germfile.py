@@ -13,6 +13,7 @@ Statements are semicolon-terminated; `#` starts a comment.  Supported:
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Union
@@ -142,6 +143,11 @@ def tokenize(text: str) -> list[Token]:
             while i < len(text) and text[i] in DIGITS:
                 i += 1
                 col += 1
+            limit = sys.get_int_max_str_digits()
+            if limit and i - start > limit:
+                raise SyntaxErrorAt(
+                    f"integer literal of {i - start} digits is longer than "
+                    f"{limit} digits", line, startcol)
             tokens.append(Token("number", text[start:i], line, startcol))
         elif c in PUNCT:
             tokens.append(Token("punct", c, line, col))
@@ -177,11 +183,12 @@ class _ExprParser:
         tok = self.peek()
         raise SyntaxErrorAt(message, tok.line, tok.column)
 
-    def check_degree(self, degree: int, tok: Token) -> None:
+    def check_degree(self, degree: int, tok: Token,
+                     what: str = "degree") -> None:
         """Refuse a product or power before expanding it past the bound."""
         if degree > self.max_degree:
             raise ResourceLimitError(
-                f"line {tok.line}, column {tok.column}: degree {degree} "
+                f"line {tok.line}, column {tok.column}: {what} {degree} "
                 f"exceeds limit {self.max_degree}")
 
     def parse_expr(self) -> Poly:
@@ -230,6 +237,8 @@ class _ExprParser:
             self.take()
             power = int(exp.text)
             self.check_degree(base.total_degree() * power, tok)
+            # a constant base has degree 0, but its power still grows
+            self.check_degree(power, tok, "exponent")
             return base ** power
         return base
 

@@ -7,6 +7,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Optional, Sequence
 
 from .linalg import _echelon
@@ -38,21 +39,23 @@ class Ordering:
     blocks: Optional[tuple["Ordering", ...]] = None
     block_sizes: Optional[tuple[int, ...]] = None
 
-    def key(self, exp: tuple[int, ...]):
+    def key(self, exp: tuple[int, ...]) -> tuple:
+        """One flat tuple: for each block the signed degree, then the
+        negated exponents in reverse order.  Every block contributes a
+        fixed number of entries, so it compares as the nested per-block
+        keys would."""
         if self.blocks is not None:
-            parts = []
+            out = ()
             i = 0
             for size, ordering in zip(self.block_sizes, self.blocks):
-                parts.append(ordering.key(exp[i:i + size]))
+                out += ordering.key(exp[i:i + size])
                 i += size
-            return tuple(parts)
+            return out
         if self.weights is not None:
             deg = sum(w * e for w, e in zip(self.weights, exp))
         else:
             deg = sum(exp)
-        if self.local:
-            deg = -deg
-        return (deg, tuple(-e for e in reversed(exp)))
+        return (-deg if self.local else deg, *[-e for e in reversed(exp)])
 
     @functools.cached_property
     def sort_key(self):
@@ -135,6 +138,16 @@ class Ring:
         exps = sorted(acc, key=self.ordering.sort_key, reverse=True)
         return Poly(self, tuple([(e, acc[e]) for e in exps]))
 
+    def _from_numerators(self, acc: dict[tuple[int, ...], int],
+                         den: int) -> "Poly":
+        """The sum of n/den * x^e over the nonzero entries n of acc: one
+        sort and one Fraction per term."""
+        exps = sorted([e for e, n in acc.items() if n],
+                      key=self.ordering.sort_key, reverse=True)
+        if den == 1:
+            return Poly(self, tuple([(e, Fraction(acc[e])) for e in exps]))
+        return Poly(self, tuple([(e, Fraction(acc[e], den)) for e in exps]))
+
     def weighted_degree(self, exp: tuple[int, ...]) -> Fraction:
         if self.weights is None:
             return Fraction(sum(exp))
@@ -162,6 +175,31 @@ def fresh_names(stem: str, k: int, taken) -> tuple[str, ...]:
 
 # ---------------------------------------------------------------------------
 # Polynomials
+#
+# Products, substitution and derivatives run on integer numerators: each
+# operand is scaled once to integers over the least common denominator of
+# its coefficients, and one Fraction is formed per term of the result.
+# ``Poly.terms`` always holds Fraction coefficients.
+
+
+def _numerators(terms) -> tuple[int, list]:
+    """(D, [(e, n), ...]) with n/D the coefficient of x^e and D the least
+    common denominator of the terms."""
+    den = math.lcm(*[c.denominator for _, c in terms])
+    if den == 1:
+        return 1, [(e, c.numerator) for e, c in terms]
+    return den, [(e, c.numerator * (den // c.denominator)) for e, c in terms]
+
+
+def _int_product(p: Iterable, q: Iterable) -> dict[tuple[int, ...], int]:
+    """{e: n} for the product of two sequences of integer terms (e, n);
+    a coefficient that cancels stays as 0."""
+    acc: dict[tuple[int, ...], int] = {}
+    for e1, n1 in p:
+        for e2, n2 in q:
+            e = tuple(map(add, e1, e2))
+            acc[e] = acc.get(e, 0) + n1 * n2
+    return acc
 
 
 class Poly:
@@ -268,18 +306,13 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         other = self._coerce(other)
-        acc: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                c0 = acc.get(e)
-                c = c if c0 is None else c0 + c
-                if c:
-                    acc[e] = c
-                elif c0 is not None:
-                    del acc[e]
-        return self.ring._from_dict(acc)
+        if len(other.terms) == 1:
+            return self.mul_term(*other.terms[0])
+        if len(self.terms) == 1:
+            return other.mul_term(*self.terms[0])
+        d1, p = _numerators(self.terms)
+        d2, q = _numerators(other.terms)
+        return self.ring._from_numerators(_int_product(p, q), d1 * d2)
 
     __rmul__ = __mul__
 
@@ -304,12 +337,18 @@ class Poly:
         return Poly(self.ring, tuple((e, k * c) for e, k in self.terms))
 
     def mul_term(self, exp: tuple[int, ...], coeff: Fraction) -> "Poly":
+        """self * coeff*x^exp: a monomial factor keeps the term order, so
+        there is nothing to merge or sort."""
         if coeff == 0:
             return self.ring.zero()
-        terms = tuple((tuple(a + b for a, b in zip(e, exp)), c * coeff)
-                      for e, c in self.terms)
-        # multiplying by a monomial preserves the term order
-        return Poly(self.ring, terms)
+        if coeff == 1:
+            return Poly(self.ring, tuple([(tuple(map(add, e, exp)), c)
+                                          for e, c in self.terms]))
+        n, d = coeff.numerator, coeff.denominator
+        return Poly(self.ring, tuple([
+            (tuple(map(add, e, exp)), Fraction(c.numerator * n,
+                                               c.denominator * d))
+            for e, c in self.terms]))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
@@ -326,14 +365,12 @@ class Poly:
     def diff(self, var: int) -> "Poly":
         if not 0 <= var < self.ring.arity:
             raise IndexError(f"no variable with index {var}")
-        acc = {}
-        for e, c in self.terms:
-            a = e[var]
-            if a == 0:
-                continue
-            e2 = e[:var] + (a - 1,) + e[var + 1:]
-            acc[e2] = acc.get(e2, Fraction(0)) + c * a
-        return self.ring._from_dict({e: c for e, c in acc.items() if c})
+        # lowering one exponent moves every surviving term by the same
+        # vector, and monomial orders are invariant under translation
+        return Poly(self.ring, tuple([
+            (e[:var] + (e[var] - 1,) + e[var + 1:],
+             Fraction(c.numerator * e[var], c.denominator))
+            for e, c in self.terms if e[var]]))
 
     def substitute(self, images: Sequence["Poly"], target: Optional[Ring] = None) -> "Poly":
         """Evaluate self at the given images (one per variable)."""
@@ -343,23 +380,40 @@ class Poly:
             if not images:
                 raise ValueError("target ring required for 0-ary substitution")
             target = images[0].ring
-        images = [img if isinstance(img, Poly) else target.const(img) for img in images]
-        powers: list[dict[int, Poly]] = [{0: target.one()} for _ in images]
+        images = [_numerators((img if isinstance(img, Poly)
+                               else target.const(img)).terms)
+                  for img in images]
+        unit = {(0,) * target.arity: 1}
+        # powers[i][a] = (D, {e: n}): the a-th power of image i over D
+        powers = [[(1, unit)] for _ in images]
 
-        def power(i: int, a: int) -> Poly:
+        def power(i: int, a: int) -> tuple[int, dict]:
             cache = powers[i]
-            if a not in cache:
-                cache[a] = power(i, a - 1) * images[i]
+            while len(cache) <= a:
+                d, p = cache[-1]
+                cache.append((d * images[i][0],
+                              _int_product(p.items(), images[i][1])))
             return cache[a]
 
-        result = target.zero()
+        # each term's image over its own denominator, then one sum over
+        # their least common multiple
+        parts = []
         for e, c in self.terms:
-            term = target.const(c)
+            den, prod = c.denominator, unit
             for i, a in enumerate(e):
                 if a:
-                    term = term * power(i, a)
-            result = result + term
-        return result
+                    d, p = power(i, a)
+                    den *= d
+                    prod = p if prod is unit else _int_product(prod.items(),
+                                                               p.items())
+            parts.append((den, c.numerator, prod))
+        den = math.lcm(*[d for d, _, _ in parts])
+        acc: dict[tuple[int, ...], int] = {}
+        for d, n, prod in parts:
+            k = n * (den // d)
+            for e, m in prod.items():
+                acc[e] = acc.get(e, 0) + m * k
+        return target._from_numerators(acc, den)
 
     def jet(self, d) -> "Poly":
         """Truncate to terms of total degree <= d."""

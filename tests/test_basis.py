@@ -1,15 +1,17 @@
 """Standard bases, normal forms, dimensions, elimination, quotients."""
 
+import math
 import random
 import time
 from fractions import Fraction
 
 import pytest
 
-from frontal_kernel import (INFINITE, Limits, ResourceLimitError, eliminate,
-                            ideal_quotient, membership, membership_certificate,
-                            normal_form, ring, saturation, std,
-                            subquotient_dimension, syzygies, vs_dimension)
+from frontal_kernel import (INFINITE, Limits, ResourceLimitError, StdBasis,
+                            eliminate, ideal_quotient, membership,
+                            membership_certificate, normal_form, ring,
+                            saturation, std, subquotient_dimension, syzygies,
+                            vs_dimension)
 from frontal_kernel.basis import colon_submodule, vector_normal_form
 from frontal_kernel.germs import min_generators, ramification_ideal
 from frontal_kernel.invariants import (M_F_dimension, _relative_module,
@@ -441,3 +443,98 @@ def test_saturation_matches_iterated_quotients():
             continue
         assert all(membership(g, ref) for g in sat.polys())
         assert all(membership(g, sat) for g in ref.polys())
+
+
+# ---------------------------------------------------------------------------
+# The integer vectors of a StdBasis and the integer product kernel
+
+
+def test_std_elements_are_the_monic_form_of_its_integer_vectors():
+    # std keeps the primitive integer vectors that the pair loop returns;
+    # normal forms and dimensions read only them, and the monic Fraction
+    # elements are built on first read
+    rng = random.Random(53)
+    cases = []
+    for local in (True, False):
+        R = ring("x", "y", local=local)
+        x, y = R.gens()
+        for _ in range(4):
+            cases.append((R, [Fraction(rng.randint(1, 9), 4) * x ** 2
+                              + _random_poly(rng, R, 3),
+                              y ** 3 + _random_poly(rng, R, 4)]))
+    R = ring("x", "y", local=True)
+    x, y = R.gens()
+    for _ in range(4):
+        cases.append((R, [(x ** 2 + _random_poly(rng, R, 3), 3 * y),
+                          (y ** 3 + _random_poly(rng, R, 4),
+                           Fraction(1, 2) * x),
+                          (R.zero(), Fraction(5, 3) * x ** 2
+                           + _random_poly(rng, R, 3))]))
+    for R, gens in cases:
+        basis = std(gens)
+        rank = len(basis.vectors[0])
+        vector_normal_form((_random_poly(rng, R, 0),) * rank, basis)
+        vs_dimension(basis)
+        assert "elements" not in vars(basis)
+        assert len(basis.elements) == len(basis.vectors)
+        for element, v, lead in zip(basis.elements, basis.vectors,
+                                    basis.leads):
+            c, e, k = lead
+            coeffs = [n for p in v for _, n in p.terms]
+            assert all(type(n) is int for n in coeffs)
+            assert math.gcd(*coeffs) == 1 and k > 0
+            assert (c, e, k) == _lt_of(v)
+            assert element == tuple(p.scale(Fraction(1, k)) for p in v)
+            assert all(type(n) is Fraction
+                       for p in element for _, n in p.terms)
+
+
+def _lt_of(v):
+    c = next(i for i, p in enumerate(v) if p.terms)
+    return (c, *v[c].terms[0])
+
+
+def test_std_basis_built_from_given_elements():
+    # StdBasis(ring, rank, elements) with Fraction elements that are not
+    # monic, as siersma_count builds it: the elements stay as given and
+    # dimensions and normal forms agree with std's own basis
+    R = ring("x", "y", local=True)
+    x, y = R.gens()
+    made = std([x ** 2 + Fraction(2, 3) * y ** 3, x * y])
+    given = StdBasis(R, 1, [tuple(p.scale(Fraction(-5, 2)) for p in v)
+                            for v in made.elements])
+    assert given.elements == [(p.scale(Fraction(-5, 2)),)
+                              for p in made.polys()]
+    assert given.leading_data() == made.leading_data()
+    assert vs_dimension(given) == vs_dimension(made) == 5
+    p = x ** 3 + Fraction(7, 4) * y ** 4 + x * y ** 2 + 1
+    assert normal_form(p, given) == normal_form(p, made)
+    dens = [x ** 2, x * y, y ** 3]
+    s, gens = colon_submodule([x, y], dens)
+    assert vs_dimension(StdBasis(R, s, gens)) == \
+        subquotient_dimension([x, y], dens) == 3
+
+
+def test_poly_product_forms_one_fraction_per_term(monkeypatch):
+    # the product scales each operand to integers once and forms one
+    # Fraction per term of the result; a term-by-term Fraction product
+    # would form one per partial product and one per sum
+    R = ring("x", "y", local=True)
+    x, y = R.gens()
+    p = Fraction(1, 3) + Fraction(-2, 5) * x + Fraction(7, 2) * y
+    q = (p + x * y) ** 3
+    cases = [(p, q), (q, q), (q, p.scale(6)), (x * y, q), (q, R.const(3))]
+    made = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(cls)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    for a, b in cases:
+        made.clear()
+        product = a * b
+        assert len(made) <= len(product.terms)
+    made.clear()
+    assert Fraction(1, 3) and made

@@ -155,6 +155,13 @@ map f = x, (1+x+y)^300, y^3;
     text = text.replace("(1+x+y)^300", "x^50*(1+y)^50")
     assert main(["--max-degree", "80", "check", write(tmp_path, text)]) == 4
     assert main(["--max-degree", "100", "check", write(tmp_path, text)]) == 0
+    # a constant base has degree 0, so its exponent is bounded instead
+    text = "frontal-kernel v1\nring x, y;\nmap f = x, y^2, 3^40000000*y^3;\n"
+    start = time.perf_counter()
+    assert main(["--max-degree", "80", "check", write(tmp_path, text)]) == 4
+    assert time.perf_counter() - start < 2
+    out = capsys.readouterr().out
+    assert "line 3, column 18: exponent 40000000 exceeds limit 80" in out
 
 
 def test_each_elimination_runs_once_per_file(tmp_path, monkeypatch, capsys):
@@ -244,6 +251,24 @@ def test_malformed_germ_file_exit_2(tmp_path, capsys, body):
     assert main(["--format", "machine", "check", write(tmp_path, text)]) == 2
     out = capsys.readouterr()
     assert out.out.startswith("report\tparse\nsyntax\tfailed\terror\tline ")
+    assert "Traceback" not in out.out + out.err
+
+
+@pytest.mark.parametrize("body, column", [
+    ("ring x, y;\nmap f = x, y^2, {}*y^3;\n", 17),
+    ("ring x, y;\nmap f = x, y^{}, y^3;\n", 14),
+    ("ring x, y;\nweights {}, 1;\n", 9),
+], ids=["coefficient", "exponent", "weight"])
+def test_integer_literal_past_the_digit_limit_exit_2(tmp_path, capsys, body,
+                                                     column):
+    # int() refuses a literal longer than sys.get_int_max_str_digits(); the
+    # tokenizer reports it as a syntax error at its position
+    digits = "7" * (sys.get_int_max_str_digits() + 1)
+    text = "frontal-kernel v1\n" + body.format(digits)
+    assert main(["--format", "machine", "check", write(tmp_path, text)]) == 2
+    out = capsys.readouterr()
+    assert out.out.startswith("report\tparse\nsyntax\tfailed\terror\t"
+                              f"line 3, column {column}: integer literal")
     assert "Traceback" not in out.out + out.err
 
 

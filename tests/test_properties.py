@@ -541,3 +541,96 @@ def test_global_normal_form_matches_sympy_reduced():
                     ([str(g) for g in gens], str(p))
                 checked += 1
     assert checked == 60
+
+
+def _nested_key(ordering, exp):
+    """The per-block nested key that Ordering.key flattens: the reference
+    for its comparisons."""
+    if ordering.blocks is not None:
+        parts, i = [], 0
+        for size, sub in zip(ordering.block_sizes, ordering.blocks):
+            parts.append(_nested_key(sub, exp[i:i + size]))
+            i += size
+        return tuple(parts)
+    if ordering.weights is not None:
+        deg = sum(w * e for w, e in zip(ordering.weights, exp))
+    else:
+        deg = sum(exp)
+    return (-deg if ordering.local else deg, tuple(-e for e in reversed(exp)))
+
+
+def _naive_product(p, q):
+    """Term-by-term Fraction product of two {exp: coefficient} dicts."""
+    acc = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            acc[e] = acc.get(e, 0) + c1 * c2
+    return {e: c for e, c in acc.items() if c}
+
+
+def _naive_substitute(p, images, target):
+    acc = {}
+    for e, c in p.terms:
+        term = {(0,) * target.arity: c}
+        for img, a in zip(images, e):
+            for _ in range(a):
+                term = _naive_product(term, dict(img.terms))
+        for e2, c2 in term.items():
+            acc[e2] = acc.get(e2, 0) + c2
+    return {e: c for e, c in acc.items() if c}
+
+
+def test_poly_kernels_keep_the_axioms():
+    # products, derivatives and substitution run on integer numerators;
+    # random operands with negative and non-integral coefficients in
+    # global, local, weighted and block rings check them against the ring
+    # axioms and term-by-term Fraction references, and every result against
+    # the nested ordering key
+    from frontal_kernel.ring import Ordering, Ring, block_ordering
+    rng = random.Random(61)
+    names = ("x", "y", "z")
+    half = Fraction(1, 2)
+    rings = [
+        ring(*names), ring(*names, local=True),
+        ring(*names, weights=(1, 2, 3)),
+        ring(*names, local=True, weights=(3, half, 2)),
+        Ring(names, block_ordering((1, 2),
+                                   (Ordering(), Ordering(local=True)))),
+        Ring(names, block_ordering((2, 1), (
+            block_ordering((1, 1), (Ordering(local=True), Ordering())),
+            Ordering(weights=(Fraction(2),))))),
+    ]
+
+    def well_formed(p):
+        keys = [_nested_key(p.ring.ordering, e) for e, _ in p.terms]
+        return (all(a > b for a, b in zip(keys, keys[1:]))
+                and all(type(c) is Fraction and c for _, c in p.terms))
+
+    for R in rings:
+        exps = [tuple(rng.randint(0, 4) for _ in names) for _ in range(30)]
+        for a in exps:
+            for b in exps:
+                assert (R.ordering.key(a) < R.ordering.key(b)) == \
+                    (_nested_key(R.ordering, a) < _nested_key(R.ordering, b))
+        assert sorted(exps, key=R.ordering.key) == \
+            sorted(exps, key=lambda e: _nested_key(R.ordering, e))
+        S = rings[rng.randrange(len(rings))]
+        for _ in range(25):
+            p, q, r = (random_poly(rng, R, max_terms=5, max_deg=3)
+                       for _ in range(3))
+            pq = p * q
+            assert dict(pq.terms) == _naive_product(dict(p.terms),
+                                                    dict(q.terms))
+            assert pq == q * p
+            assert pq * r == p * (q * r)
+            assert p * (q + r) == pq + p * r
+            i = rng.randrange(3)
+            assert pq.diff(i) == p.diff(i) * q + p * q.diff(i)
+            images = [random_poly(rng, S, max_terms=3, max_deg=2)
+                      for _ in names]
+            images[rng.randrange(3)] = rng.choice(
+                [S.zero(), S.const(Fraction(-3, 2)), S.var(0)])
+            image = p.substitute(images, S)
+            assert dict(image.terms) == _naive_substitute(p, images, S)
+            assert all(map(well_formed, (pq, pq * r, p.diff(i), image)))
