@@ -8,6 +8,14 @@ Vectors are tuples of Poly; ideals are rank-1 modules.
 Module orderings are position-over-term with lower component index on top,
 which makes component elimination a plain block order.
 
+Both loops take an optional corner: a monomial submodule that lies in the
+module by construction, whose terms are dropped wherever they appear
+instead of being reduced by generators (Greuel-Pfister 1.7, 2.3).  The one
+corner in use is a*e_c for the tag components of a colon module
+(``_colon_basis``), whose basis gets the monomials back at the end.
+Callers that read only part of a basis interreduce only that part
+(``eliminate``, ``_colon_basis``).
+
 Arithmetic contract: inside ``std`` and its normal forms every vector is
 an integer vector with coprime coefficients (fraction-free reduction,
 Greuel-Pfister, *A Singular Introduction to Commutative Algebra*, 1.6-1.7).
@@ -166,6 +174,19 @@ def _rational(v: Vector, num: int, den: int = 1) -> Vector:
                                      for e, c in p.terms])) for p in v)
 
 
+def _cut(v: Vector, corner) -> Vector:
+    """v without its corner terms: for corner = (start, variables), the
+    terms x^e*e_c with c >= start and x^e divisible by a variable of
+    ``variables`` (indices)."""
+    start, variables = corner
+    out = list(v[:start])
+    for p in v[start:]:
+        terms = tuple([t for t in p.terms
+                       if not any(t[0][i] for i in variables)])
+        out.append(p if len(terms) == len(p.terms) else Poly(p.ring, terms))
+    return tuple(out)
+
+
 class StdBasis:
     """A confluent basis with minimal pairwise non-divisible leading terms.
 
@@ -224,7 +245,7 @@ def _divisors(leads, comp, exp) -> list[int]:
 
 def _weak_nf(v: Vector, basis: list[Vector], leads: list, ecarts: list[int],
              ring: Ring, limits: Limits, width: int,
-             full: bool = False) -> tuple[Vector, int, int]:
+             full: bool = False, corner=None) -> tuple[Vector, int, int]:
     """Mora weak normal form of the integer vector v over the integer
     basis: u*v = sum a_i * basis_i + h/s with u a local unit (u = 1 for
     global orderings).  Returns (h, num, den) with s = num/den: h/s is the
@@ -244,6 +265,11 @@ def _weak_nf(v: Vector, basis: list[Vector], leads: list, ecarts: list[int],
     with or without one (Greuel-Pfister 1.7).  ``leads`` and ``ecarts``
     belong to ``basis``.  Every normal form stops after 20 * max_pairs
     reduction steps.
+
+    A ``corner`` (see ``_cut``) spans a monomial submodule that the basis
+    stands for without holding it: its terms are dropped from h after each
+    step, as reduction by those monomials would drop them.  The caller
+    passes v without them.
     """
     is_global = ring.ordering.is_global()
     # the working set T with its leading terms and ecarts, kept in step
@@ -279,6 +305,8 @@ def _weak_nf(v: Vector, basis: list[Vector], leads: list, ecarts: list[int],
         d = gcd(gk, ch)
         a = gk // d
         h = _vec_comb(a, h, ch // d, tuple(map(sub, exp, ge)), T[i])
+        if corner:
+            h = _cut(h, corner)
         num *= a
         content = gcd(*[c for p in h for _, c in p.terms])
         if content > 1:
@@ -311,9 +339,15 @@ def std(gens: Sequence[Union[Poly, Vector]], *,
     monic.  An ideal that contains a unit gets the basis [1], so every
     normal form against it ends after one pass over the terms."""
     vecs, rank = _as_vectors(gens)
-    G, LT, EC = _std(vecs, rank, limits)
-    ring = G[0][0].ring
-    if rank == 1 and not any(LT[0][1]):
+    return _std_basis(*_std(vecs, rank, limits), vecs[0][0].ring, rank,
+                      limits)
+
+
+def _std_basis(G: list[Vector], LT: list, EC: list[int], ring: Ring,
+               rank: int, limits: Limits) -> StdBasis:
+    """What ``std`` returns for a minimal basis from ``_std``, or for a part
+    of one that no other leading term reduces (``eliminate``)."""
+    if rank == 1 and LT and not any(LT[0][1]):
         # a minimal basis with a unit leading term has no other element
         one = LT[0][1]
         G, LT, EC = [(Poly(ring, ((one, 1),)),)], [(0, one, 1)], [0]
@@ -322,12 +356,23 @@ def std(gens: Sequence[Union[Poly, Vector]], *,
     return StdBasis._of(ring, rank, G, LT, EC)
 
 
-def _std(vecs: list[Vector], width: int, limits: Limits):
+def _std(vecs: list[Vector], width: int, limits: Limits, corner=None):
     """The Buchberger/Mora pair loop over nonzero vectors whose first
     ``width`` components carry the leading terms; the rest is a payload
     (see ``_weak_nf``).  Returns the minimal basis (G, LT, EC): primitive
     integer vectors, their leading (component, exponent, coefficient) and
-    their ecarts."""
+    their ecarts.
+
+    With a ``corner`` (see ``_cut``) the basis is one of the module
+    generated by the vectors and the corner monomials, without those
+    monomials: corner terms are cut from the inputs, from each S-vector and
+    after each reduction step.  A corner monomial x_i*e_c pairs with no
+    element, because no leading term is a corner term and an element led in
+    a component c >= start has only components >= start, so x_i times it
+    lies in the corner."""
+    if corner:
+        vecs = [w for w in (_cut(v, corner) for v in vecs)
+                if not _vec_is_zero(w)]
     if not vecs:
         raise ValueError("all generators are zero")
     ring = vecs[0][0].ring
@@ -392,7 +437,9 @@ def _std(vecs: list[Vector], width: int, limits: Limits):
         sp = _vec_comb(1, _vec_comb(1, zeros, -(kj // d),
                                     tuple(map(sub, lcm_exp, ei)), G[i]),
                        ki // d, tuple(map(sub, lcm_exp, ej)), G[j])
-        h = _weak_nf(sp, G, LT, EC, ring, limits, width)[0]
+        if corner:
+            sp = _cut(sp, corner)
+        h = _weak_nf(sp, G, LT, EC, ring, limits, width, corner=corner)[0]
         if _lt(h, width) is None:
             continue
         add_element(h)
@@ -423,7 +470,7 @@ def _minimal(leads: list) -> list[int]:
 
 
 def _interreduce(G: list[Vector], leads: list, ecarts: list[int], ring: Ring,
-                 limits: Limits):
+                 limits: Limits, corner=None):
     """Tail-reduce each element against the others (global orderings only).
 
     The leading terms of a minimal basis divide none of the others, so
@@ -434,7 +481,7 @@ def _interreduce(G: list[Vector], leads: list, ecarts: list[int], ring: Ring,
     for i in range(len(G)):
         reduced = _weak_nf(G[i], G[:i] + G[i + 1:], leads[:i] + leads[i + 1:],
                            ecarts[:i] + ecarts[i + 1:], ring, limits,
-                           len(G[i]), full=True)[0]
+                           len(G[i]), full=True, corner=corner)[0]
         G[i] = _primitive(reduced)[0]
         leads[i] = _lt(G[i])
         ecarts[i] = _vec_degree(G[i]) - sum(leads[i][1])
@@ -514,7 +561,10 @@ def eliminate(gens: Sequence[Poly], elim: Sequence[int],
     variables) and generators of the elimination ideal.  The generators are
     the elements of a minimal block-order standard basis free of the
     eliminated variables, so they are a minimal standard basis of the
-    elimination ideal in the subring's ordering.
+    elimination ideal in the subring's ordering.  In a global ordering only
+    these elements are interreduced, which gives the ones of the reduced
+    basis: a term free of the eliminated variables is divisible only by a
+    leading term free of them, and such an element lies in the subring.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -530,17 +580,16 @@ def eliminate(gens: Sequence[Poly], elim: Sequence[int],
     inner = Ordering(local=ring.ordering.local, weights=kept_weights)
     order = block_ordering((len(elim), len(keep)), (Ordering(), inner))
     work = Ring(names, order)
-    mapped = [g.map_to(work) for g in gens]
-    basis = std(mapped, limits=limits)
+    G, LT, EC = _std([(g.map_to(work),) for g in gens], 1, limits)
+    m = len(elim)
+    free = [i for i, (p,) in enumerate(G)
+            if not any(any(e[:m]) for e, _ in p.terms)]
+    basis = _std_basis([G[i] for i in free], [LT[i] for i in free],
+                       [EC[i] for i in free], work, 1, limits)
     sub = Ring(tuple(ring.names[i] for i in keep),
                Ordering(local=ring.ordering.local, weights=kept_weights),
                kept_weights)
-    out = []
-    m = len(elim)
-    for (p,), (_, _, k) in zip(basis.vectors, basis.leads):
-        if not any(any(e[:m]) for e, _ in p.terms):
-            out.append(_rational((p,), k)[0].map_to(sub))
-    return sub, out
+    return sub, [p.map_to(sub) for p in basis.polys()]
 
 
 # ---------------------------------------------------------------------------
@@ -600,15 +649,24 @@ def colon_submodule(numerator: Sequence[Union[Poly, Vector]],
     numerator (a_1..a_s) in R^r, where a is the ideal of the variables in
     ``times``.
 
-    Presents I1/(I2 + a*I1) as R^s/N.  For each v in ``times`` and each a_c
-    the monomial vector (0, v*e_c) is added to the generators (a_c, e_c) and
-    (d, 0), d in I2; then (v*a_c, 0) = v*(a_c, e_c) - (0, v*e_c) is in the
-    module.  Returns (s, generators of N); the generators form a standard
-    basis of N under the module order.  A zero numerator keeps its slot:
-    e_c is in N.
+    Presents I1/(I2 + a*I1) as R^s/N.  N is the part in the last s
+    components of the module generated by (a_c, e_c), (d, 0) for d in I2,
+    and the monomials (0, v*e_c) for v in ``times``; then (v*a_c, 0) =
+    v*(a_c, e_c) - (0, v*e_c) is in it.  The monomials are the corner of
+    the pair loop rather than generators (see ``_colon_basis``); the ones
+    that no other leading term divides end the returned basis.  Returns
+    (s, generators of N); the generators form a standard basis of N under
+    the module order.  A zero numerator keeps its slot: e_c is in N.
     """
     s, basis = _colon_basis(numerator, denominator, limits, times)
     return s, basis.elements
+
+
+def _variable(v: Poly) -> int:
+    """The index i of v = c*x_i, a nonzero multiple of a ring variable."""
+    if len(v.terms) != 1 or sum(v.terms[0][0]) != 1:
+        raise ValueError(f"{v} is not a ring variable")
+    return v.terms[0][0].index(1)
 
 
 def _colon_basis(numerator: Sequence[Union[Poly, Vector]],
@@ -616,7 +674,14 @@ def _colon_basis(numerator: Sequence[Union[Poly, Vector]],
                  times: Sequence[Poly]) -> tuple[int, StdBasis]:
     """(s, the standard basis of N) for ``colon_submodule``: the integer
     vectors of the big module's basis that vanish in the first r
-    components, cut to the last s.  None is converted to Fractions here."""
+    components, cut to the last s.  None is converted to Fractions here.
+
+    The monomials v*e_c of a*e_c, which lie in N, are not generators of the
+    pair loop: they are its corner (see ``_std``), so every term in the tag
+    components divisible by a variable of ``times`` is dropped as soon as it
+    appears, and the monomials that no leading term divides are appended to
+    the basis afterwards.  Elements led in the first r components are never
+    tail-reduced or converted: nothing reads them."""
     nums = [_vector(a) for a in numerator]
     s = len(nums)
     if s == 0:
@@ -624,20 +689,31 @@ def _colon_basis(numerator: Sequence[Union[Poly, Vector]],
     r = len(nums[0])
     ring = nums[0][0].ring
     zero = ring.zero()
+    variables = sorted({_variable(v) for v in times})
 
     def tag(i, p):
         return tuple(p if j == i else zero for j in range(s))
 
     dens = [d for d in map(_vector, denominator) if not _vec_is_zero(d)]
-    big: list[Vector] = [a + tag(i, ring.one()) for i, a in enumerate(nums)]
-    big += [d + (zero,) * s for d in dens]
-    big += [(zero,) * r + tag(i, v) for v in times for i in range(s)]
-    basis = std(big, limits=limits)
-    keep = [i for i, lead in enumerate(basis.leads) if lead[0] >= r]
-    leads = [basis.leads[i] for i in keep]
-    return s, StdBasis._of(ring, s, [basis.vectors[i][r:] for i in keep],
-                           [(c - r, e, k) for c, e, k in leads],
-                           [basis.ecarts[i] for i in keep])
+    big, width = _as_vectors([a + tag(i, ring.one())
+                              for i, a in enumerate(nums)]
+                             + [d + (zero,) * s for d in dens])
+    G, LT, EC = _std(big, width, limits, (r, variables) if variables else None)
+    keep = [i for i, lead in enumerate(LT) if lead[0] >= r]
+    vectors = [G[i][r:] for i in keep]
+    leads = [(LT[i][0] - r,) + LT[i][1:] for i in keep]
+    ecarts = [EC[i] for i in keep]
+    if ring.ordering.is_global():
+        _interreduce(vectors, leads, ecarts, ring, limits,
+                     (0, variables) if variables else None)
+    for c in range(s):
+        for i in variables:
+            exp = tuple(int(j == i) for j in range(ring.arity))
+            if not _divisors(leads, c, exp):
+                vectors.append(tag(c, ring.var(i)))
+                leads.append((c, exp, 1))
+                ecarts.append(0)
+    return s, StdBasis._of(ring, s, vectors, leads, ecarts)
 
 
 def minimal_subset(gens: Sequence[Union[Poly, Vector]],
@@ -645,7 +721,9 @@ def minimal_subset(gens: Sequence[Union[Poly, Vector]],
     """Indices of a minimal generating subset of M = <gens> in a local ring.
 
     One standard basis of N = {c : sum c_i g_i in m*M}, the colon module of
-    ``gens`` over zero with every variable in ``times``.  Under POT
+    ``gens`` over zero with every variable in ``times``, so the pair loop
+    drops every non-constant term of the tag components (the corner m*e_c)
+    and only the constant tag terms are ever reduced.  Under POT
     (component 0 on top) e_t*1 is a leading term of N exactly when g_t lies
     in <g_{t+1}, ...> + m*M, i.e. when g_t is redundant beside the later
     generators (Nakayama); every other index is kept.  A zero generator is
@@ -668,8 +746,8 @@ def subquotient_dimension(numerator: Sequence[Poly], denominator: Sequence[Poly]
     """dim_C I1/(I2 + a*I1) for ideals I2 <= I1, finite or INFINITE.
 
     ``times`` lists ring variables generating the ideal a (none by default,
-    giving I1/I2); with every variable it is I1/(I2 + m*I1) (see
-    ``colon_submodule``).
+    giving I1/I2); with every variable it is I1/(I2 + m*I1).  a*e_c is the
+    corner of the one pair loop (see ``colon_submodule``).
     """
     nums = [g for g in numerator if not g.is_zero()]
     dens = [g for g in denominator if not g.is_zero()]

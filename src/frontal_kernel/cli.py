@@ -21,7 +21,8 @@ from .basis import INFINITE, Limits, ResourceLimitError
 from .germs import (DivisionError, GermError, PrenormalError, corank,
                     is_frontal, is_wavefront)
 from .report import (ASSUMED, CERTIFIED, ERROR, EXACT, INCONCLUSIVE,
-                     INFINITE_STATUS, NOT_COMPUTED, Report)
+                     INFINITE_STATUS, NOT_COMPUTED, Entry, Report,
+                     largest_digits)
 from .ring import quasihomogeneous_weights
 
 EXIT_OK = 0
@@ -50,12 +51,32 @@ class _Run:
         self.fmt = fmt
 
     def publish(self, report: Report) -> None:
+        try:
+            text = _render(report, self.fmt)
+        except ValueError:
+            # an integer longer than the interpreter converts to a string
+            self._refuse_long_values(report)
+            text = _render(report, self.fmt)
         self.reports.append(report)
         if self.out is not None:
             if len(self.reports) > 1:
                 self.out.write("\n")
-            self.out.write(_render(report, self.fmt))
+            self.out.write(text)
             self.out.flush()
+
+    def _refuse_long_values(self, report: Report) -> None:
+        """Report each value with an integer of more digits than
+        ``sys.get_int_max_str_digits()`` as a resource limit instead; the
+        limit itself stays as it is."""
+        limit = sys.get_int_max_str_digits()
+        for i, entry in enumerate(report.entries):
+            digits = largest_digits(entry.value)
+            if limit and digits > limit:
+                report.entries[i] = Entry(
+                    entry.key, "resource-limit", ERROR,
+                    f"{entry.key} has an integer of {digits} digits; "
+                    f"at most {limit} digits can be printed")
+                self.flag(EXIT_RESOURCE)
 
     def flag(self, code: int) -> None:
         if self.exit_code == EXIT_OK:

@@ -42,9 +42,9 @@ def _graph_ideal(comps: Sequence[Poly], target: Sequence[str],
                  params: Sequence[str] = (), extra: Sequence[Poly] = (),
                  local: bool = False) -> tuple[list[Poly], range]:
     """The graph ideal (y_j - f_j) of ``comps`` plus the ``extra``
-    generators, both on the source, in the ring of the source variables,
-    then ``target``, then the trailing ``params`` of the source; with the
-    indices of the source variables, for ``eliminate``."""
+    generators (on the source or the target), in the ring of the source
+    variables, then ``target``, then the trailing ``params`` of the source;
+    with the indices of the source variables, for ``eliminate``."""
     src = comps[0].ring
     n = src.arity - len(params)
     names = src.names[:n] + tuple(target) + tuple(params)
@@ -273,28 +273,30 @@ def frontal_milnor_siersma(U: UnfoldingSpec,
 
 def hat_M_dimension(f: MapGerm,
                     limits: Limits = DEFAULT_LIMITS) -> Union[int, _Infinite]:
-    """dim of (preimage of J(g)O_n under f^*) / J(g)."""
+    """dim of (preimage of J(g)O_n under f^*) / J(g).
+
+    The preimage is the elimination of the source variables from (y - f(x),
+    dg/dy(y)): the same ideal as with the pullbacks dg/dy(f(x)), since
+    dg/dy(y) - dg/dy(f(x)) lies in (y - f(x)), and generators of lower
+    degree in the variables that are eliminated."""
     if len(f.branches) != 1:
         raise GermError("the Jacobian module is computed for mono-germs")
     image = image_equation(f, limits)
     g = image.equation
     target = image.ring
-    partials = [g.diff(i) for i in range(target.arity)]
+    partials = [p for p in (g.diff(i) for i in range(target.arity))
+                if not p.is_zero()]
     if any(p.is_unit() for p in partials):
         return 0  # smooth image: J(g) is the unit ideal
     comps = f.components
-    src = f.source
-    pullbacks = [p.substitute(list(comps), src) for p in partials]
-    pullbacks = [p for p in pullbacks if not p.is_zero()]
-    if not pullbacks:
+    if all(p.substitute(list(comps), f.source).is_zero() for p in partials):
         raise InvariantError("all Jacobian pullbacks vanish (g not reduced?)")
     _, pre_gens = eliminate(*_graph_ideal(comps, target.names,
-                                          extra=pullbacks, local=True), limits)
+                                          extra=partials, local=True), limits)
     pre_gens = [p.map_to(target) for p in pre_gens if not p.is_zero()]
     if not pre_gens:
         raise InvariantError("empty preimage ideal (internal error)")
-    denominators = [p for p in partials if not p.is_zero()]
-    return subquotient_dimension(pre_gens, denominators, limits=limits,
+    return subquotient_dimension(pre_gens, partials, limits=limits,
                                  check_containment=True)
 
 

@@ -31,6 +31,27 @@ def render_value(value) -> str:
     return str(value)
 
 
+def largest_digits(value) -> int:
+    """The most decimal digits of an integer that rendering ``value`` would
+    print (a numerator or denominator of a coefficient), counted without
+    converting it to a string; 0 when it prints none."""
+    if isinstance(value, Poly):
+        value = [c for _, c in value.terms]
+    if isinstance(value, (tuple, list)):
+        return max(map(largest_digits, value), default=0)
+    if isinstance(value, Fraction):
+        return max(largest_digits(value.numerator),
+                   largest_digits(value.denominator))
+    if isinstance(value, int) and not isinstance(value, bool):
+        n = abs(value)
+        # 10**d <= n to start with, since 3/10 < log10(2)
+        d = max((n.bit_length() - 1) * 3 // 10, 0)
+        while 10 ** d <= n:
+            d += 1
+        return max(d, 1)
+    return 0
+
+
 @dataclass
 class Entry:
     key: str

@@ -8,15 +8,17 @@ from fractions import Fraction
 import pytest
 
 from frontal_kernel import (INFINITE, Limits, ResourceLimitError, StdBasis,
-                            eliminate, ideal_quotient, membership,
+                            eliminate, germfile, ideal_quotient, membership,
                             membership_certificate, normal_form, ring,
                             saturation, std, subquotient_dimension, syzygies,
                             vs_dimension)
-from frontal_kernel.basis import colon_submodule, vector_normal_form
+from frontal_kernel.basis import (colon_submodule, minimal_subset,
+                                  vector_normal_form)
 from frontal_kernel.germs import min_generators, ramification_ideal
 from frontal_kernel.invariants import (M_F_dimension, _relative_module,
                                        frontal_codimension, good_equation,
                                        siersma_count)
+from frontal_kernel.ring import Ordering, Ring, block_ordering
 
 
 def test_vs_dimension_local_milnor():
@@ -257,6 +259,166 @@ def test_relative_module_matches_explicit_products(
         assert M_F_dimension(ge) == _explicit_route(nums, dens, param_vars)
         assert frontal_codimension(ge) == _explicit_route(
             nums, dens + [ge.G], param_vars)
+
+
+# ---------------------------------------------------------------------------
+# The tag corner against the explicit generators (0, v*e_c) through std
+
+
+def _explicit_colon(nums, dens, variables):
+    """The basis of N = {c : sum c_i a_i in <dens> + a*<nums>} from one
+    public ``std`` of the module generated by (a_c, e_c), (d, 0) and the
+    monomials (0, v*e_c): its elements that vanish in the first r
+    components, cut to the last s."""
+    nums = [a if isinstance(a, tuple) else (a,) for a in nums]
+    R = nums[0][0].ring
+    s, r = len(nums), len(nums[0])
+
+    def tag(c, p):
+        return tuple(p if j == c else R.zero() for j in range(s))
+
+    big = [a + tag(c, R.one()) for c, a in enumerate(nums)]
+    big += [(d,) + (R.zero(),) * s for d in dens]
+    big += [(R.zero(),) * r + tag(c, v) for v in variables for c in range(s)]
+    return StdBasis(R, s, [v[r:] for v in std(big).elements
+                           if all(p.is_zero() for p in v[:r])])
+
+
+def _explicit_minimal_subset(gens):
+    stair = _explicit_colon(gens, [], gens[0][0].ring.gens()).leading_data()
+    return [t for t in range(len(gens))
+            if not any(not any(e) for e in stair.get(t, []))]
+
+
+def _explicit_subquotient(nums, dens, variables):
+    basis = _explicit_colon(nums, dens, variables)
+    return vs_dimension(basis) if basis.elements else INFINITE
+
+
+def _sorted_leads(basis):
+    return sorted((c, e) for c, es in basis.leading_data().items()
+                  for e in es)
+
+
+def _single_term_module(rng, R, rank):
+    """Three vectors of 0 and terms of order 1 or 2, two seeded
+    combinations of them and a variable multiple of one, shuffled."""
+    def term():
+        exp = rng.choice([(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)])
+        return R.monomial(exp, rng.choice([-2, -1, 0, 1, 2, 3]))
+
+    gens = []
+    while len(gens) < 3:
+        v = tuple(term() for _ in range(rank))
+        if any(not c.is_zero() for c in v):
+            gens.append(v)
+    for _ in range(2):
+        coef = [R.const(rng.randint(-2, 2)) + term() for _ in gens]
+        gens.append(tuple(sum((c * g[k] for c, g in zip(coef, gens)),
+                              R.zero()) for k in range(rank)))
+    gens.append(tuple(R.var(rng.randint(0, 1)) * c for c in rng.choice(gens)))
+    rng.shuffle(gens)
+    return gens
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_minimal_subset_matches_explicit_monomials(rank):
+    rng = random.Random(17 + rank)
+    R = ring("x", "y", local=True)
+    for _ in range(10):
+        gens = _single_term_module(rng, R, rank)
+        assert minimal_subset(gens) == _explicit_minimal_subset(gens)
+        s, corner = colon_submodule(gens, (), times=R.gens())
+        assert (_sorted_leads(StdBasis(R, s, corner))
+                == _sorted_leads(_explicit_colon(gens, [], R.gens())))
+
+
+def test_minimal_subset_matches_explicit_monomials_on_f4_shears():
+    # the ramification ideals of f4 = (x, y^2, y^5 + x^3*y) and of its
+    # shears with source entry 1 and target entries (1, +-1, 1)
+    tail = "y^4 + 3*x*y^3 + 3*x^2*y^2 + x^3*y + y^5"
+    for comps in ("x, y^2, y^5 + x^3*y",
+                  f"y + x + y^2 + {tail}, y^2 + {tail}, {tail}",
+                  f"y + x - y^2 + {tail}, y^2 + {tail}, {tail}"):
+        f = germfile.parse(f"frontal-kernel v1\nring x, y;\nmap f = {comps};\n"
+                           ).maps["f"]
+        gens = [(p,) for p in ramification_ideal(f)]
+        assert minimal_subset(gens) == _explicit_minimal_subset(gens)
+
+
+@pytest.mark.parametrize("local", [True, False])
+def test_subquotient_times_matches_explicit_monomials(local):
+    rng = random.Random(23 + local)
+    R = ring("x", "y", local=local)
+    x, y = R.gens()
+    for _ in range(8):
+        nums = [x ** rng.randint(1, 3) + _random_poly(rng, R, 4),
+                y ** rng.randint(1, 3) + _random_poly(rng, R, 4),
+                _random_poly(rng, R, 2)]
+        nums = [p for p in nums if not p.is_zero()]
+        dens = [_random_poly(rng, R, 1) * rng.choice(nums) for _ in range(2)]
+        # (x^3, y^3)*I1 in I2 keeps I1/(I2 + a*I1) finite for every a
+        dens = [d for d in dens if not d.is_zero()] + [
+            v ** 3 * n for v in (x, y) for n in nums]
+        for variables in ([x], [y], [x, y]):
+            assert (subquotient_dimension(nums, dens, check_containment=False,
+                                          times=variables)
+                    == _explicit_subquotient(nums, dens, variables))
+            s, corner = colon_submodule(nums, dens, times=variables)
+            explicit = _explicit_colon(nums, dens, variables)
+            if local:
+                assert (_sorted_leads(StdBasis(R, s, corner))
+                        == _sorted_leads(explicit))
+            else:
+                # a reduced Groebner basis is unique
+                assert set(corner) == set(explicit.elements)
+
+
+def test_colon_times_takes_ring_variables_only():
+    R = ring("x", "y", local=True)
+    x, y = R.gens()
+    with pytest.raises(ValueError):
+        colon_submodule([x, y], [], times=[x * y])
+
+
+# ---------------------------------------------------------------------------
+# Elimination against the full block-order basis
+
+
+def _eliminate_through_full_std(gens, elim):
+    """The elements free of the eliminated variables in the reduced basis of
+    the whole ideal in the block ring."""
+    R = gens[0].ring
+    keep = [i for i in range(R.arity) if i not in elim]
+    work = Ring(tuple(R.names[i] for i in elim + keep),
+                block_ordering((len(elim), len(keep)),
+                               (Ordering(), Ordering())))
+    sub = Ring(tuple(R.names[i] for i in keep), Ordering(), None)
+    return [p.map_to(sub) for p in std([g.map_to(work) for g in gens]).polys()
+            if not any(any(e[:len(elim)]) for e, _ in p.terms)]
+
+
+def test_eliminate_matches_the_full_block_basis():
+    rng = random.Random(29)
+    R = ring("t", "x", "y")
+    checked = 0
+    for _ in range(12):
+        gens = []
+        for _ in range(3):
+            p = R.zero()
+            for _ in range(rng.randint(2, 3)):
+                exp = tuple(rng.randint(0, 2) for _ in range(3))
+                p = p + R.monomial(exp, Fraction(rng.randint(-4, 4),
+                                                 rng.randint(1, 3)))
+            if not p.is_zero():
+                gens.append(p)
+        if not gens:
+            continue
+        for elim in ([0], [0, 1]):
+            _, out = eliminate(gens, elim)
+            assert out == _eliminate_through_full_std(gens, elim)
+            checked += len(out)
+    assert checked > 20
 
 
 # ---------------------------------------------------------------------------

@@ -272,6 +272,34 @@ def test_integer_literal_past_the_digit_limit_exit_2(tmp_path, capsys, body,
     assert "Traceback" not in out.out + out.err
 
 
+def test_value_past_the_digit_limit_exit_4(tmp_path, capsys):
+    # the image equation of (x, y^2, c^80*y^3) has the coefficient c^160,
+    # 14400 digits for a 90-digit c: more than an int converts to a string
+    limit = sys.get_int_max_str_digits()
+    text = ("frontal-kernel v1\nring x, y;\n"
+            f"map f = x, y^2, {'9' * 90}^80*y^3;\nanalyze f image;\n")
+    assert main(["--format", "machine", "analyze", write(tmp_path, text)]) == 4
+    out = capsys.readouterr()
+    assert ("image.equation\tresource-limit\terror\timage.equation has an "
+            f"integer of 14400 digits; at most {limit} digits can be printed\n"
+            in out.out)
+    # the rest of the report is printed, and the limit is left as it was
+    assert out.out.endswith("image.weighted_degree\t6\texact\t\n")
+    assert "Traceback" not in out.out + out.err
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_hat_M_of_the_returning_cusp(tmp_path, capsys):
+    # f = (x^2 - x^3, x^3 - 2x^4 - 2x^5) is A-equivalent to the cusp
+    # (x^2, x^3), so hat_M is the cusp's, 0, within a small pair budget
+    for comps in ("x^2 - x^3, x^3 - 2*x^4 - 2*x^5", "x^2, x^3"):
+        text = (f"frontal-kernel v1\nring x;\nmap f = {comps};\n"
+                "analyze f hat_M;\n")
+        assert main(["--format", "machine", "--max-pairs", "30", "analyze",
+                     write(tmp_path, text)]) == 0
+        assert capsys.readouterr().out.endswith("hat_M\t0\texact\t\n")
+
+
 @pytest.mark.parametrize("name, weights", [("cusp", "2"),
                                            ("cuspidal_edge", "2, 3")])
 def test_weighted_source_gives_the_golden(tmp_path, capsys, name, weights):

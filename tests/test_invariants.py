@@ -1,5 +1,6 @@
 """Image equations, Milnor numbers, Siersma counts, Jacobian modules."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,8 @@ from frontal_kernel import (INFINITE, InvariantError, Limits, M_F_dimension,
                             piene_lambda, plane_curve_invariants, ring,
                             samuel_multiplicity_estimate, siersma_count,
                             unfolding)
-from frontal_kernel.invariants import _ae_dimension_at_order
+from frontal_kernel.basis import eliminate, subquotient_dimension
+from frontal_kernel.invariants import _ae_dimension_at_order, _graph_ideal
 
 
 def test_image_equation_e6(e6):
@@ -146,6 +148,35 @@ def test_hat_M(cuspidal_edge, folded_umbrella, e6):
     assert hat_M_dimension(cuspidal_edge) == 0
     assert hat_M_dimension(folded_umbrella) == 1
     assert hat_M_dimension(e6) == 1
+
+
+def _hat_M_from_pullbacks(f):
+    """Reference: the preimage of J(g) eliminated from (y - f(x), dg/dy o f)."""
+    image = image_equation(f)
+    partials = [p for p in (image.equation.diff(i)
+                            for i in range(image.ring.arity))
+                if not p.is_zero()]
+    pullbacks = [p.substitute(list(f.components), f.source) for p in partials]
+    _, pre = eliminate(*_graph_ideal(
+        f.components, image.ring.names,
+        extra=[p for p in pullbacks if not p.is_zero()], local=True))
+    return subquotient_dimension([p.map_to(image.ring) for p in pre],
+                                 partials)
+
+
+def test_hat_M_from_dg_of_y_matches_the_pullbacks():
+    # (y - f(x), dg/dy(y)) and (y - f(x), dg/dy(f(x))) are the same ideal
+    rng = random.Random(17)
+    R = ring("x", local=True)
+    x = R.var(0)
+    values = []
+    for a, b in ((2, 3), (2, 5), (3, 4), (3, 5), (2, 7)):
+        c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 3))
+        for f in (germ(R, x ** a, (x ** b).scale(c)),
+                  germ(R, x ** a, x ** b + (x ** (b + 1)).scale(c))):
+            values.append(hat_M_dimension(f))
+            assert values[-1] == _hat_M_from_pullbacks(f)
+    assert set(values) != {0}
 
 
 def test_piene_lambda_and_conductor(cuspidal_edge, e6):
