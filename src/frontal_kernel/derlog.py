@@ -83,11 +83,19 @@ def derlog(g: Poly, limits: Limits = DEFAULT_LIMITS) -> LogDerivations:
     for f in minimal:
         if not f.verify(g):
             raise AssertionError("unsound logarithmic-field certificate")
-    eps = _epsilon(g, limits)
+    eps = euler_certificate(g, limits)
     return LogDerivations(ring_, g, tuple(minimal), eps)
 
 
-def _epsilon(g: Poly, limits: Limits):
+def euler_certificate(g: Poly, limits: Limits = DEFAULT_LIMITS):
+    """(unit, coeffs) with sum coeffs_i * dg/dy_i = unit * g, or None.
+
+    This is the Euler-type field epsilon = (1/unit) sum coeffs_i d/dy_i with
+    epsilon(g) = g, which exists exactly when g is in its Jacobian ideal J(g)
+    (Saito).  A quasihomogeneous g takes the weighted Euler field
+    sum (w_i/d) y_i d/dy_i with unit 1 and no standard basis; any other g
+    takes the membership certificate of g in J(g), None when g is not in it.
+    """
     ring_ = g.ring
     qh = quasihomogeneous_weights(g)
     if qh is not None:
@@ -112,7 +120,7 @@ def epsilon_split(g: Poly, limits: Limits = DEFAULT_LIMITS):
     """
     if g.is_zero():
         raise DerlogError("zero polynomial defines no divisor")
-    eps = _epsilon(g, limits)
+    eps = euler_certificate(g, limits)
     if eps is None:
         raise DerlogError("g is not in its Jacobian ideal: no Euler-type "
                           "splitting exists")

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 from . import linalg
 from .basis import DEFAULT_LIMITS, Limits, eliminate, membership, std
-from .germs import (MapGerm, NashData, PrenormalForm, _linear_part,
-                    corank_branch, frontal_lift, target_names)
+from .germs import (MapGerm, NashData, PrenormalForm, _combination,
+                    _linear_part, corank_branch, frontal_lift, target_names)
 from .invariants import ImageData, _graph_ideal, image_equation
 from .ring import Poly, Ring, associates, fresh_names, ring
 from .squarefree import squarefree_part
@@ -32,6 +33,9 @@ class GeneratingFamily:
     components: tuple[Poly, ...]  # x-block, u-block, h'
     hprime: Poly
     p: tuple[Poly, ...]           # the p-block of the prenormal form, lifted
+    # the prenormal target change (``PrenormalForm.target``): row i writes
+    # target coordinate i of the family as a combination of the germ's own
+    target: tuple[tuple[Fraction, ...], ...]
     exact: bool
     jet_order: Optional[int]
 
@@ -54,7 +58,7 @@ def generating_family(pre: PrenormalForm, nash: NashData) -> GeneratingFamily:
         hprime = hprime + m * (u - pj)
     xs = [big.var(i) for i in range(n - k)]
     comps = tuple(xs) + tuple(uvars) + (hprime,)
-    return GeneratingFamily(big, n, k, comps, hprime, p,
+    return GeneratingFamily(big, n, k, comps, hprime, p, pre.target,
                             nash.exact, nash.jet_order)
 
 
@@ -64,8 +68,9 @@ def generating_family_of(f: MapGerm, branch: int = 0,
     comps = f.branches[branch]
     if corank_branch(comps) == 0:
         src = comps[0].ring
-        return GeneratingFamily(src, f.n, 0, tuple(comps),
-                                comps[-1], (), True, None)
+        identity = tuple(map(tuple, linalg.identity(f.n + 1)))
+        return GeneratingFamily(src, f.n, 0, tuple(comps), comps[-1], (),
+                                identity, True, None)
     pre, nash = frontal_lift(f, branch, limits)
     return generating_family(pre, nash)
 
@@ -91,7 +96,9 @@ def critical_set_certificate(fam: GeneratingFamily,
 def discriminant(fam: GeneratingFamily,
                  limits: Limits = DEFAULT_LIMITS) -> ImageData:
     """Critical values of h: eliminate all source variables from the
-    graph-plus-critical ideal, then reduce to a squarefree equation."""
+    graph-plus-critical ideal, then reduce to a squarefree equation.  Its
+    coordinates are the family's (x-block, u-block, h'); ``fam.target``
+    writes them in the germ's."""
     r = fam.ring
     n, k = fam.n, fam.k
     tnames = target_names(n + 1)
@@ -114,7 +121,13 @@ def discriminant(fam: GeneratingFamily,
 
 def verify_discriminant_equals_image(f: MapGerm, fam: GeneratingFamily,
                                      limits: Limits = DEFAULT_LIMITS) -> bool:
-    """Mutual divisibility of the reduced image and discriminant equations."""
+    """Mutual divisibility of the reduced image and discriminant equations.
+
+    The discriminant lives in the prenormal target coordinates; each is
+    replaced by its combination of f's target coordinates (``fam.target``),
+    a linear substitution, before the comparison."""
     img = image_equation(f, limits)
-    disc = discriminant(fam, limits)
-    return associates(img.equation, disc.equation.map_to(img.ring))
+    disc = discriminant(fam, limits).equation.map_to(img.ring)
+    coords = [_combination(img.ring, row, img.ring.gens())
+              for row in fam.target]
+    return associates(img.equation, disc.substitute(coords, img.ring))

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -94,12 +93,6 @@ def multigerm(source: Ring, *branch_lists: Sequence[Poly]) -> MapGerm:
 # Jacobian data
 
 
-def jacobian_matrix(comps: Sequence[Poly]) -> list[list[Poly]]:
-    """Rows indexed by source variables, columns by components."""
-    n = comps[0].ring.arity
-    return [[c.diff(i) for c in comps] for i in range(n)]
-
-
 def poly_det(m: list[list[Poly]]) -> Poly:
     size = len(m)
     if size == 0:
@@ -115,21 +108,11 @@ def poly_det(m: list[list[Poly]]) -> Poly:
     return acc
 
 
-def jacobian_minors(comps: Sequence[Poly], k: int) -> list[Poly]:
-    """All k x k minors of the Jacobian matrix of the components."""
-    jac = jacobian_matrix(comps)
-    n = len(jac)
-    m = len(comps)
-    if k > min(n, m):
-        raise ValueError(f"minor size {k} exceeds matrix dimensions {n}x{m}")
-    out = []
-    for rows in itertools.combinations(range(n), k):
-        for cols in itertools.combinations(range(m), k):
-            sub = [[jac[i][j] for j in cols] for i in rows]
-            d = poly_det(sub)
-            if not d.is_zero():
-                out.append(d)
-    return out
+def maximal_minors(comps: Sequence[Poly]) -> list[Poly]:
+    """The n x n minors of the Jacobian matrix of the n + 1 components, in
+    n variables: entry i is the minor that deletes component i."""
+    rows = [[c.diff(j) for j in range(c.ring.arity)] for c in comps]
+    return [poly_det(rows[:i] + rows[i + 1:]) for i in range(len(rows))]
 
 
 def _linear_part(p: Poly) -> list[Fraction]:
@@ -156,8 +139,9 @@ def corank(f: MapGerm) -> int:
 
 
 def ramification_ideal(f: MapGerm, branch: int = 0) -> list[Poly]:
-    comps = f.branches[branch]
-    minors = jacobian_minors(comps, f.n)
+    """The nonzero maximal minors, deleted component descending."""
+    minors = [m for m in reversed(maximal_minors(f.branches[branch]))
+              if not m.is_zero()]
     if not minors:
         raise GermError("Jacobian identically singular: not a finite germ")
     return minors
@@ -235,6 +219,9 @@ class PrenormalForm:
     p: tuple[Poly, ...]
     q: Poly
     q_index: int           # which target component became q
+    # the linear target change: row i writes component i of components()
+    # as a combination of the branch's own components
+    target: tuple[tuple[Fraction, ...], ...]
 
     @property
     def n(self) -> int:
@@ -284,8 +271,7 @@ def prenormal_candidates(f: MapGerm, branch: int = 0) -> list[PrenormalForm]:
 
     # complete the chosen gradients to a source basis with coordinate vectors
     amat = [r[:] for r in rows]
-    for i in range(n):
-        unit = [Fraction(1) if j == i else Fraction(0) for j in range(n)]
+    for unit in linalg.identity(n):
         if linalg.rank(amat + [unit]) == len(amat) + 1:
             amat.append(unit)
         if len(amat) == n:
@@ -308,17 +294,23 @@ def prenormal_candidates(f: MapGerm, branch: int = 0) -> list[PrenormalForm]:
         new_comps = [c.substitute(images, new_ring) for c in comps]
 
     rest = [j for j in range(n + 1) if j not in chosen]
-    # shear away linear parts of the non-projection components
-    sheared = {}
+    # shear away linear parts of the non-projection components; they lie in
+    # the x-block, whose l-th variable is the component chosen[l].  Row j
+    # of target writes component j, sheared, in the components of f.
+    sheared, target = {}, linalg.identity(n + 1)
     for j in rest:
         c = new_comps[j]
-        sheared[j] = c - _combination(new_ring, _linear_part(c),
-                                      new_ring.gens())
+        lin = _linear_part(c)
+        sheared[j] = c - _combination(new_ring, lin, new_ring.gens())
+        for l, a in zip(chosen, lin):
+            target[j][l] -= a
 
     out = []
     for qj in rest:
-        p = tuple(sheared[j] for j in rest if j != qj)
-        out.append(PrenormalForm(new_ring, k, p, sheared[qj], qj))
+        others = [j for j in rest if j != qj]
+        p = tuple(sheared[j] for j in others)
+        change = tuple(tuple(target[j]) for j in chosen + others + [qj])
+        out.append(PrenormalForm(new_ring, k, p, sheared[qj], qj, change))
     return out
 
 

@@ -9,9 +9,10 @@ from typing import Optional, Sequence, Union
 
 from . import linalg
 from .basis import (DEFAULT_LIMITS, INFINITE, Limits, StdBasis, _Infinite,
-                    colon_submodule, eliminate, membership_certificate,
-                    saturation, std, subquotient_dimension, vs_dimension)
-from .germs import (GermError, MapGerm, multiplicity, once, poly_det,
+                    colon_submodule, eliminate, saturation, std,
+                    subquotient_dimension, vs_dimension)
+from .derlog import LogField, euler_certificate
+from .germs import (GermError, MapGerm, maximal_minors, multiplicity, once,
                     target_names)
 from .ring import Poly, Ring, associates, exact_divide, fresh_names, ring
 from .squarefree import is_squarefree
@@ -278,7 +279,10 @@ def hat_M_dimension(f: MapGerm,
     The preimage is the elimination of the source variables from (y - f(x),
     dg/dy(y)): the same ideal as with the pullbacks dg/dy(f(x)), since
     dg/dy(y) - dg/dy(f(x)) lies in (y - f(x)), and generators of lower
-    degree in the variables that are eliminated."""
+    degree in the variables that are eliminated.  The partials dg/dy(y) are
+    generators of that ideal and free of the source variables, so J(g) lies
+    in the preimage by construction and the subquotient takes no
+    containment check."""
     if len(f.branches) != 1:
         raise GermError("the Jacobian module is computed for mono-germs")
     image = image_equation(f, limits)
@@ -297,7 +301,7 @@ def hat_M_dimension(f: MapGerm,
     if not pre_gens:
         raise InvariantError("empty preimage ideal (internal error)")
     return subquotient_dimension(pre_gens, partials, limits=limits,
-                                 check_containment=True)
+                                 check_containment=False)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +310,12 @@ def hat_M_dimension(f: MapGerm,
 
 @dataclass(frozen=True)
 class GoodEquation:
-    """Reduced G with G in J(G) specializing to the base image equation."""
+    """Reduced G with G in J(G) specializing to the base image equation.
+
+    The certificate of G in J(G) is the Euler-type field
+    (1/unit) sum cofactors_i d/dz_i that sends G to G, the one that
+    Der(-log G) splits off (``derlog.euler_certificate``).
+    """
 
     ring: Ring                 # local ring: target variables then parameters
     G: Poly
@@ -321,30 +330,31 @@ class GoodEquation:
         return [self.G.diff(i) for i in range(self.ring.arity)]
 
     def verify_certificate(self) -> bool:
-        lhs = self.unit * self.G
-        rhs = self.ring.zero()
-        for c, p in zip(self.cofactors, self.jacobian()):
-            rhs = rhs + c * p
-        return lhs == rhs and self.unit.is_unit()
+        return (self.unit.is_unit()
+                and LogField(self.cofactors, self.unit).verify(self.G))
 
 
 def good_equation(U: UnfoldingSpec,
                   limits: Limits = DEFAULT_LIMITS) -> GoodEquation:
     """Check or repair the good-equation conditions for the unfolding image.
 
-    When G is not in its Jacobian ideal, one trivial unit parameter s is
-    added and G becomes (1+s)G, which restores the membership via d/ds.
+    G is the equation of an explicit ``good_equation`` statement, checked to
+    be squarefree, or else the computed unfolding image equation, which is
+    reduced by construction (see ``_unfolding_image_equation``) and takes no
+    gcd.  The certificate of G in J(G) is ``euler_certificate``.  When G is
+    not in its Jacobian ideal, one trivial unit parameter s is added and G
+    becomes (1+s)G, which restores the membership via d/ds.
     """
     base_image = image_equation(U.base, limits)
     g = base_image.equation
     target = U.target_ring()
-    if U.explicit_G is not None:
-        G0 = U.explicit_G.map_to(target).monic()
-    else:
+    if U.explicit_G is None:
         G0 = unfolding_image_equation(U, limits)
-    if not is_squarefree(G0, limits):
-        raise InvariantError("defining equation is not reduced (squarefree "
-                             "test failed)")
+    else:
+        G0 = U.explicit_G.map_to(target).monic()
+        if not is_squarefree(G0, limits):
+            raise InvariantError("defining equation is not reduced "
+                                 "(squarefree test failed)")
     y_count = U.n + 1
     restricted = G0.substitute(
         [target.var(i) for i in range(y_count)] +
@@ -353,8 +363,7 @@ def good_equation(U: UnfoldingSpec,
     if not associates(zero_params.monic(), g):
         raise InvariantError(
             "setting the parameters to 0 does not recover the image equation")
-    jac = [G0.diff(i) for i in range(target.arity)]
-    cert = membership_certificate(G0, jac, limits)
+    cert = euler_certificate(G0, limits)
     if cert is not None:
         u, cof = cert
         ge = GoodEquation(target, G0, y_count, U.params, False, u,
@@ -476,11 +485,7 @@ def piene_lambda(f: MapGerm, limits: Limits = DEFAULT_LIMITS) -> Poly:
     comps = list(f.components)
     src = f.source
     n = f.n
-    rows = [[c.diff(i) for i in range(n)] for c in comps]   # (n+1) x n
-    minors = []
-    for i in range(n + 1):
-        sub = rows[:i] + rows[i + 1:]
-        minors.append(poly_det(sub) if n else src.one())
+    minors = maximal_minors(comps)
     pullbacks = [g.diff(i).substitute(comps, src) for i in range(n + 1)]
     lam = None
     for i in range(n + 1):

@@ -38,10 +38,13 @@ def rank(m: Matrix) -> int:
     return len(_echelon([row[:] for row in m], len(m[0]) if m else 0))
 
 
+def identity(n: int) -> Matrix:
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
 def inverse(m: Matrix) -> Optional[Matrix]:
     n = len(m)
-    a = [row[:] + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-         for i, row in enumerate(m)]
+    a = [row[:] + unit for row, unit in zip(m, identity(n))]
     if len(_echelon(a, n)) < n:
         return None
     return [row[n:] for row in a]

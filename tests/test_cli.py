@@ -113,6 +113,22 @@ analyze F siersma codim_Fe verify;
     assert "verify.verdict\tVIOLATED\t" in out
 
 
+def test_explicit_good_equation_must_be_reduced(tmp_path, capsys):
+    # an explicit good_equation is outside input, so it is tested for
+    # squarefreeness before use
+    text = """frontal-kernel v1
+ring x;
+map f = x^2, x^3;
+unfold F of f params t: x^2, x^3 + 3/2*t*x^2;
+good_equation F = (y2^2 - y1^3)^2;
+analyze F M_F;
+"""
+    assert main(["--format", "machine", "analyze", write(tmp_path, text)]) == 3
+    out = capsys.readouterr().out
+    assert ("good_equation\tfailed\terror\tdefining equation is not reduced"
+            in out)
+
+
 def test_verdict_inconclusive(tmp_path, capsys):
     text = """frontal-kernel v1
 ring x, y;

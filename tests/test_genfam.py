@@ -58,3 +58,17 @@ def test_immersion_has_no_family_parameters():
     assert fam.k == 0
     assert critical_set_certificate(fam)
     assert verify_discriminant_equals_image(f, fam)
+
+
+@pytest.mark.parametrize("sheared", [True, False], ids=["shear", "swap"])
+def test_discriminant_in_the_germ_target_coordinates(sheared):
+    # (x, y^2 + x, y^3) and (x, y^3, y^2) are cuspidal edges with the
+    # prenormal form (x, y^2, y^3): its target coordinates are a shear of
+    # f's, or f's with the last two swapped
+    R = ring("x", "y", local=True)
+    x, y = R.gens()
+    f = (germ(R, x, y ** 2 + x, y ** 3) if sheared
+         else germ(R, x, y ** 3, y ** 2))
+    fam = generating_family_of(f)
+    assert critical_set_certificate(fam)
+    assert verify_discriminant_equals_image(f, fam)

@@ -1,5 +1,6 @@
 """Map germs, frontality, Nash lifts, wave fronts."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -11,7 +12,8 @@ from frontal_kernel import (DivisionError, GermError, corank, frontal_lift,
                             prenormal_candidates, ramification_ideal, ring, std)
 from frontal_kernel.basis import DEFAULT_LIMITS, Limits, ResourceLimitError
 from frontal_kernel.germfile import parse
-from frontal_kernel.germs import _linear_part, compose_linear, min_generators
+from frontal_kernel.germs import (_linear_part, compose_linear, min_generators,
+                                  poly_det)
 
 
 def test_corank(cuspidal_edge, e6):
@@ -198,3 +200,17 @@ def test_linear_part_is_the_gradient_at_zero():
             p = p + R.monomial(exp, Fraction(rng.randint(-5, 5),
                                              rng.randint(1, 4)))
         assert _linear_part(p) == [p.diff(i).constant_term() for i in range(3)]
+
+
+def test_ramification_ideal_keeps_the_minor_order(corpus_files):
+    # reference: every n x n minor of the Jacobian matrix (rows the source
+    # variables), components chosen in lexicographic order, so the deleted
+    # component descends; zero minors are dropped
+    germs = [f for gf in corpus_files for f in gf.maps.values()]
+    assert len(germs) == 8
+    for f in germs:
+        comps, n = f.components, f.n
+        jac = [[c.diff(i) for c in comps] for i in range(n)]
+        minors = [poly_det([[row[j] for j in cols] for row in jac])
+                  for cols in itertools.combinations(range(n + 1), n)]
+        assert ramification_ideal(f) == [m for m in minors if not m.is_zero()]

@@ -5,15 +5,18 @@ from fractions import Fraction
 
 import pytest
 
-from frontal_kernel import (INFINITE, InvariantError, Limits, M_F_dimension,
-                            ResourceLimitError, associates,
+from frontal_kernel import (INFINITE, InvariantError, Limits, LogField,
+                            M_F_dimension, ResourceLimitError, associates,
                             conductor_colength, frontal_codimension,
                             frontal_milnor_siersma, good_equation, germ,
                             hat_M_dimension, image_equation, milnor_number,
                             piene_lambda, plane_curve_invariants, ring,
+                            quasihomogeneous_weights,
                             samuel_multiplicity_estimate, siersma_count,
-                            unfolding)
-from frontal_kernel.basis import eliminate, subquotient_dimension
+                            unfolding, unfolding_image_equation)
+from frontal_kernel import basis, cli, germfile, invariants
+from frontal_kernel.basis import (eliminate, membership_certificate,
+                                  subquotient_dimension)
 from frontal_kernel.invariants import _ae_dimension_at_order, _graph_ideal
 
 
@@ -98,6 +101,55 @@ def test_good_equation_certificate(e6_unfolding, cusp_unfolding):
         assert not ge.augmented
 
 
+def test_computed_good_equation_takes_no_gcd(monkeypatch):
+    # the unfolding image equation is irreducible by construction; only an
+    # explicit good_equation statement is tested for squarefreeness
+    def refuse(*args):
+        raise AssertionError("squarefree test of a computed equation")
+    monkeypatch.setattr(invariants, "is_squarefree", refuse)
+    for name in ("cusp", "e6", "infinite_mf"):
+        text = (cli._corpus_dir() / f"{name}.germ").read_text(encoding="utf-8")
+        U, = germfile.parse(text).unfoldings.values()
+        ge = good_equation(U)
+        assert not ge.augmented and ge.verify_certificate()
+
+
+def test_good_equation_matches_the_membership_reference():
+    # seeded 1-parameter unfoldings (x^a, x^b + c x^(b+1) + al t x^k
+    # + be t^2 x^m): G needs the added parameter exactly when G is not in
+    # J(G) by a membership certificate, and every certificate is a field
+    # sending G to unit * G
+    R = ring("x", local=True)
+    x = R.var(0)
+    S = ring("x", "t", local=True)
+    xs, t = S.gens()
+    rng = random.Random(9)
+    kinds = set()
+    for _ in range(8):
+        a, b = rng.choice([(2, 3), (2, 5), (3, 4)])
+        c = rng.choice((0, 0, -1, 1, 2))
+        k, m = rng.randint(1, b - 1), rng.randint(1, b)
+        al, be = rng.choice((-2, -1, 1, 2, 3)), rng.choice((0, 1))
+        base = germ(R, x ** a, x ** b + (x ** (b + 1)).scale(c))
+        U = unfolding(base, ["t"], [
+            xs ** a, xs ** b + (xs ** (b + 1)).scale(c)
+            + (t * xs ** k).scale(al) + (t * t * xs ** m).scale(be)])
+        ge = good_equation(U)
+        G = unfolding_image_equation(U)
+        cert = membership_certificate(G, [G.diff(i)
+                                          for i in range(G.ring.arity)])
+        assert ge.augmented == (cert is None)
+        assert ge.verify_certificate()
+        assert LogField(ge.cofactors, ge.unit).verify(ge.G)
+        if cert is not None:
+            u, cof = cert
+            assert LogField(tuple(cof), u).verify(G)
+        kinds.add((quasihomogeneous_weights(G) is not None, ge.augmented))
+    # the weighted Euler field, a membership certificate and the added
+    # parameter all occur
+    assert kinds == {(True, False), (False, False), (False, True)}
+
+
 def test_good_equation_restriction(e6_unfolding):
     ge = good_equation(e6_unfolding)
     R = ge.ring
@@ -148,6 +200,17 @@ def test_hat_M(cuspidal_edge, folded_umbrella, e6):
     assert hat_M_dimension(cuspidal_edge) == 0
     assert hat_M_dimension(folded_umbrella) == 1
     assert hat_M_dimension(e6) == 1
+
+
+def test_hat_M_takes_no_containment_check(monkeypatch, cuspidal_edge,
+                                          folded_umbrella, e6):
+    # dg/dy(y) are generators of the eliminated ideal, so J(g) lies in the
+    # preimage by construction and no membership is tested
+    def refuse(*args):
+        raise AssertionError("containment check in hat_M")
+    monkeypatch.setattr(basis, "membership", refuse)
+    assert [hat_M_dimension(f)
+            for f in (cuspidal_edge, folded_umbrella, e6)] == [0, 1, 1]
 
 
 def _hat_M_from_pullbacks(f):

@@ -11,6 +11,12 @@ in `bench/run.py`, and one line gives the item count and a sha256 over the
 items' stdout and exit codes, in the workload's order.  Two checkouts that
 print the same lines give the same bytes and exit codes on every item:
 this is the byte-identity check for a change that must not move an output.
+
+    python3 tools/output_digest.py --seeds 1 2 --items
+
+also prints, before each workload line, one line per item: its name, its
+exit code and the sha256 of its stdout, so that two checkouts whose
+workload lines differ can be compared item by item.
 """
 
 from __future__ import annotations
@@ -31,11 +37,10 @@ import workloads  # noqa: E402
 from frontal_kernel import cli  # noqa: E402
 
 
-def digest(workload: str, seed: int, workdir: Path) -> tuple[int, str]:
-    """(item count, sha256 hex) of one workload at one seed."""
+def outcomes(workload: str, seed: int, workdir: Path):
+    """(item name, stdout, exit code) of each item of one workload."""
     items = workloads.generate(workload, seed,
                                ROOT / "src" / "frontal_kernel" / "corpus")
-    sha = hashlib.sha256()
     for i, item in enumerate(items):
         path = workdir / f"{i:03d}.germ"
         path.write_text(item.text, encoding="utf-8")
@@ -45,20 +50,28 @@ def digest(workload: str, seed: int, workdir: Path) -> tuple[int, str]:
                 code = cli.main(["--format", "machine", "analyze", str(path)])
         except Exception as exc:  # a traceback is an outcome to compare too
             code = f"raised {type(exc).__name__}: {exc}"
-        sha.update(f"{out.getvalue()}\nexit {code}\n".encode("utf-8"))
-    return len(items), sha.hexdigest()
+        yield item.name, out.getvalue(), code
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[1])
+    parser.add_argument("--items", action="store_true",
+                        help="also print one line per item")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         for seed in args.seeds:
             for workload in workloads.WORKLOADS:
-                count, hexdigest = digest(workload, seed, Path(tmp))
-                print(f"seed {seed}\t{workload}\t{count} items\t{hexdigest}",
-                      flush=True)
+                sha, count = hashlib.sha256(), 0
+                for name, out, code in outcomes(workload, seed, Path(tmp)):
+                    sha.update(f"{out}\nexit {code}\n".encode("utf-8"))
+                    count += 1
+                    if args.items:
+                        item_sha = hashlib.sha256(out.encode("utf-8"))
+                        print(f"seed {seed}\t{workload}\t{name}\texit {code}"
+                              f"\t{item_sha.hexdigest()}", flush=True)
+                print(f"seed {seed}\t{workload}\t{count} items\t"
+                      f"{sha.hexdigest()}", flush=True)
     return 0
 
 
