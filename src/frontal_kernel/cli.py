@@ -160,7 +160,7 @@ def _analyze_map(run: _Run, name: str, f, directives, limits: Limits) -> Report:
 
     if _wants(directives, "mu") and image is not None:
         mu = run.attempt(report, "mu",
-                         lambda: inv.milnor_number(image.equation, limits))
+                         lambda: inv.image_milnor_number(image, limits))
         if mu is not None:
             report.add("mu", mu, _status_of(mu))
 

@@ -20,7 +20,7 @@ from typing import Optional, Union
 
 from .basis import DEFAULT_LIMITS, ResourceLimitError
 from .germs import MapGerm, germ
-from .invariants import UnfoldingSpec, unfolding
+from .invariants import InvariantError, UnfoldingSpec, unfolding
 from .ring import Poly, Ring, ring
 
 VERSION = "frontal-kernel v1"
@@ -192,20 +192,23 @@ class _ExprParser:
                 f"exceeds limit {self.max_degree}")
 
     def parse_expr(self) -> Poly:
-        sign = 1
+        """A signed sum of terms, merged and sorted once at the end."""
+        terms = []
+        sign = self.take_sign()
+        while True:
+            terms += [(e, -c if sign == "-" else c)
+                      for e, c in self.parse_term().terms]
+            sign = self.take_sign()
+            if sign is None:
+                return self.ring.from_terms(terms)
+
+    def take_sign(self) -> Optional[str]:
+        """Consume a leading '+' or '-' and return it, else None."""
         tok = self.peek()
         if tok.kind == "punct" and tok.text in "+-":
             self.take()
-            sign = -1 if tok.text == "-" else 1
-        acc = self.parse_term().scale(sign)
-        while True:
-            tok = self.peek()
-            if tok.kind == "punct" and tok.text in "+-":
-                self.take()
-                term = self.parse_term()
-                acc = acc + term if tok.text == "+" else acc - term
-            else:
-                return acc
+            return tok.text
+        return None
 
     def parse_term(self) -> Poly:
         acc = self.parse_power()
@@ -261,11 +264,10 @@ class _ExprParser:
                 self.error("expected ')'")
             self.take()
             return inner
-        if tok.kind == "punct" and tok.text in "+-":
+        sign = self.take_sign()
+        if sign is not None:
             # unary sign inside a term
-            self.take()
-            atom = self.parse_power()
-            return atom.scale(-1 if tok.text == "-" else 1)
+            return self.parse_power().scale(-1 if sign == "-" else 1)
         self.error("expected a variable, number, or '('")
 
 
@@ -436,7 +438,7 @@ class _Parser:
         comps = self.expr_list(uring)
         try:
             self.unfoldings[name] = unfolding(base, params, comps)
-        except ValueError as exc:
+        except (ValueError, InvariantError) as exc:
             self.error(str(exc))
         self.statements.append(UnfoldStmt(name, base_name, params, comps))
 

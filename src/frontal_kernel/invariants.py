@@ -135,6 +135,15 @@ def milnor_number(g: Poly,
     return vs_dimension(std(partials, limits=limits))
 
 
+def image_milnor_number(image: ImageData, limits: Limits = DEFAULT_LIMITS
+                        ) -> Union[int, _Infinite]:
+    """Milnor number of a kept image equation (once per image and limits,
+    so once per germ): the ``mu`` line, the plane-curve chain and
+    ``hat_M_dimension`` share one standard basis of J(g)."""
+    return once(image, ("milnor_number", limits),
+                lambda: milnor_number(image.equation, limits))
+
+
 # ---------------------------------------------------------------------------
 # Unfoldings
 
@@ -281,8 +290,16 @@ def hat_M_dimension(f: MapGerm,
     dg/dy(y) - dg/dy(f(x)) lies in (y - f(x)), and generators of lower
     degree in the variables that are eliminated.  The partials dg/dy(y) are
     generators of that ideal and free of the source variables, so J(g) lies
-    in the preimage by construction and the subquotient takes no
-    containment check."""
+    in the preimage by construction.
+
+    Two routes.  When mu = dim O/J(g) is finite, length is additive along
+    J(g) <= preimage <= O, so the value is mu - dim O/preimage: mu is the
+    germ's kept Milnor number (``image_milnor_number``) and the colength is
+    read off the standard basis that ``eliminate`` returns, with no further
+    pair loop.  When mu is infinite (a non-isolated image, such as every
+    surface) that difference is undefined, and the subquotient is measured
+    directly by the colon module of ``subquotient_dimension``, which may
+    still be finite."""
     if len(f.branches) != 1:
         raise GermError("the Jacobian module is computed for mono-germs")
     image = image_equation(f, limits)
@@ -295,13 +312,17 @@ def hat_M_dimension(f: MapGerm,
     comps = f.components
     if all(p.substitute(list(comps), f.source).is_zero() for p in partials):
         raise InvariantError("all Jacobian pullbacks vanish (g not reduced?)")
+    mu = image_milnor_number(image, limits)
     _, pre_gens = eliminate(*_graph_ideal(comps, target.names,
                                           extra=partials, local=True), limits)
     pre_gens = [p.map_to(target) for p in pre_gens if not p.is_zero()]
     if not pre_gens:
         raise InvariantError("empty preimage ideal (internal error)")
-    return subquotient_dimension(pre_gens, partials, limits=limits,
-                                 check_containment=False)
+    if mu is INFINITE:
+        return subquotient_dimension(pre_gens, partials, limits=limits,
+                                     check_containment=False)
+    # eliminate's generators are a standard basis in the target ordering
+    return mu - vs_dimension(StdBasis(target, 1, [(p,) for p in pre_gens]))
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +625,7 @@ def plane_curve_invariants(f: MapGerm,
     if f.n != 1:
         raise GermError("plane-curve invariants need source dimension 1")
     image = image_equation(f, limits)
-    mu = milnor_number(image.equation, limits)
+    mu = image_milnor_number(image, limits)
     if mu is INFINITE:
         raise InvariantError("non-isolated image singularity: mu is infinite")
     rb = len(f.branches)

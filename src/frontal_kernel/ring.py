@@ -59,13 +59,22 @@ class Ordering:
 
     @functools.cached_property
     def sort_key(self):
-        """``key`` memoised per ordering: each exponent is keyed once."""
-        return functools.cache(self.key)
+        """``key`` memoised per ordering value: each exponent is keyed once
+        per process, however many equal orderings are built."""
+        return _shared_sort_key(self)
 
     def is_global(self) -> bool:
         if self.blocks is not None:
             return all(o.is_global() for o in self.blocks)
         return not self.local
+
+
+@functools.cache
+def _shared_sort_key(ordering: Ordering):
+    """The one key memo of an ordering value.  Every ``ring()``, graph
+    ideal and elimination builds a new ``Ordering``; equal ones share this
+    memo, which holds one entry per distinct exponent sorted in it."""
+    return functools.cache(ordering.key)
 
 
 def block_ordering(sizes: Sequence[int], orderings: Sequence[Ordering]) -> Ordering:

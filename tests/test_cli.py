@@ -316,6 +316,18 @@ def test_hat_M_of_the_returning_cusp(tmp_path, capsys):
         assert capsys.readouterr().out.endswith("hat_M\t0\texact\t\n")
 
 
+def test_hat_M_of_the_returning_quintic(tmp_path, capsys):
+    # mu = 20 is finite, so hat_M is mu minus the preimage colength 14,
+    # with no colon module (which runs for minutes on this germ)
+    text = ("frontal-kernel v1\nring x;\nmap f = x^5, x^6 + x^7;\n"
+            "analyze f hat_M;\n")
+    start = time.perf_counter()
+    assert main(["--format", "machine", "analyze",
+                 write(tmp_path, text)]) == 0
+    assert time.perf_counter() - start < 2
+    assert capsys.readouterr().out.endswith("hat_M\t6\texact\t\n")
+
+
 @pytest.mark.parametrize("name, weights", [("cusp", "2"),
                                            ("cuspidal_edge", "2, 3")])
 def test_weighted_source_gives_the_golden(tmp_path, capsys, name, weights):

@@ -1,8 +1,15 @@
 """Germ-file parsing, serialization, and syntax diagnostics."""
 
+import random
+
 import pytest
 
-from frontal_kernel.germfile import SyntaxErrorAt, parse, serialize
+from frontal_kernel import ring
+from frontal_kernel.basis import ResourceLimitError
+from frontal_kernel.cli import _corpus_dir
+from frontal_kernel.germfile import (SyntaxErrorAt, _ExprParser, parse,
+                                     serialize, tokenize)
+from frontal_kernel.ring import Ring
 
 GOOD = """frontal-kernel v1
 # a comment
@@ -77,3 +84,74 @@ def test_serialize_round_trip_weighted():
     assert "weights 2, 3/2;" in once
     assert serialize(parse(once)) == once
     assert parse(once).weights == parse(text).weights
+
+
+def test_a_flat_sum_is_merged_and_sorted_once(monkeypatch):
+    # the signed terms of a sum are collected and merged in one pass, not
+    # by n - 1 additions that each merge and re-sort the partial sum
+    R = ring("x", "y")
+    n = 40
+    text = " ".join(f"{'-' if k % 3 else '+'} {k + 1}*x^{k}*y^{n - k}"
+                    for k in range(n)) + " + 7*x^3*y^37;"
+    calls = []
+    from_dict = Ring._from_dict
+
+    def counted(self, acc):
+        calls.append(len(acc))
+        return from_dict(self, acc)
+    monkeypatch.setattr(Ring, "_from_dict", counted)
+    p = _ExprParser(tokenize(text), 0, R).parse_expr()
+    assert calls == [n]
+    monkeypatch.setattr(Ring, "_from_dict", from_dict)
+    x, y = R.gens()
+    expected = (x ** 3 * y ** 37).scale(7)
+    for k in range(n):
+        expected = expected + (x ** k * y ** (n - k)).scale(
+            -(k + 1) if k % 3 else k + 1)
+    assert p.terms == expected.terms
+
+
+def _token_soup(rng):
+    """A random token string, half of them after a valid map prefix."""
+    vocab = ("ring map unfold of params good_equation assert_frontal_stable "
+             "analyze weights x y t f F y1 y2 s frontal mu hat_M 0 1 2 3 17 "
+             "; , = : + - * / ^ ( )").split()
+    prefix = "ring x, y;\nmap f = " if rng.random() < 0.5 else ""
+    tokens = [rng.choice(vocab) for _ in range(rng.randint(1, 30))]
+    return "frontal-kernel v1\n" + prefix + " ".join(tokens) + "\n"
+
+
+def _mutant(rng, text):
+    """text with one character replaced, deleted or inserted."""
+    i = rng.randrange(len(text))
+    c = rng.choice("xyzt0123456789;,=:+-*/^() \n#_abfgsFG")
+    return rng.choice((text[:i] + c + text[i + 1:], text[:i] + text[i + 1:],
+                       text[:i] + c + text[i:]))
+
+
+def test_parser_fuzz_raises_only_its_own_errors():
+    # seeded, in process: random token strings and one-character mutations
+    # of the corpus files either parse or raise SyntaxErrorAt or
+    # ResourceLimitError, and each file that parses round-trips
+    corpus = [entry.read_text(encoding="utf-8")
+              for entry in sorted(_corpus_dir().iterdir())
+              if entry.name.endswith(".germ")]
+    assert len(corpus) == 8
+    rng = random.Random(19)
+    inputs = [_token_soup(rng) for _ in range(1000)]
+    inputs += [_mutant(rng, rng.choice(corpus)) for _ in range(1500)]
+    parsed = 0
+    for text in inputs:
+        try:
+            once = parse(text)
+        except (SyntaxErrorAt, ResourceLimitError):
+            continue
+        parsed += 1
+        out = serialize(once)
+        again = parse(out)
+        assert serialize(again) == out
+        assert {name: f.components for name, f in once.maps.items()} == \
+            {name: f.components for name, f in again.maps.items()}
+        assert {name: U.components for name, U in once.unfoldings.items()} \
+            == {name: U.components for name, U in again.unfoldings.items()}
+    assert parsed > 300

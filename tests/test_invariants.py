@@ -15,8 +15,8 @@ from frontal_kernel import (INFINITE, InvariantError, Limits, LogField,
                             samuel_multiplicity_estimate, siersma_count,
                             unfolding, unfolding_image_equation)
 from frontal_kernel import basis, cli, germfile, invariants
-from frontal_kernel.basis import (eliminate, membership_certificate,
-                                  subquotient_dimension)
+from frontal_kernel.basis import (eliminate, membership_certificate, std,
+                                  subquotient_dimension, vs_dimension)
 from frontal_kernel.invariants import _ae_dimension_at_order, _graph_ideal
 
 
@@ -240,6 +240,80 @@ def test_hat_M_from_dg_of_y_matches_the_pullbacks():
             values.append(hat_M_dimension(f))
             assert values[-1] == _hat_M_from_pullbacks(f)
     assert set(values) != {0}
+
+
+def _hat_M_by_the_colon_module(f):
+    """Reference: dim preimage/J(g) by the colon module, on every germ."""
+    image = image_equation(f)
+    partials = [p for p in (image.equation.diff(i)
+                            for i in range(image.ring.arity))
+                if not p.is_zero()]
+    _, pre = eliminate(*_graph_ideal(f.components, image.ring.names,
+                                     extra=partials, local=True))
+    return subquotient_dimension([p.map_to(image.ring) for p in pre],
+                                 partials)
+
+
+def test_hat_M_by_colengths_matches_the_colon_module(
+        corpus_files, cusp, e6, cuspidal_edge, folded_umbrella, f4,
+        swallowtail):
+    # mu - dim O/preimage where mu is finite; the colon module as reference
+    # on every corpus and fixture germ and on seeded plane curves whose
+    # colon module finishes ((x^5, x^6 + c x^7) is one where it does not)
+    rng = random.Random(19)
+    R = ring("x", local=True)
+    x = R.var(0)
+    germs = [f for parsed in corpus_files for f in parsed.maps.values()]
+    germs += [cusp, e6, cuspidal_edge, folded_umbrella, f4, swallowtail]
+    for a, b in ((2, 3), (2, 5), (3, 4), (3, 5), (2, 7), (3, 7), (4, 5),
+                 (4, 7), (3, 8)):
+        c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 3))
+        germs += [germ(R, x ** a, (x ** b).scale(c)),
+                  germ(R, x ** a, x ** b + (x ** (b + 1)).scale(c))]
+    finite = []
+    for f in germs:
+        value = hat_M_dimension(f)
+        assert value == _hat_M_by_the_colon_module(f)
+        finite.append(milnor_number(image_equation(f).equation) is not INFINITE
+                      and value != 0)
+    assert any(finite) and not all(finite)
+
+
+def test_hat_M_of_the_returning_quintic_by_its_colengths():
+    # (x^5, x^6 + x^7): mu = (5 - 1)(6 - 1) = 20 and the preimage of J(g)
+    # has colength 14 by a fresh standard basis, so hat_M = 6
+    R = ring("x", local=True)
+    x = R.var(0)
+    f = germ(R, x ** 5, x ** 6 + x ** 7)
+    image = image_equation(f)
+    assert milnor_number(image.equation) == 20
+    partials = [image.equation.diff(i) for i in range(2)]
+    _, pre = eliminate(*_graph_ideal(f.components, image.ring.names,
+                                     extra=partials, local=True))
+    assert vs_dimension(std([p.map_to(image.ring) for p in pre])) == 14
+    assert hat_M_dimension(f) == 6
+
+
+def test_hat_M_with_finite_mu_builds_no_colon_module(monkeypatch, e6,
+                                                     folded_umbrella):
+    # mu is kept per germ, so the mu line and hat_M share one std, and the
+    # colon module is built only where mu is infinite (a surface)
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+    for name in ("milnor_number", "subquotient_dimension"):
+        monkeypatch.setattr(invariants, name,
+                            counted(name, getattr(invariants, name)))
+    assert invariants.image_milnor_number(image_equation(e6)) == 6
+    assert hat_M_dimension(e6) == 1
+    assert calls == ["milnor_number"]
+    calls.clear()
+    assert hat_M_dimension(folded_umbrella) == 1
+    assert calls == ["milnor_number", "subquotient_dimension"]
 
 
 def test_piene_lambda_and_conductor(cuspidal_edge, e6):

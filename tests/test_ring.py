@@ -8,7 +8,9 @@ from fractions import Fraction
 import pytest
 
 from frontal_kernel import Poly, associates, exact_divide, quasihomogeneous_weights, ring
+from frontal_kernel import basis
 from frontal_kernel.germfile import _ExprParser, tokenize
+from frontal_kernel.ring import Ordering, block_ordering
 
 
 def parse_poly(text, R):
@@ -186,3 +188,35 @@ def test_quasihomogeneous_weights_of_planted_weights():
             assert not any(
                 len({sum(wi * a for wi, a in zip(w, e)) for e in exps}) == 1
                 for w in itertools.product(range(1, 13), repeat=3)), g
+
+
+def test_equal_orderings_share_one_key_memo(monkeypatch):
+    # every ring() and eliminate() builds a new Ordering; equal values share
+    # one memo, so each exponent is keyed once per process
+    assert ring("x", "y").ordering.sort_key is ring("a", "b").ordering.sort_key
+    assert (ring("x", "y", local=True, weights=(2, 3)).ordering.sort_key
+            is ring("a", "b", local=True, weights=(2, 3)).ordering.sort_key)
+    seen = []
+    std = basis._std
+
+    def record(vecs, *args):
+        seen.append(vecs[0][0].ring.ordering.sort_key)
+        return std(vecs, *args)
+    monkeypatch.setattr(basis, "_std", record)
+    for names in (("x", "y", "z"), ("u", "v", "w")):
+        R = ring(*names)
+        a, b, c = R.gens()
+        basis.eliminate([b - a ** 2, c - a ** 3], [0])
+    assert len(seen) == 2 and seen[0] is seen[1]
+    # orderings that differ in locality, weights or block sizes do not
+    g, l = Ordering(), Ordering(local=True)
+    distinct = [g, l, Ordering(weights=(Fraction(1), Fraction(2))),
+                Ordering(weights=(Fraction(2), Fraction(1))),
+                Ordering(local=True, weights=(Fraction(1), Fraction(2))),
+                block_ordering((1, 2), (g, l)), block_ordering((2, 1), (g, l)),
+                block_ordering((1, 2), (l, g)), block_ordering((1, 2), (g, g))]
+    keys = [o.sort_key for o in distinct]
+    assert len({id(k) for k in keys}) == len(keys)
+    exps = list(itertools.product(range(3), repeat=3))
+    for o, key in zip(distinct, keys):
+        assert [key(e) for e in exps] == [o.key(e) for e in exps]
