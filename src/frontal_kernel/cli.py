@@ -117,6 +117,13 @@ def _wants(directives, *keys) -> bool:
     return any(k in directives for k in keys)
 
 
+def _skip(report: Report, directives, key: str, reason: str) -> None:
+    """Say why a directive named in the statement does not apply; under
+    `all` or no directives, only the analyses that apply run."""
+    if key in directives:
+        report.add(key, "skipped", NOT_COMPUTED, reason)
+
+
 def _analyze_map(run: _Run, name: str, f, directives, limits: Limits) -> Report:
     report = Report(f"map {name}")
     report.add("source.variables", ", ".join(f.source.names))
@@ -147,7 +154,8 @@ def _analyze_map(run: _Run, name: str, f, directives, limits: Limits) -> Report:
                        "germ is not frontal")
 
     image = None
-    if _wants(directives, "image", "mu", "conductor", "hat_M", "plane_curve"):
+    if _wants(directives, "image", "mu", "conductor", "hat_M", "plane_curve",
+              "derlog", "free_divisor"):
         image = run.attempt(report, "image.equation",
                             lambda: inv.image_equation(f, limits))
         if image is not None:
@@ -177,6 +185,9 @@ def _analyze_map(run: _Run, name: str, f, directives, limits: Limits) -> Report:
                        f"jet order {pc.jet_order}")
             report.add("plane_curve.codim_fe", pc.codim_fe, CERTIFIED,
                        f"jet order {pc.jet_order}")
+    elif f.n != 1:
+        _skip(report, directives, "plane_curve",
+              f"germ is not a plane curve (n = {f.n})")
 
     if _wants(directives, "conductor") and image is not None \
             and len(f.branches) == 1:
@@ -213,6 +224,8 @@ def _analyze_map(run: _Run, name: str, f, directives, limits: Limits) -> Report:
                 lambda: gf.verify_discriminant_equals_image(f, fam, limits))
             if match is not None:
                 report.add("genfam.discriminant_equals_image", match)
+    elif frontal is False:
+        _skip(report, directives, "genfam", "germ is not frontal")
 
     if _wants(directives, "derlog", "free_divisor") and image is not None:
         ld = run.attempt(report, "derlog",
@@ -261,6 +274,9 @@ def _analyze_unfolding(run: _Run, name: str, U, directives,
             report.add("siersma", res.value, CERTIFIED,
                        "affine critical points; agreeing parameter values "
                        f"{res.witnesses[0]} and {res.witnesses[1]}")
+    elif U.r != 1:
+        _skip(report, directives, "siersma",
+              f"Siersma counts need 1 parameter, the unfolding has {U.r}")
 
     ge = None
     if _wants(directives, "M_F", "codim_Fe", "samuel", "verify"):

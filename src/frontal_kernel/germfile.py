@@ -9,6 +9,11 @@ Statements are semicolon-terminated; `#` starts a comment.  Supported:
     good_equation F = y2^2 - y1^3;
     assert_frontal_stable F;
     analyze f frontal wavefront image;
+
+The file is read with one cursor over one token list: `_ExprParser` holds
+it with the expression grammar, and the statement parser extends it, setting
+the ring each expression list is read in (the source ring, the unfolding
+ring or the target ring).
 """
 
 from __future__ import annotations
@@ -91,11 +96,13 @@ Statement = Union[RingStmt, WeightsStmt, MapStmt, UnfoldStmt,
 @dataclass
 class GermFile:
     statements: list[Statement]
-    source_ring: Optional[Ring]
-    weights: Optional[tuple[Fraction, ...]]
+    weights: Optional[tuple[Fraction, ...]]  # of the last ring, if weighted
     maps: dict[str, MapGerm]
     unfoldings: dict[str, UnfoldingSpec]
-    analyses: list[AnalyzeStmt]
+
+    @property
+    def analyses(self) -> list[AnalyzeStmt]:
+        return [s for s in self.statements if isinstance(s, AnalyzeStmt)]
 
 
 # ---------------------------------------------------------------------------
@@ -116,46 +123,43 @@ DIGITS = "0123456789"  # str.isdigit also accepts digits that int() rejects
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
+    line, line_start = 1, 0  # a column is i - line_start + 1
     i = 0
     while i < len(text):
         c = text[i]
         if c == "\n":
             line += 1
-            col = 1
             i += 1
+            line_start = i
         elif c in " \t\r":
-            col += 1
             i += 1
         elif c == "#":
             while i < len(text) and text[i] != "\n":
                 i += 1
         elif c.isalpha() or c == "_":
             start = i
-            startcol = col
             while i < len(text) and (text[i].isalnum() or text[i] == "_"):
                 i += 1
-                col += 1
-            tokens.append(Token("name", text[start:i], line, startcol))
+            tokens.append(Token("name", text[start:i], line,
+                                start - line_start + 1))
         elif c in DIGITS:
             start = i
-            startcol = col
             while i < len(text) and text[i] in DIGITS:
                 i += 1
-                col += 1
             limit = sys.get_int_max_str_digits()
             if limit and i - start > limit:
                 raise SyntaxErrorAt(
                     f"integer literal of {i - start} digits is longer than "
-                    f"{limit} digits", line, startcol)
-            tokens.append(Token("number", text[start:i], line, startcol))
+                    f"{limit} digits", line, start - line_start + 1)
+            tokens.append(Token("number", text[start:i], line,
+                                start - line_start + 1))
         elif c in PUNCT:
-            tokens.append(Token("punct", c, line, col))
+            tokens.append(Token("punct", c, line, i - line_start + 1))
             i += 1
-            col += 1
         else:
-            raise SyntaxErrorAt(f"unexpected character {c!r}", line, col)
-    tokens.append(Token("end", "", line, col))
+            raise SyntaxErrorAt(f"unexpected character {c!r}", line,
+                                i - line_start + 1)
+    tokens.append(Token("end", "", line, i - line_start + 1))
     return tokens
 
 
@@ -164,6 +168,9 @@ def tokenize(text: str) -> list[Token]:
 
 
 class _ExprParser:
+    """A cursor over a token list, and the expression grammar read with it
+    in ``self.ring``."""
+
     def __init__(self, tokens: list[Token], pos: int, ring_: Ring,
                  max_degree: int = DEFAULT_LIMITS.max_degree):
         self.tokens = tokens
@@ -179,9 +186,15 @@ class _ExprParser:
         self.pos += 1
         return tok
 
-    def error(self, message: str):
-        tok = self.peek()
+    def error(self, message: str, tok: Optional[Token] = None):
+        tok = tok or self.peek()
         raise SyntaxErrorAt(message, tok.line, tok.column)
+
+    def expect_punct(self, text: str) -> None:
+        tok = self.peek()
+        if not (tok.kind == "punct" and tok.text == text):
+            self.error(f"expected {text!r}")
+        self.take()
 
     def check_degree(self, degree: int, tok: Token,
                      what: str = "degree") -> None:
@@ -259,10 +272,7 @@ class _ExprParser:
         if tok.kind == "punct" and tok.text == "(":
             self.take()
             inner = self.parse_expr()
-            close = self.peek()
-            if not (close.kind == "punct" and close.text == ")"):
-                self.error("expected ')'")
-            self.take()
+            self.expect_punct(")")
             return inner
         sign = self.take_sign()
         if sign is not None:
@@ -275,40 +285,19 @@ class _ExprParser:
 # Statement parsing
 
 
-class _Parser:
+class _Parser(_ExprParser):
     def __init__(self, text: str, max_degree: int):
         lines = text.split("\n", 1)
         if lines[0].strip() != VERSION:
             raise SyntaxErrorAt(
                 f"missing or unsupported header (expected {VERSION!r})", 1, 1)
         body = lines[1] if len(lines) > 1 else ""
-        self.tokens = tokenize("\n" + body)  # keep line numbers aligned
-        self.pos = 0
+        # the leading newline keeps line numbers aligned with the file
+        super().__init__(tokenize("\n" + body), 0, None, max_degree)
         self.statements: list[Statement] = []
         self.source_ring: Optional[Ring] = None
-        self.weights: Optional[tuple[Fraction, ...]] = None
         self.maps: dict[str, MapGerm] = {}
         self.unfoldings: dict[str, UnfoldingSpec] = {}
-        self.analyses: list[AnalyzeStmt] = []
-        self.max_degree = max_degree
-
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def take(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def error(self, message: str, tok: Optional[Token] = None):
-        tok = tok or self.peek()
-        raise SyntaxErrorAt(message, tok.line, tok.column)
-
-    def expect_punct(self, text: str) -> None:
-        tok = self.peek()
-        if not (tok.kind == "punct" and tok.text == text):
-            self.error(f"expected {text!r}")
-        self.take()
 
     def expect_name(self, what: str = "name") -> str:
         tok = self.peek()
@@ -326,8 +315,8 @@ class _Parser:
     def parse(self) -> GermFile:
         while self.peek().kind != "end":
             self.statement()
-        return GermFile(self.statements, self.source_ring, self.weights,
-                        self.maps, self.unfoldings, self.analyses)
+        weights = self.source_ring.weights if self.source_ring else None
+        return GermFile(self.statements, weights, self.maps, self.unfoldings)
 
     def statement(self) -> None:
         tok = self.peek()
@@ -348,24 +337,20 @@ class _Parser:
         handler()
         self.expect_punct(";")
 
-    def name_list(self) -> tuple[str, ...]:
-        names = [self.expect_name()]
+    def comma_list(self, item) -> tuple:
+        """One or more items, each read by item(), separated by ','."""
+        items = [item()]
         while self.peek().kind == "punct" and self.peek().text == ",":
             self.take()
-            names.append(self.expect_name())
-        return tuple(names)
+            items.append(item())
+        return tuple(items)
 
     def expr_list(self, ring_: Ring) -> tuple[Poly, ...]:
-        sub = _ExprParser(self.tokens, self.pos, ring_, self.max_degree)
-        exprs = [sub.parse_expr()]
-        while (sub.peek().kind == "punct" and sub.peek().text == ","):
-            sub.take()
-            exprs.append(sub.parse_expr())
-        self.pos = sub.pos
-        return tuple(exprs)
+        self.ring = ring_
+        return self.comma_list(self.parse_expr)
 
     def ring_stmt(self) -> None:
-        names = self.name_list()
+        names = self.comma_list(self.expect_name)
         try:
             self.source_ring = ring(*names, local=True)
         except ValueError as exc:
@@ -375,32 +360,26 @@ class _Parser:
     def weights_stmt(self) -> None:
         if self.source_ring is None:
             self.error("weights before any ring declaration")
-        values = []
-        while True:
-            tok = self.peek()
-            if tok.kind != "number" or int(tok.text) == 0:
-                self.error("expected a positive integer weight")
-            self.take()
-            num = int(tok.text)
-            if self.peek().kind == "punct" and self.peek().text == "/":
-                self.take()
-                den = self.peek()
-                if den.kind != "number" or int(den.text) == 0:
-                    self.error("expected a positive denominator")
-                self.take()
-                values.append(Fraction(num, int(den.text)))
-            else:
-                values.append(Fraction(num))
-            if self.peek().kind == "punct" and self.peek().text == ",":
-                self.take()
-            else:
-                break
+        values = self.comma_list(self.weight)
         if len(values) != self.source_ring.arity:
             self.error(f"{self.source_ring.arity} weights required")
-        self.weights = tuple(values)
         self.source_ring = ring(*self.source_ring.names, local=True,
-                                weights=self.weights)
-        self.statements.append(WeightsStmt(tuple(values)))
+                                weights=values)
+        self.statements.append(WeightsStmt(values))
+
+    def weight(self) -> Fraction:
+        tok = self.peek()
+        if tok.kind != "number" or int(tok.text) == 0:
+            self.error("expected a positive integer weight")
+        self.take()
+        if not (self.peek().kind == "punct" and self.peek().text == "/"):
+            return Fraction(int(tok.text))
+        self.take()
+        den = self.peek()
+        if den.kind != "number" or int(den.text) == 0:
+            self.error("expected a positive denominator")
+        self.take()
+        return Fraction(int(tok.text), int(den.text))
 
     def map_stmt(self) -> None:
         if self.source_ring is None:
@@ -429,7 +408,7 @@ class _Parser:
         if base is None:
             self.error(f"undeclared map {base_name!r}")
         self.expect_keyword("params")
-        params = self.name_list()
+        params = self.comma_list(self.expect_name)
         self.expect_punct(":")
         try:
             uring = ring(*base.source.names, *params, local=True)
@@ -449,12 +428,10 @@ class _Parser:
             self.error(f"undeclared unfolding {name!r}")
         self.expect_punct("=")
         try:
-            target = spec.target_ring()
+            self.ring = spec.target_ring()
         except ValueError as exc:
             self.error(str(exc))
-        sub = _ExprParser(self.tokens, self.pos, target, self.max_degree)
-        equation = sub.parse_expr()
-        self.pos = sub.pos
+        equation = self.parse_expr()
         self.unfoldings[name] = replace(spec, explicit_G=equation)
         self.statements.append(GoodEquationStmt(name, equation))
 
@@ -476,9 +453,7 @@ class _Parser:
             if d not in DIRECTIVES:
                 self.error(f"unknown directive {d!r}")
             directives.append(d)
-        stmt = AnalyzeStmt(name, tuple(directives))
-        self.analyses.append(stmt)
-        self.statements.append(stmt)
+        self.statements.append(AnalyzeStmt(name, tuple(directives)))
 
 
 def parse(text: str, max_degree: int = DEFAULT_LIMITS.max_degree) -> GermFile:
@@ -491,17 +466,13 @@ def parse(text: str, max_degree: int = DEFAULT_LIMITS.max_degree) -> GermFile:
 # Serializer (round-trip: serialize(parse(t)) reparses to the same AST)
 
 
-def _fraction(f: Fraction) -> str:
-    return str(f)
-
-
 def serialize(parsed: GermFile) -> str:
     lines = [VERSION]
     for stmt in parsed.statements:
         if isinstance(stmt, RingStmt):
             lines.append(f"ring {', '.join(stmt.names)};")
         elif isinstance(stmt, WeightsStmt):
-            lines.append(f"weights {', '.join(map(_fraction, stmt.weights))};")
+            lines.append(f"weights {', '.join(map(str, stmt.weights))};")
         elif isinstance(stmt, MapStmt):
             comps = ", ".join(str(c) for c in stmt.components)
             lines.append(f"map {stmt.name} = {comps};")

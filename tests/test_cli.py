@@ -352,6 +352,76 @@ def test_image_of_a_large_weight_ratio_is_quasihomogeneous(tmp_path, capsys):
     assert "image.quasihomogeneous\ttrue\t" in out
 
 
+@pytest.mark.parametrize("directive", ["derlog", "free_divisor"])
+def test_derlog_alone_computes_the_image_it_needs(tmp_path, capsys,
+                                                  directive):
+    text = ("frontal-kernel v1\nring x;\nmap f = x^3, x^4;\n"
+            f"analyze f {directive};\n")
+    assert main(["--format", "machine", "analyze", write(tmp_path, text)]) == 0
+    out = capsys.readouterr().out
+    assert "derlog.generators\t2\texact\t\n" in out
+    assert "derlog.free_divisor\ttrue\texact\t\n" in out
+
+
+@pytest.mark.parametrize("body, analyze, line", [
+    ("ring x, y;\nmap f = x, y^2, y^3;\n", "analyze f {};\n",
+     "plane_curve\tskipped\tnot-computed\tgerm is not a plane curve (n = 2)"),
+    ("ring x;\nmap f = x^2, x^3;\n"
+     "unfold F of f params s, t: x^2, x^3 + s*x + t*x;\n", "analyze F {};\n",
+     "siersma\tskipped\tnot-computed\tSiersma counts need 1 parameter, the "
+     "unfolding has 2"),
+    ("ring x, y;\nmap f = x, y^2, y^5 + x^3*y;\n", "analyze f {};\n",
+     "genfam\tskipped\tnot-computed\tgerm is not frontal"),
+], ids=["plane_curve-on-a-surface", "siersma-on-two-parameters",
+        "genfam-on-a-non-frontal-germ"])
+def test_a_named_directive_that_does_not_apply_says_why(tmp_path, capsys,
+                                                        body, analyze, line):
+    text = "frontal-kernel v1\n" + body
+    directive = line.split("\t")[0]
+    assert main(["--format", "machine", "analyze",
+                 write(tmp_path, text + analyze.format(directive))]) == 0
+    assert capsys.readouterr().out.endswith(line + "\n")
+    # under `all` only the analyses that apply run
+    assert main(["--format", "machine", "analyze",
+                 write(tmp_path, text + analyze.format("all"))]) == 0
+    assert f"\n{directive}\t" not in capsys.readouterr().out
+
+
+def test_analyze_all_runs_every_map_analysis(tmp_path, capsys):
+    text = E6.replace("frontal image mu plane_curve;", "all;")
+    assert main(["--format", "machine", "analyze", write(tmp_path, text)]) == 0
+    out = capsys.readouterr().out
+    for key in ("frontal", "wavefront", "mu", "plane_curve.codim_fe",
+                "conductor.colength", "hat_M", "genfam.hprime",
+                "derlog.free_divisor"):
+        assert f"\n{key}\t" in out
+
+
+def test_a_file_without_analyze_analyses_every_map_and_unfolding(
+        tmp_path, capsys):
+    text = "\n".join(line for line in E6.splitlines()
+                     if not line.startswith("analyze")) + "\n"
+    assert main(["--format", "machine", "analyze", write(tmp_path, text)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("report\tmap f\n")
+    assert "\nreport\tunfolding F\n" in out
+    assert "\nhat_M\t1\texact\t\n" in out
+    assert out.endswith("verify.verdict\tequality\texact\t\n")
+
+
+def test_verify_command(tmp_path, capsys):
+    e6 = str(cli._corpus_dir() / "e6.germ")
+    assert main(["--format", "machine", "verify", e6]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("report\tunfolding F\n")
+    assert "verify.verdict\tequality\t" in out
+    # a file with no unfolding has nothing to verify
+    text = "frontal-kernel v1\nring x;\nmap f = x^3, x^4;\n"
+    assert main(["--format", "machine", "verify", write(tmp_path, text)]) == 3
+    assert ("verify\tfailed\terror\tno unfolding declared in the input file"
+            in capsys.readouterr().out)
+
+
 def test_benchmark_tracer_finds_every_boundary():
     # bench/spans.py wraps library functions by name; a boundary deleted or
     # renamed in the library makes install() raise here, not in a traced run

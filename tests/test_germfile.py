@@ -1,6 +1,7 @@
 """Germ-file parsing, serialization, and syntax diagnostics."""
 
 import random
+import sys
 
 import pytest
 
@@ -84,6 +85,114 @@ def test_serialize_round_trip_weighted():
     assert "weights 2, 3/2;" in once
     assert serialize(parse(once)) == once
     assert parse(once).weights == parse(text).weights
+
+
+def test_a_new_ring_drops_the_weights():
+    parsed = parse("frontal-kernel v1\nring x;\nweights 2;\nring x, y;\n"
+                   "map f = x, y^2, y^3;\n")
+    assert parsed.weights is None
+    assert parsed.maps["f"].source.weights is None
+
+
+H = "frontal-kernel v1\n"
+_DIGITS = sys.get_int_max_str_digits()
+
+
+@pytest.mark.parametrize("text, line, column, message", [
+    pytest.param(H + f"ring x;\nmap f = x, {'7' * (_DIGITS + 1)}*x^2;\n",
+                 3, 12, f"integer literal of {_DIGITS + 1} digits is longer "
+                 f"than {_DIGITS} digits", id="long-literal"),
+    pytest.param(H + "ring x;\nmap f = x$, x^2;\n", 3, 10,
+                 "unexpected character '$'", id="unexpected-character"),
+    pytest.param(H + "ring x;\nmap f = x/x, x^2;\n", 3, 12,
+                 "division requires a nonzero constant divisor",
+                 id="division-by-variable"),
+    pytest.param(H + "ring x;\nmap f = x^, x^2;\n", 3, 11,
+                 "exponent must be a nonnegative integer",
+                 id="missing-exponent"),
+    pytest.param(H + "ring x;\nmap f = x, z^2;\n", 3, 12,
+                 "undeclared variable 'z' (known: x)",
+                 id="undeclared-variable"),
+    pytest.param(H + "ring x;\nmap f = (x + x^2, x^3;\n", 3, 17,
+                 "expected ')'", id="unclosed-parenthesis"),
+    pytest.param(H + "ring x;\nmap f = x*, x^2;\n", 3, 11,
+                 "expected a variable, number, or '('", id="missing-operand"),
+    pytest.param("ring x;\n", 1, 1,
+                 "missing or unsupported header (expected 'frontal-kernel "
+                 "v1')", id="missing-header"),
+    pytest.param(H + "ring x\nmap f = x^2, x^3;\n", 3, 1, "expected ';'",
+                 id="missing-semicolon"),
+    pytest.param(H + "ring x;\nmap = x^2, x^3;\n", 3, 5,
+                 "expected a map name", id="missing-name"),
+    pytest.param(H + "ring x;\nmap f = x^2, x^3;\n"
+                 "unfold F from f params t: x^2, x^3;\n", 4, 10,
+                 "expected keyword 'of'", id="missing-keyword"),
+    pytest.param(H + "ring x;\n; map f = x^2, x^3;\n", 3, 1,
+                 "expected a statement keyword", id="statement-not-a-name"),
+    pytest.param(H + "ring x;\nmapp f = x^2, x^3;\n", 3, 1,
+                 "unknown statement 'mapp'", id="unknown-statement"),
+    pytest.param(H + "ring x, x;\n", 2, 10,
+                 "duplicate variable names: ('x', 'x')",
+                 id="repeated-variable"),
+    pytest.param(H + "weights 1;\n", 2, 9,
+                 "weights before any ring declaration",
+                 id="weights-before-ring"),
+    pytest.param(H + "ring x, y;\nweights 0, 1;\n", 3, 9,
+                 "expected a positive integer weight", id="zero-weight"),
+    pytest.param(H + "ring x, y;\nweights 1/0, 1;\n", 3, 11,
+                 "expected a positive denominator", id="zero-denominator"),
+    pytest.param(H + "ring x, y;\nweights 1, 2, 3;\n", 3, 16,
+                 "2 weights required", id="wrong-weight-count"),
+    pytest.param(H + "map f = x^2, x^3;\n", 2, 5,
+                 "map before any ring declaration", id="map-before-ring"),
+    pytest.param(H + "ring x;\nmap f = x^2, x^3;\nmap f = x^2, x^5;\n", 4, 7,
+                 "duplicate definition of 'f'", id="duplicate-map"),
+    pytest.param(H + "ring x;\nmap f = x^2, x^3, x^5;\n", 3, 22,
+                 "expected 2 components, got 3", id="wrong-component-count"),
+    pytest.param(H + "ring x;\nmap f = x^2 + 1, x^3;\n", 3, 21,
+                 "components must vanish at the origin",
+                 id="component-off-origin"),
+    pytest.param(H + "ring x;\nmap f = x^2, x^3;\n"
+                 "unfold f of f params t: x^2, x^3;\n", 4, 10,
+                 "duplicate definition of 'f'", id="duplicate-unfolding"),
+    pytest.param(H + "ring x;\nunfold F of f params t: x^2, x^3;\n", 3, 15,
+                 "undeclared map 'f'", id="undeclared-map"),
+    pytest.param(H + "ring x;\nmap f = x^2, x^3;\n"
+                 "unfold F of f params x: x^2, x^3;\n", 4, 25,
+                 "duplicate variable names: ('x', 'x')",
+                 id="param-is-source-variable"),
+    pytest.param(H + "ring x;\nmap f = x^2, x^3;\n"
+                 "unfold F of f params t: x^2, x^5 + t*x;\n", 4, 39,
+                 "setting the parameters to 0 does not recover the base germ",
+                 id="unfolding-misses-base"),
+    pytest.param(H + "ring x;\nmap f = x^2, x^3;\n"
+                 "good_equation F = y2^2 - y1^3;\n", 4, 17,
+                 "undeclared unfolding 'F'", id="good-equation-undeclared"),
+    pytest.param(H + "ring x;\nmap f = x^2, x^3;\n"
+                 "unfold F of f params y1: x^2, x^3;\n"
+                 "good_equation F = y2^2 - y1^3;\n", 5, 19,
+                 "duplicate variable names: ('y1', 'y2', 'y1')",
+                 id="param-is-target-variable"),
+    pytest.param(H + "ring x;\nassert_frontal_stable F;\n", 3, 24,
+                 "undeclared unfolding 'F'", id="assert-undeclared"),
+    pytest.param(H + "ring x;\nanalyze f frontal;\n", 3, 11,
+                 "undeclared map or unfolding 'f'", id="analyze-undeclared"),
+    pytest.param(H + "ring x;\nmap f = x^2, x^3;\nanalyze f bogus;\n", 4, 16,
+                 "unknown directive 'bogus'", id="unknown-directive"),
+])
+def test_each_syntax_error_site_gives_its_message_and_position(
+        text, line, column, message):
+    # one malformed input per place the parser raises SyntaxErrorAt
+    with pytest.raises(SyntaxErrorAt) as exc:
+        parse(text)
+    assert (str(exc.value), exc.value.line, exc.value.column) == \
+        (f"line {line}, column {column}: {message}", line, column)
+
+
+def test_the_end_of_a_file_ending_in_a_comment_is_its_last_column():
+    with pytest.raises(SyntaxErrorAt) as exc:
+        parse(H + "ring x # no semicolon")
+    assert str(exc.value) == "line 2, column 22: expected ';'"
 
 
 def test_a_flat_sum_is_merged_and_sorted_once(monkeypatch):
