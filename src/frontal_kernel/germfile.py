@@ -18,10 +18,12 @@ ring or the target ring).
 
 from __future__ import annotations
 
+import re
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Union
+from operator import add
+from typing import NamedTuple, Optional, Union
 
 from .basis import DEFAULT_LIMITS, ResourceLimitError
 from .germs import MapGerm, germ
@@ -109,62 +111,64 @@ class GermFile:
 # Tokenizer
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str       # name, number, punct, end
     text: str
     line: int
     column: int
 
 
-PUNCT = set(";,=:+-*/^()")
-DIGITS = "0123456789"  # str.isdigit also accepts digits that int() rejects
+# One match per token, run of blanks or comment.  A name starts with a letter
+# or '_' and goes on with letters, digits or '_': \w is exactly
+# str.isalnum() or '_', but [^\W\d] also admits numeric characters such as
+# '²', which tokenize rejects as a name's first character.  Numbers are ASCII
+# digits only (int() would also read other decimal digits).
+_TOKEN = re.compile(r"[ \t\r]+|#.*|(?P<name>[^\W\d]\w*)|(?P<number>[0-9]+)"
+                    r"|(?P<punct>[;,=:+\-*/^()])|(?P<other>.)")
 
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    line, line_start = 1, 0  # a column is i - line_start + 1
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c == "\n":
-            line += 1
-            i += 1
-            line_start = i
-        elif c in " \t\r":
-            i += 1
-        elif c == "#":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-        elif c.isalpha() or c == "_":
-            start = i
-            while i < len(text) and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            tokens.append(Token("name", text[start:i], line,
-                                start - line_start + 1))
-        elif c in DIGITS:
-            start = i
-            while i < len(text) and text[i] in DIGITS:
-                i += 1
-            limit = sys.get_int_max_str_digits()
-            if limit and i - start > limit:
+    limit = sys.get_int_max_str_digits()
+    new_token = tuple.__new__  # Token(...) without its Python-level __new__
+    lines = text.split("\n")
+    for line, source in enumerate(lines, 1):
+        for m in _TOKEN.finditer(source):
+            kind = m.lastgroup
+            if kind is None:
+                continue
+            word, column = m.group(), m.start() + 1
+            if kind == "other" or kind == "name" and not (
+                    word[0].isalpha() or word[0] == "_"):
+                raise SyntaxErrorAt(f"unexpected character {word[0]!r}",
+                                    line, column)
+            if kind == "number" and limit and len(word) > limit:
                 raise SyntaxErrorAt(
-                    f"integer literal of {i - start} digits is longer than "
-                    f"{limit} digits", line, start - line_start + 1)
-            tokens.append(Token("number", text[start:i], line,
-                                start - line_start + 1))
-        elif c in PUNCT:
-            tokens.append(Token("punct", c, line, i - line_start + 1))
-            i += 1
-        else:
-            raise SyntaxErrorAt(f"unexpected character {c!r}", line,
-                                i - line_start + 1)
-    tokens.append(Token("end", "", line, i - line_start + 1))
+                    f"integer literal of {len(word)} digits is longer than "
+                    f"{limit} digits", line, column)
+            tokens.append(new_token(Token, (kind, word, line, column)))
+    tokens.append(Token("end", "", len(lines), len(lines[-1]) + 1))
     return tokens
 
 
 # ---------------------------------------------------------------------------
 # Expression parsing (sum of products; '/' needs a constant divisor)
+#
+# A term whose factors are numbers, variables or their powers is read as a
+# monomial (exponents, coefficient): '*' adds exponents, '^' scales them and
+# '/' divides the coefficient, an int until then.  A parenthesised factor is
+# a Poly, and so is every product it enters.  A sum is merged and sorted
+# once, with one Fraction per monomial term.  A punctuation token is known by
+# its text alone.
+
+Monomial = tuple[tuple[int, ...], Union[int, Fraction]]
+
+
+def _degree(factor: Union[Monomial, Poly]) -> int:
+    """Total degree; -1 for zero, as for the zero Poly."""
+    if isinstance(factor, Poly):
+        return factor.total_degree()
+    return sum(factor[0]) if factor[1] else -1
 
 
 class _ExprParser:
@@ -177,6 +181,19 @@ class _ExprParser:
         self.pos = pos
         self.ring = ring_
         self.max_degree = max_degree
+
+    @property
+    def ring(self) -> Ring:
+        return self._ring
+
+    @ring.setter
+    def ring(self, ring_: Ring) -> None:
+        # with the exponents of a constant and of each variable of the ring
+        self._ring = ring_
+        names = ring_.names if ring_ is not None else ()
+        self.const_exp = (0,) * len(names)
+        self.var_exp = {name: tuple(int(i == j) for j in range(len(names)))
+                        for i, name in enumerate(names)}
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -204,80 +221,107 @@ class _ExprParser:
                 f"line {tok.line}, column {tok.column}: {what} {degree} "
                 f"exceeds limit {self.max_degree}")
 
+    def poly(self, factor: Union[Monomial, Poly]) -> Poly:
+        if isinstance(factor, Poly):
+            return factor
+        return self.ring.monomial(*factor)
+
     def parse_expr(self) -> Poly:
         """A signed sum of terms, merged and sorted once at the end."""
         terms = []
         sign = self.take_sign()
         while True:
-            terms += [(e, -c if sign == "-" else c)
-                      for e, c in self.parse_term().terms]
+            term = self.parse_term()
+            if isinstance(term, Poly):
+                terms += [(e, -c if sign == "-" else c) for e, c in term.terms]
+            elif term[1]:
+                terms.append((term[0], Fraction(-term[1] if sign == "-"
+                                                else term[1])))
             sign = self.take_sign()
             if sign is None:
                 return self.ring.from_terms(terms)
 
     def take_sign(self) -> Optional[str]:
         """Consume a leading '+' or '-' and return it, else None."""
-        tok = self.peek()
-        if tok.kind == "punct" and tok.text in "+-":
-            self.take()
+        tok = self.tokens[self.pos]
+        if tok.text == "+" or tok.text == "-":
+            self.pos += 1
             return tok.text
         return None
 
-    def parse_term(self) -> Poly:
+    def parse_term(self) -> Union[Monomial, Poly]:
         acc = self.parse_power()
         while True:
-            tok = self.peek()
-            if tok.kind == "punct" and tok.text == "*":
-                self.take()
+            tok = self.tokens[self.pos]
+            if tok.text == "*":
+                self.pos += 1
                 factor = self.parse_power()
-                self.check_degree(acc.total_degree() + factor.total_degree(),
-                                  tok)
-                acc = acc * factor
-            elif tok.kind == "punct" and tok.text == "/":
-                self.take()
+                self.check_degree(_degree(acc) + _degree(factor), tok)
+                if isinstance(acc, Poly) or isinstance(factor, Poly):
+                    acc = self.poly(acc) * self.poly(factor)
+                else:
+                    acc = (tuple(map(add, acc[0], factor[0])),
+                           acc[1] * factor[1])
+            elif tok.text == "/":
+                self.pos += 1
                 divisor = self.parse_power()
-                if not divisor.is_constant() or divisor.is_zero():
+                if isinstance(divisor, Poly):
+                    c = divisor.constant_term() if divisor.is_constant() else 0
+                else:
+                    c = 0 if any(divisor[0]) else divisor[1]
+                if not c:
                     self.error("division requires a nonzero constant divisor")
-                acc = acc.scale(Fraction(1) / divisor.constant_term())
+                if isinstance(acc, Poly):
+                    acc = acc.scale(Fraction(1) / c)
+                else:
+                    acc = (acc[0], Fraction(acc[1], c))
             else:
                 return acc
 
-    def parse_power(self) -> Poly:
+    def parse_power(self) -> Union[Monomial, Poly]:
         base = self.parse_atom()
-        tok = self.peek()
-        if tok.kind == "punct" and tok.text == "^":
-            self.take()
-            exp = self.peek()
-            if exp.kind != "number":
-                self.error("exponent must be a nonnegative integer")
-            self.take()
-            power = int(exp.text)
-            self.check_degree(base.total_degree() * power, tok)
-            # a constant base has degree 0, but its power still grows
-            self.check_degree(power, tok, "exponent")
+        tok = self.tokens[self.pos]
+        if tok.text != "^":
+            return base
+        self.pos += 1
+        exp = self.tokens[self.pos]
+        if exp.kind != "number":
+            self.error("exponent must be a nonnegative integer")
+        self.pos += 1
+        power = int(exp.text)
+        self.check_degree(_degree(base) * power, tok)
+        # a constant base has degree 0, but its power still grows
+        self.check_degree(power, tok, "exponent")
+        if isinstance(base, Poly):
             return base ** power
-        return base
+        return tuple([a * power for a in base[0]]), base[1] ** power
 
-    def parse_atom(self) -> Poly:
-        tok = self.peek()
+    def parse_atom(self) -> Union[Monomial, Poly]:
+        tok = self.tokens[self.pos]
         if tok.kind == "number":
-            self.take()
-            return self.ring.const(int(tok.text))
+            self.pos += 1
+            return self.const_exp, int(tok.text)
         if tok.kind == "name":
-            if tok.text not in self.ring.names:
+            exp = self.var_exp.get(tok.text)
+            if exp is None:
                 self.error(f"undeclared variable {tok.text!r} "
                            f"(known: {', '.join(self.ring.names)})")
-            self.take()
-            return self.ring.var(self.ring.index(tok.text))
-        if tok.kind == "punct" and tok.text == "(":
-            self.take()
+            self.pos += 1
+            return exp, 1
+        if tok.text == "(":
+            self.pos += 1
             inner = self.parse_expr()
             self.expect_punct(")")
             return inner
         sign = self.take_sign()
         if sign is not None:
             # unary sign inside a term
-            return self.parse_power().scale(-1 if sign == "-" else 1)
+            factor = self.parse_power()
+            if sign == "+":
+                return factor
+            if isinstance(factor, Poly):
+                return -factor
+            return factor[0], -factor[1]
         self.error("expected a variable, number, or '('")
 
 

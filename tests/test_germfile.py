@@ -2,6 +2,7 @@
 
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -218,6 +219,106 @@ def test_a_flat_sum_is_merged_and_sorted_once(monkeypatch):
         expected = expected + (x ** k * y ** (n - k)).scale(
             -(k + 1) if k % 3 else k + 1)
     assert p.terms == expected.terms
+
+
+M = H + "ring x, y;\nmap f = x, {}, y^2;\n"
+
+
+@pytest.mark.parametrize("component, error, message", [
+    # a zero coefficient keeps the degree of the zero polynomial, -1
+    ("0*x^80*x^80", SyntaxErrorAt,
+     "line 3, column 28: identically-zero component (not a finite germ)"),
+    ("x^80*x", ResourceLimitError,
+     "line 3, column 16: degree 81 exceeds limit 80"),
+    ("2^81", ResourceLimitError,
+     "line 3, column 13: exponent 81 exceeds limit 80"),
+    ("x/0", SyntaxErrorAt,
+     "line 3, column 15: division requires a nonzero constant divisor"),
+])
+def test_products_and_powers_of_monomials_keep_their_checks(
+        component, error, message):
+    with pytest.raises(error) as exc:
+        parse(M.format(component))
+    assert str(exc.value) == message
+
+
+def test_signs_and_zero_powers_of_monomials_parse():
+    R = ring("x", "y", local=True)
+    x, y = R.gens()
+    assert parse(M.format("-x*-2")).maps["f"].components[1] == x.scale(2)
+    assert parse(M.format("0^0*x")).maps["f"].components[1] == x
+
+
+def test_a_name_starts_with_a_letter_and_goes_on_with_any_alphanumeric():
+    with pytest.raises(SyntaxErrorAt) as exc:
+        parse(H + "ring \u00b2;\n")
+    assert str(exc.value) == "line 2, column 6: unexpected character '\u00b2'"
+    assert parse(H + "ring x\u00b2;\n").statements[0].names == ("x\u00b2",)
+
+
+def _expression(rng, R, depth):
+    """(text, value) of a random signed sum; the value is built with Poly
+    arithmetic, as the reference for the parser's own."""
+    texts, value = [], R.zero()
+    for k in range(rng.randint(1, 3)):
+        sign = rng.choice("+-" if k else ("", "+", "-"))
+        text, term = _term(rng, R, depth)
+        texts.append(f"{sign} {text}" if sign else text)
+        value = value - term if sign == "-" else value + term
+    return " ".join(texts), value
+
+
+def _term(rng, R, depth):
+    text, value = _power(rng, R, depth)
+    for _ in range(rng.randint(0, 2)):
+        if rng.random() < 0.3:
+            n = rng.randint(1, 4)
+            divisor, c = rng.choice([(f"{n}", n), (f"({n})", n),
+                                     (f"-{n}", -n), (f"{n}^2", n * n)])
+            text, value = f"{text}/{divisor}", value.scale(Fraction(1, c))
+        else:
+            factor, f = _power(rng, R, depth)
+            text, value = f"{text}*{factor}", value * f
+    return text, value
+
+
+def _power(rng, R, depth):
+    text, value = _atom(rng, R, depth)
+    # after a unary sign, '^' binds to the signed power: -x^2 is -(x^2)
+    if text[0] not in "+-" and rng.random() < 0.3:
+        k = rng.randint(0, 3)
+        return f"{text}^{k}", value ** k
+    return text, value
+
+
+def _atom(rng, R, depth):
+    r = rng.random()
+    if depth and r < 0.2:
+        text, value = _expression(rng, R, depth - 1)
+        return f"({text})", value
+    if r < 0.3:
+        sign = rng.choice("+-")
+        text, value = _power(rng, R, depth)
+        return f"{sign}{text}", -value if sign == "-" else value
+    if r < 0.55:
+        n = rng.randint(0, 5)
+        return str(n), R.const(n)
+    name = rng.choice(R.names)
+    return name, R.var(R.index(name))
+
+
+def test_expressions_parse_to_their_value_built_with_poly_arithmetic():
+    # seeded: sums, products, powers, parentheses, '/' by constants and
+    # unary signs, against the same expression evaluated with Poly
+    R = ring("x", "y", "z", local=True)
+    rng = random.Random(23)
+    for _ in range(400):
+        text, expected = _expression(rng, R, 2)
+        tokens = tokenize(text)
+        parser = _ExprParser(tokens, 0, R, max_degree=10 ** 6)
+        p = parser.parse_expr()
+        assert (p.ring, p.terms) == (R, expected.terms), text
+        assert parser.pos == len(tokens) - 1, text
 
 
 def _token_soup(rng):

@@ -17,6 +17,15 @@ this is the byte-identity check for a change that must not move an output.
 also prints, before each workload line, one line per item: its name, its
 exit code and the sha256 of its stdout, so that two checkouts whose
 workload lines differ can be compared item by item.
+
+    python3 tools/output_digest.py --seeds 1 2 --parse
+
+parses every item's germ file with `frontal_kernel.germfile.parse` instead
+of running it, and prints one line per seed: the file count and a sha256
+over the outcomes of all three workloads (the corpus workload is the eight
+corpus fixtures).  An outcome is `serialize(parse(text))`, or the error's
+class, message, line and column.  Two checkouts that print the same lines
+parse every file alike: this is the parity check for a parser change.
 """
 
 from __future__ import annotations
@@ -34,14 +43,17 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "bench"))
 
 import workloads  # noqa: E402
-from frontal_kernel import cli  # noqa: E402
+from frontal_kernel import cli, germfile  # noqa: E402
+
+
+def items(workload: str, seed: int):
+    return workloads.generate(workload, seed,
+                              ROOT / "src" / "frontal_kernel" / "corpus")
 
 
 def outcomes(workload: str, seed: int, workdir: Path):
     """(item name, stdout, exit code) of each item of one workload."""
-    items = workloads.generate(workload, seed,
-                               ROOT / "src" / "frontal_kernel" / "corpus")
-    for i, item in enumerate(items):
+    for i, item in enumerate(items(workload, seed)):
         path = workdir / f"{i:03d}.germ"
         path.write_text(item.text, encoding="utf-8")
         out = io.StringIO()
@@ -53,12 +65,43 @@ def outcomes(workload: str, seed: int, workdir: Path):
         yield item.name, out.getvalue(), code
 
 
+def parse_outcome(text: str) -> str:
+    """serialize(parse(text)), or the error raised, with its position."""
+    try:
+        return germfile.serialize(germfile.parse(text))
+    except Exception as exc:  # a traceback is an outcome to compare too
+        return (f"raised {type(exc).__name__}: {exc} (line "
+                f"{getattr(exc, 'line', None)}, column "
+                f"{getattr(exc, 'column', None)})\n")
+
+
+def parse_digest(seed: int, show_items: bool) -> None:
+    sha, count = hashlib.sha256(), 0
+    for workload in workloads.WORKLOADS:
+        for item in items(workload, seed):
+            outcome = parse_outcome(item.text)
+            sha.update(outcome.encode("utf-8"))
+            count += 1
+            if show_items:
+                item_sha = hashlib.sha256(outcome.encode("utf-8"))
+                print(f"seed {seed}\tparse\t{workload}\t{item.name}\t"
+                      f"{item_sha.hexdigest()}", flush=True)
+    print(f"seed {seed}\tparse\t{count} files\t{sha.hexdigest()}",
+          flush=True)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[1])
     parser.add_argument("--items", action="store_true",
                         help="also print one line per item")
+    parser.add_argument("--parse", action="store_true",
+                        help="digest parse outcomes instead of CLI outputs")
     args = parser.parse_args(argv)
+    if args.parse:
+        for seed in args.seeds:
+            parse_digest(seed, args.items)
+        return 0
     with tempfile.TemporaryDirectory() as tmp:
         for seed in args.seeds:
             for workload in workloads.WORKLOADS:
