@@ -394,43 +394,52 @@ class _Parser(_ExprParser):
         return self.comma_list(self.parse_expr)
 
     def ring_stmt(self) -> None:
+        start = self.pos
         names = self.comma_list(self.expect_name)
         try:
             self.source_ring = ring(*names, local=True)
         except ValueError as exc:
-            self.error(str(exc))
+            # at the first repeated name; the names are every other token
+            i = next(i for i, name in enumerate(names) if name in names[:i])
+            self.error(str(exc), self.tokens[start + 2 * i])
         self.statements.append(RingStmt(names))
 
     def weights_stmt(self) -> None:
         if self.source_ring is None:
             self.error("weights before any ring declaration")
-        values = self.comma_list(self.weight)
-        if len(values) != self.source_ring.arity:
-            self.error(f"{self.source_ring.arity} weights required")
+        arity = self.source_ring.arity
+        read = self.comma_list(self.weight)
+        if len(read) != arity:
+            # at the first weight too many, or at the end of too few
+            self.error(f"{arity} weights required",
+                       read[arity][0] if len(read) > arity else None)
+        values = tuple(value for _, value in read)
         self.source_ring = ring(*self.source_ring.names, local=True,
                                 weights=values)
         self.statements.append(WeightsStmt(values))
 
-    def weight(self) -> Fraction:
+    def weight(self) -> tuple[Token, Fraction]:
+        """A positive weight, with its first token."""
         tok = self.peek()
         if tok.kind != "number" or int(tok.text) == 0:
             self.error("expected a positive integer weight")
         self.take()
         if not (self.peek().kind == "punct" and self.peek().text == "/"):
-            return Fraction(int(tok.text))
+            return tok, Fraction(int(tok.text))
         self.take()
         den = self.peek()
         if den.kind != "number" or int(den.text) == 0:
             self.error("expected a positive denominator")
         self.take()
-        return Fraction(int(tok.text), int(den.text))
+        return tok, Fraction(int(tok.text), int(den.text))
 
     def map_stmt(self) -> None:
         if self.source_ring is None:
             self.error("map before any ring declaration")
+        tok = self.peek()
         name = self.expect_name("map name")
         if name in self.maps or name in self.unfoldings:
-            self.error(f"duplicate definition of {name!r}")
+            self.error(f"duplicate definition of {name!r}", tok)
         self.expect_punct("=")
         comps = self.expr_list(self.source_ring)
         if len(comps) != self.source_ring.arity + 1:
@@ -458,11 +467,12 @@ class _Parser(_ExprParser):
             uring = ring(*base.source.names, *params, local=True)
         except ValueError as exc:
             self.error(str(exc))
+        first = self.peek()
         comps = self.expr_list(uring)
         try:
             self.unfoldings[name] = unfolding(base, params, comps)
         except (ValueError, InvariantError) as exc:
-            self.error(str(exc))
+            self.error(str(exc), first)
         self.statements.append(UnfoldStmt(name, base_name, params, comps))
 
     def good_equation_stmt(self) -> None:
@@ -493,10 +503,10 @@ class _Parser(_ExprParser):
             self.error(f"undeclared map or unfolding {name!r}")
         directives = []
         while self.peek().kind == "name":
-            d = self.take().text
-            if d not in DIRECTIVES:
-                self.error(f"unknown directive {d!r}")
-            directives.append(d)
+            tok = self.take()
+            if tok.text not in DIRECTIVES:
+                self.error(f"unknown directive {tok.text!r}", tok)
+            directives.append(tok.text)
         self.statements.append(AnalyzeStmt(name, tuple(directives)))
 
 

@@ -132,7 +132,7 @@ _DIGITS = sys.get_int_max_str_digits()
                  "expected a statement keyword", id="statement-not-a-name"),
     pytest.param(H + "ring x;\nmapp f = x^2, x^3;\n", 3, 1,
                  "unknown statement 'mapp'", id="unknown-statement"),
-    pytest.param(H + "ring x, x;\n", 2, 10,
+    pytest.param(H + "ring x, x;\n", 2, 9,
                  "duplicate variable names: ('x', 'x')",
                  id="repeated-variable"),
     pytest.param(H + "weights 1;\n", 2, 9,
@@ -142,11 +142,11 @@ _DIGITS = sys.get_int_max_str_digits()
                  "expected a positive integer weight", id="zero-weight"),
     pytest.param(H + "ring x, y;\nweights 1/0, 1;\n", 3, 11,
                  "expected a positive denominator", id="zero-denominator"),
-    pytest.param(H + "ring x, y;\nweights 1, 2, 3;\n", 3, 16,
+    pytest.param(H + "ring x, y;\nweights 1, 2, 3;\n", 3, 15,
                  "2 weights required", id="wrong-weight-count"),
     pytest.param(H + "map f = x^2, x^3;\n", 2, 5,
                  "map before any ring declaration", id="map-before-ring"),
-    pytest.param(H + "ring x;\nmap f = x^2, x^3;\nmap f = x^2, x^5;\n", 4, 7,
+    pytest.param(H + "ring x;\nmap f = x^2, x^3;\nmap f = x^2, x^5;\n", 4, 5,
                  "duplicate definition of 'f'", id="duplicate-map"),
     pytest.param(H + "ring x;\nmap f = x^2, x^3, x^5;\n", 3, 22,
                  "expected 2 components, got 3", id="wrong-component-count"),
@@ -163,7 +163,7 @@ _DIGITS = sys.get_int_max_str_digits()
                  "duplicate variable names: ('x', 'x')",
                  id="param-is-source-variable"),
     pytest.param(H + "ring x;\nmap f = x^2, x^3;\n"
-                 "unfold F of f params t: x^2, x^5 + t*x;\n", 4, 39,
+                 "unfold F of f params t: x^2, x^5 + t*x;\n", 4, 25,
                  "setting the parameters to 0 does not recover the base germ",
                  id="unfolding-misses-base"),
     pytest.param(H + "ring x;\nmap f = x^2, x^3;\n"
@@ -178,7 +178,7 @@ _DIGITS = sys.get_int_max_str_digits()
                  "undeclared unfolding 'F'", id="assert-undeclared"),
     pytest.param(H + "ring x;\nanalyze f frontal;\n", 3, 11,
                  "undeclared map or unfolding 'f'", id="analyze-undeclared"),
-    pytest.param(H + "ring x;\nmap f = x^2, x^3;\nanalyze f bogus;\n", 4, 16,
+    pytest.param(H + "ring x;\nmap f = x^2, x^3;\nanalyze f bogus;\n", 4, 11,
                  "unknown directive 'bogus'", id="unknown-directive"),
 ])
 def test_each_syntax_error_site_gives_its_message_and_position(
