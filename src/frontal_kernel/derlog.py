@@ -9,7 +9,8 @@ from typing import Optional, Sequence
 from .basis import (DEFAULT_LIMITS, Limits, membership, membership_certificate,
                     minimal_subset, std, syzygies)
 from .germs import poly_det
-from .ring import Poly, Ring, exact_divide, quasihomogeneous_weights
+from .ring import (Poly, Ring, _forms, _int_diff, _sum_of_products,
+                   exact_divide, quasihomogeneous_weights)
 
 
 class DerlogError(RuntimeError):
@@ -23,14 +24,27 @@ class LogField:
     coeffs: tuple[Poly, ...]
     cofactor: Poly
 
+    def _products(self, g: Poly) -> tuple[tuple[int, list], list]:
+        """The integer form of g, and the nonzero products (1, [c_i,
+        dg/dy_i]) of xi(g) as integer forms."""
+        form, *coeffs = _forms(g.ring, [g, *self.coeffs])
+        products = []
+        for i, c in enumerate(coeffs):
+            dg = _int_diff(form, i)
+            if c[1] and dg[1]:
+                products.append((1, [c, dg]))
+        return form, products
+
     def apply(self, g: Poly) -> Poly:
-        out = g.ring.zero()
-        for i, c in enumerate(self.coeffs):
-            out = out + c * g.diff(i)
-        return out
+        return _sum_of_products(g.ring, self._products(g)[1])
 
     def verify(self, g: Poly) -> bool:
-        return self.apply(g) == self.cofactor * g
+        """xi(g) = cofactor * g, as xi(g) - cofactor * g summed once."""
+        form, products = self._products(g)
+        cofactor, = _forms(g.ring, [self.cofactor])
+        if cofactor[1] and form[1]:
+            products.append((-1, [cofactor, form]))
+        return _sum_of_products(g.ring, products).is_zero()
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -9,7 +11,8 @@ from typing import Optional, Sequence
 from . import linalg
 from .basis import (DEFAULT_LIMITS, Limits, membership_certificate,
                     minimal_subset, std)
-from .ring import Poly, Ring, exact_divide, ring
+from .ring import (Poly, Ring, _forms, _int_diff, _sum_of_products,
+                   exact_divide, ring)
 
 
 class GermError(ValueError):
@@ -93,26 +96,45 @@ def multigerm(source: Ring, *branch_lists: Sequence[Poly]) -> MapGerm:
 # Jacobian data
 
 
+@functools.cache
+def _signed_permutations(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(sign, perm) for every permutation of range(n)."""
+    out = []
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+        out.append((-1 if inversions % 2 else 1, perm))
+    return tuple(out)
+
+
+def _leibniz(rows: list[list]) -> list:
+    """(sign, factors) for each term of the Leibniz expansion of a square
+    matrix of integer forms, leaving out every term with a zero factor:
+    the products of ``_sum_of_products`` that make its determinant."""
+    out = []
+    for sign, perm in _signed_permutations(len(rows)):
+        factors = [row[j] for row, j in zip(rows, perm)]
+        if all(terms for _, terms in factors):
+            out.append((sign, factors))
+    return out
+
+
 def poly_det(m: list[list[Poly]]) -> Poly:
-    size = len(m)
-    if size == 0:
+    """det m as one Leibniz sum of integer products."""
+    if not m:
         raise ValueError("empty matrix")
-    if size == 1:
-        return m[0][0]
     ring_ = m[0][0].ring
-    acc = ring_.zero()
-    for j in range(size):
-        minor = [row[:j] + row[j + 1:] for row in m[1:]]
-        term = m[0][j] * poly_det(minor)
-        acc = acc + term if j % 2 == 0 else acc - term
-    return acc
+    return _sum_of_products(ring_, _leibniz([_forms(ring_, row) for row in m]))
 
 
 def maximal_minors(comps: Sequence[Poly]) -> list[Poly]:
     """The n x n minors of the Jacobian matrix of the n + 1 components, in
-    n variables: entry i is the minor that deletes component i."""
-    rows = [[c.diff(j) for j in range(c.ring.arity)] for c in comps]
-    return [poly_det(rows[:i] + rows[i + 1:]) for i in range(len(rows))]
+    n variables: entry i is the minor that deletes component i.  The
+    partials are taken once, on the components' integer forms."""
+    ring_ = comps[0].ring
+    rows = [[_int_diff(form, j) for j in range(ring_.arity)]
+            for form in _forms(ring_, comps)]
+    return [_sum_of_products(ring_, _leibniz(rows[:i] + rows[i + 1:]))
+            for i in range(len(rows))]
 
 
 def _linear_part(p: Poly) -> list[Fraction]:

@@ -188,27 +188,85 @@ def fresh_names(stem: str, k: int, taken) -> tuple[str, ...]:
 # Products, substitution and derivatives run on integer numerators: each
 # operand is scaled once to integers over the least common denominator of
 # its coefficients, and one Fraction is formed per term of the result.
+# Substitution, the Jacobian minors and determinants of ``germs`` and the
+# logarithmic-field checks of ``derlog`` are each one sum of products of such
+# integer forms over one common denominator (``_sum_of_products``), with
+# partial derivatives taken on the forms (``_int_diff``).
 # ``Poly.terms`` always holds Fraction coefficients.
 
 
 def _numerators(terms) -> tuple[int, list]:
     """(D, [(e, n), ...]) with n/D the coefficient of x^e and D the least
-    common denominator of the terms."""
+    common denominator of the terms: the integer form of a Poly."""
     den = math.lcm(*[c.denominator for _, c in terms])
     if den == 1:
         return 1, [(e, c.numerator) for e, c in terms]
     return den, [(e, c.numerator * (den // c.denominator)) for e, c in terms]
 
 
-def _int_product(p: Iterable, q: Iterable) -> dict[tuple[int, ...], int]:
-    """{e: n} for the product of two sequences of integer terms (e, n);
-    a coefficient that cancels stays as 0."""
-    acc: dict[tuple[int, ...], int] = {}
+def _forms(ring_: Ring, polys: Iterable["Poly"]) -> list[tuple[int, list]]:
+    """The integer forms of polys, which must all live in ring_."""
+    out = []
+    for p in polys:
+        if p.ring is not ring_ and p.ring != ring_:
+            raise RingMismatchError(
+                f"rings differ: {ring_.names} vs {p.ring.names}")
+        out.append(_numerators(p.terms))
+    return out
+
+
+def _int_diff(form: tuple[int, list], var: int) -> tuple[int, list]:
+    """The partial derivative in variable ``var`` of an integer form, over
+    the same denominator; the surviving terms keep their order."""
+    den, terms = form
+    return den, [(e[:var] + (e[var] - 1,) + e[var + 1:], n * e[var])
+                 for e, n in terms if e[var]]
+
+
+def _int_product(p: Iterable, q: Iterable,
+                 acc: Optional[dict] = None) -> dict[tuple[int, ...], int]:
+    """{e: n} for the product of two sequences of integer terms (e, n),
+    added into acc when it is given; a coefficient that cancels stays as 0."""
+    if acc is None:
+        acc = {}
+    get = acc.get
     for e1, n1 in p:
         for e2, n2 in q:
             e = tuple(map(add, e1, e2))
-            acc[e] = acc.get(e, 0) + n1 * n2
+            acc[e] = get(e, 0) + n1 * n2
     return acc
+
+
+def _sum_of_products(target: Ring, products) -> "Poly":
+    """The sum of c * f_1 * ... * f_k over the products (c, [f_1, ..., f_k]),
+    with c an int or a Fraction and each f_i an integer form (D, [(e, n)]).
+
+    The sum is taken in integers over the lcm of the products'
+    denominators, in one accumulator that each product's last factor
+    multiplies into: one sort and one Fraction per term of the result.
+    """
+    dens = []
+    for c, factors in products:
+        d = c.denominator
+        for f in factors:
+            d *= f[0]
+        dens.append(d)
+    den = math.lcm(*dens)
+    acc: dict[tuple[int, ...], int] = {}
+    get = acc.get
+    for (c, factors), d in zip(products, dens):
+        k = c.numerator * (den // d)
+        terms = factors[0][1]
+        if len(factors) == 1:
+            for e, n in terms:
+                acc[e] = get(e, 0) + n * k
+            continue
+        for _, q in factors[1:-1]:
+            terms = _int_product(terms, q).items()
+        if k != 1:
+            terms = [(e, n * k) for e, n in terms]
+        _int_product(terms, factors[-1][1], acc)
+    return target._from_numerators(acc, den)
 
 
 class Poly:
@@ -392,37 +450,27 @@ class Poly:
         images = [_numerators((img if isinstance(img, Poly)
                                else target.const(img)).terms)
                   for img in images]
-        unit = {(0,) * target.arity: 1}
-        # powers[i][a] = (D, {e: n}): the a-th power of image i over D
+        unit = [((0,) * target.arity, 1)]
+        # powers[i][a] = (D, terms): the a-th power of image i over D
         powers = [[(1, unit)] for _ in images]
 
-        def power(i: int, a: int) -> tuple[int, dict]:
+        def power(i: int, a: int) -> tuple[int, Iterable]:
             cache = powers[i]
             while len(cache) <= a:
                 d, p = cache[-1]
                 cache.append((d * images[i][0],
-                              _int_product(p.items(), images[i][1])))
+                              _int_product(p, images[i][1]).items()))
             return cache[a]
 
-        # each term's image over its own denominator, then one sum over
-        # their least common multiple
-        parts = []
+        # c * x^e is c times the product of the powers of the images
+        products = []
         for e, c in self.terms:
-            den, prod = c.denominator, unit
+            factors = []
             for i, a in enumerate(e):
                 if a:
-                    d, p = power(i, a)
-                    den *= d
-                    prod = p if prod is unit else _int_product(prod.items(),
-                                                               p.items())
-            parts.append((den, c.numerator, prod))
-        den = math.lcm(*[d for d, _, _ in parts])
-        acc: dict[tuple[int, ...], int] = {}
-        for d, n, prod in parts:
-            k = n * (den // d)
-            for e, m in prod.items():
-                acc[e] = acc.get(e, 0) + m * k
-        return target._from_numerators(acc, den)
+                    factors.append(power(i, a))
+            products.append((c, factors or [(1, unit)]))
+        return _sum_of_products(target, products)
 
     def jet(self, d) -> "Poly":
         """Truncate to terms of total degree <= d."""

@@ -214,3 +214,47 @@ def test_ramification_ideal_keeps_the_minor_order(corpus_files):
         minors = [poly_det([[row[j] for j in cols] for row in jac])
                   for cols in itertools.combinations(range(n + 1), n)]
         assert ramification_ideal(f) == [m for m in minors if not m.is_zero()]
+
+
+def test_maximal_minors_form_one_fraction_per_term(monkeypatch, e6, f4,
+                                                   swallowtail):
+    # the minors are Leibniz sums of integer products, with the partials
+    # taken on integer numerators: one Fraction per term of each minor,
+    # where Poly arithmetic would form one per partial, product and sum
+    from frontal_kernel.germs import maximal_minors
+    R = ring("x", "y", local=True)
+    x, y = R.gens()
+    frac = (x, Fraction(2, 3) * y ** 3 + Fraction(-5, 7) * x * y,
+            Fraction(1, 4) * y ** 4 + Fraction(3, 2) * x ** 2 * y ** 2 + y ** 5)
+    cases = [f.components for f in (e6, f4, swallowtail)] + [frac]
+    made = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(cls)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    for comps in cases:
+        made.clear()
+        minors = maximal_minors(comps)
+        assert len(made) <= sum(len(m.terms) for m in minors)
+    made.clear()
+    assert Fraction(1, 3) and made
+
+
+def test_minors_determinants_and_fields_refuse_mixed_rings():
+    from frontal_kernel.derlog import LogField
+    from frontal_kernel.germs import maximal_minors
+    from frontal_kernel.ring import RingMismatchError
+    R, S = ring("x", "y", local=True), ring("x", "y")
+    x, y = R.gens()
+    u, v = S.gens()
+    with pytest.raises(RingMismatchError):
+        poly_det([[x, y], [u, v]])
+    with pytest.raises(RingMismatchError):
+        maximal_minors([x, y ** 2, u ** 3])
+    with pytest.raises(RingMismatchError):
+        LogField((u, v), R.zero()).apply(x * y)
+    with pytest.raises(RingMismatchError):
+        LogField((x, y), S.one()).verify(x * y)

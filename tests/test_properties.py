@@ -634,3 +634,74 @@ def test_poly_kernels_keep_the_axioms():
             image = p.substitute(images, S)
             assert dict(image.terms) == _naive_substitute(p, images, S)
             assert all(map(well_formed, (pq, pq * r, p.diff(i), image)))
+
+
+def _laplace_det(m):
+    """det m by Laplace expansion along the first row, in plain Poly
+    arithmetic: the reference for the integer Leibniz sums."""
+    if len(m) == 1:
+        return m[0][0]
+    acc = m[0][0].ring.zero()
+    for j, a in enumerate(m[0]):
+        term = a * _laplace_det([row[:j] + row[j + 1:] for row in m[1:]])
+        acc = acc + term if j % 2 == 0 else acc - term
+    return acc
+
+
+def _kernel_rings(n):
+    """Global, local, weighted (global and local) and block rings in n
+    variables."""
+    from frontal_kernel.ring import Ordering, Ring, block_ordering
+    names = tuple(f"v{i}" for i in range(n))
+    weights = range(1, n + 1)
+    rings = [ring(*names), ring(*names, local=True),
+             ring(*names, weights=weights),
+             ring(*names, local=True, weights=weights)]
+    if n > 1:
+        rings.append(Ring(names, block_ordering(
+            (1, n - 1), (Ordering(), Ordering(local=True)))))
+    return rings
+
+
+def _sparse_poly(rng, R):
+    """A random polynomial with Fraction coefficients, zero one time in
+    four."""
+    return R.zero() if rng.random() < 0.25 else random_poly(rng, R, 3, 3)
+
+
+def test_integer_minors_determinants_and_fields_match_poly_arithmetic():
+    # seeded: poly_det, maximal_minors, LogField.apply and verify against
+    # Laplace expansions and field sums in Poly arithmetic, for square
+    # matrices of size 1-4 with zero entries and Fraction coefficients
+    from frontal_kernel.derlog import LogField
+    from frontal_kernel.germs import maximal_minors
+    rng = random.Random(24)
+    for n in range(1, 5):
+        for R in _kernel_rings(n):
+            for _ in range(6 if n < 4 else 2):
+                m = [[_sparse_poly(rng, R) for _ in range(n)]
+                     for _ in range(n)]
+                det = poly_det(m)
+                assert (det.ring, det.terms) == (R, _laplace_det(m).terms)
+
+                comps = [_sparse_poly(rng, R) for _ in range(n + 1)]
+                rows = [[c.diff(j) for j in range(n)] for c in comps]
+                minors = maximal_minors(comps)
+                assert [(p.ring, p.terms) for p in minors] == [
+                    (R, _laplace_det(rows[:i] + rows[i + 1:]).terms)
+                    for i in range(n + 1)]
+
+                g = _sparse_poly(rng, R)
+                coeffs = tuple(_sparse_poly(rng, R) for _ in range(n))
+                value = LogField(coeffs, R.zero()).apply(g)
+                expected = R.zero()
+                for i, c in enumerate(coeffs):
+                    expected = expected + c * g.diff(i)
+                assert (value.ring, value.terms) == (R, expected.terms)
+                # xi(g) = h*g for the field g*coeffs, with h = sum c_i dg_i
+                scaled = tuple(c * g for c in coeffs)
+                assert LogField(scaled, expected).verify(g)
+                assert LogField(coeffs, R.zero()).verify(g) == \
+                    expected.is_zero()
+                if not g.is_zero():
+                    assert not LogField(scaled, expected + 1).verify(g)
