@@ -279,6 +279,17 @@ class _ExprParser:
                 return acc
 
     def parse_power(self) -> Union[Monomial, Poly]:
+        sign = self.take_sign()
+        if sign is not None:
+            # a unary sign inside a term applies to the power after it, and
+            # no further '^' applies to the signed power: -x^2^3 stops at
+            # the second '^', as x^2^3 does
+            factor = self.parse_power()
+            if sign == "+":
+                return factor
+            if isinstance(factor, Poly):
+                return -factor
+            return factor[0], -factor[1]
         base = self.parse_atom()
         tok = self.tokens[self.pos]
         if tok.text != "^":
@@ -313,15 +324,6 @@ class _ExprParser:
             inner = self.parse_expr()
             self.expect_punct(")")
             return inner
-        sign = self.take_sign()
-        if sign is not None:
-            # unary sign inside a term
-            factor = self.parse_power()
-            if sign == "+":
-                return factor
-            if isinstance(factor, Poly):
-                return -factor
-            return factor[0], -factor[1]
         self.error("expected a variable, number, or '('")
 
 
@@ -452,21 +454,29 @@ class _Parser(_ExprParser):
         self.statements.append(MapStmt(name, comps))
 
     def unfold_stmt(self) -> None:
+        tok = self.peek()
         name = self.expect_name("unfolding name")
         if name in self.maps or name in self.unfoldings:
-            self.error(f"duplicate definition of {name!r}")
+            self.error(f"duplicate definition of {name!r}", tok)
         self.expect_keyword("of")
+        tok = self.peek()
         base_name = self.expect_name("map name")
         base = self.maps.get(base_name)
         if base is None:
-            self.error(f"undeclared map {base_name!r}")
+            self.error(f"undeclared map {base_name!r}", tok)
         self.expect_keyword("params")
+        start = self.pos
         params = self.comma_list(self.expect_name)
         self.expect_punct(":")
         try:
             uring = ring(*base.source.names, *params, local=True)
         except ValueError as exc:
-            self.error(str(exc))
+            # at the first parameter that repeats a variable or a parameter;
+            # the parameters are every other token
+            names = base.source.names
+            i = next(i for i, p in enumerate(params)
+                     if p in names or p in params[:i])
+            self.error(str(exc), self.tokens[start + 2 * i])
         first = self.peek()
         comps = self.expr_list(uring)
         try:
@@ -476,31 +486,35 @@ class _Parser(_ExprParser):
         self.statements.append(UnfoldStmt(name, base_name, params, comps))
 
     def good_equation_stmt(self) -> None:
+        tok = self.peek()
         name = self.expect_name("unfolding name")
         spec = self.unfoldings.get(name)
         if spec is None:
-            self.error(f"undeclared unfolding {name!r}")
+            self.error(f"undeclared unfolding {name!r}", tok)
         self.expect_punct("=")
         try:
             self.ring = spec.target_ring()
         except ValueError as exc:
-            self.error(str(exc))
+            # a parameter of the unfolding repeats a target variable
+            self.error(str(exc), tok)
         equation = self.parse_expr()
         self.unfoldings[name] = replace(spec, explicit_G=equation)
         self.statements.append(GoodEquationStmt(name, equation))
 
     def assert_stable_stmt(self) -> None:
+        tok = self.peek()
         name = self.expect_name("unfolding name")
         spec = self.unfoldings.get(name)
         if spec is None:
-            self.error(f"undeclared unfolding {name!r}")
+            self.error(f"undeclared unfolding {name!r}", tok)
         self.unfoldings[name] = replace(spec, stable_asserted=True)
         self.statements.append(AssertStableStmt(name))
 
     def analyze_stmt(self) -> None:
+        tok = self.peek()
         name = self.expect_name("map or unfolding name")
         if name not in self.maps and name not in self.unfoldings:
-            self.error(f"undeclared map or unfolding {name!r}")
+            self.error(f"undeclared map or unfolding {name!r}", tok)
         directives = []
         while self.peek().kind == "name":
             tok = self.take()

@@ -154,12 +154,12 @@ _DIGITS = sys.get_int_max_str_digits()
                  "components must vanish at the origin",
                  id="component-off-origin"),
     pytest.param(H + "ring x;\nmap f = x^2, x^3;\n"
-                 "unfold f of f params t: x^2, x^3;\n", 4, 10,
+                 "unfold f of f params t: x^2, x^3;\n", 4, 8,
                  "duplicate definition of 'f'", id="duplicate-unfolding"),
-    pytest.param(H + "ring x;\nunfold F of f params t: x^2, x^3;\n", 3, 15,
+    pytest.param(H + "ring x;\nunfold F of f params t: x^2, x^3;\n", 3, 13,
                  "undeclared map 'f'", id="undeclared-map"),
     pytest.param(H + "ring x;\nmap f = x^2, x^3;\n"
-                 "unfold F of f params x: x^2, x^3;\n", 4, 25,
+                 "unfold F of f params x: x^2, x^3;\n", 4, 22,
                  "duplicate variable names: ('x', 'x')",
                  id="param-is-source-variable"),
     pytest.param(H + "ring x;\nmap f = x^2, x^3;\n"
@@ -167,19 +167,21 @@ _DIGITS = sys.get_int_max_str_digits()
                  "setting the parameters to 0 does not recover the base germ",
                  id="unfolding-misses-base"),
     pytest.param(H + "ring x;\nmap f = x^2, x^3;\n"
-                 "good_equation F = y2^2 - y1^3;\n", 4, 17,
+                 "good_equation F = y2^2 - y1^3;\n", 4, 15,
                  "undeclared unfolding 'F'", id="good-equation-undeclared"),
     pytest.param(H + "ring x;\nmap f = x^2, x^3;\n"
                  "unfold F of f params y1: x^2, x^3;\n"
-                 "good_equation F = y2^2 - y1^3;\n", 5, 19,
+                 "good_equation F = y2^2 - y1^3;\n", 5, 15,
                  "duplicate variable names: ('y1', 'y2', 'y1')",
                  id="param-is-target-variable"),
-    pytest.param(H + "ring x;\nassert_frontal_stable F;\n", 3, 24,
+    pytest.param(H + "ring x;\nassert_frontal_stable F;\n", 3, 23,
                  "undeclared unfolding 'F'", id="assert-undeclared"),
-    pytest.param(H + "ring x;\nanalyze f frontal;\n", 3, 11,
+    pytest.param(H + "ring x;\nanalyze f frontal;\n", 3, 9,
                  "undeclared map or unfolding 'f'", id="analyze-undeclared"),
     pytest.param(H + "ring x;\nmap f = x^2, x^3;\nanalyze f bogus;\n", 4, 11,
                  "unknown directive 'bogus'", id="unknown-directive"),
+    pytest.param(H + "ring x, y;\nmap f = x, y, y*-x^2^3;\n", 3, 21,
+                 "expected ';'", id="power-of-a-signed-power"),
 ])
 def test_each_syntax_error_site_gives_its_message_and_position(
         text, line, column, message):
