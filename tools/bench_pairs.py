@@ -1,0 +1,119 @@
+"""Paired benchmark runs of a parent revision and the working tree.
+
+    python3 tools/bench_pairs.py --parent REV --workload W --pairs N \\
+        --seconds S [--seed K]
+
+Run from anywhere in a source checkout.  REV is exported with
+`git archive` to a temporary directory, and `bench/run.py --workload W
+--seed K --seconds S --trace 0` runs N times in that tree and N times in
+this checkout's working tree (uncommitted edits included), one pair after
+another, alternating which side runs first.  Each run's end-to-end metrics
+are read from the last line of its output, as BENCHMARK.json names them;
+only `bench/` and `BENCHMARK.json` of each tree are read.
+
+One line per run gives the side, its metrics, the number of items it
+attempted and `correct`.  Then one line
+per end-to-end metric gives the parent's median [first quartile, third
+quartile], the change's median and the number of pairs in which the change
+is better (ties count for neither side), and a last line the `correct`
+value of every run.  A gain is claimed when the change wins at least nine
+pairs in ten and the medians differ by more than the parent's quartile
+distance.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def export(rev: str, dest: Path) -> None:
+    """The files of rev, as `git archive` gives them, in a new dest."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev],
+                             capture_output=True, check=True).stdout
+    dest.mkdir()
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """The JSON result line of one untraced bench/run.py run in tree."""
+    proc = subprocess.run(
+        [sys.executable, str(tree / "bench" / "run.py"), "--workload",
+         workload, "--seed", str(seed), "--seconds", str(seconds),
+         "--trace", "0"],
+        cwd=tree, capture_output=True, text=True, check=False)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        sys.stderr.write(proc.stderr)
+        raise SystemExit(f"error: bench/run.py failed in {tree}")
+    return json.loads(lines[-1])
+
+
+def quartiles(values: list[float]) -> tuple[float, float]:
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q1, q3
+
+
+def main(argv=None) -> int:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--parent", required=True,
+                        help="the revision to compare the working tree with")
+    parser.add_argument("--workload", required=True,
+                        choices=[w["name"] for w in spec["workloads"]])
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+
+    metrics = spec["end_to_end"]
+    results = {"parent": [], "change": []}
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = {"parent": Path(tmp) / "parent", "change": ROOT}
+        export(args.parent, trees["parent"])
+        for i in range(args.pairs):
+            order = ("parent", "change") if i % 2 == 0 else ("change",
+                                                             "parent")
+            for side in order:
+                result = run(trees[side], args.workload, args.seed,
+                             args.seconds)
+                results[side].append(result)
+                values = " ".join(
+                    f"{m['name']}={result['metrics'][m['name']]['value']:.6g}"
+                    for m in metrics)
+                print(f"pair {i + 1}\t{side}\t{values}\t"
+                      f"attempted={result['attempted']}\t"
+                      f"correct={result['correct']}", flush=True)
+
+    print(f"# {args.workload}, seed {args.seed}, {args.pairs} pairs of "
+          f"{args.seconds:g} s runs: medians, the parent's quartiles, and "
+          f"the pairs the change wins")
+    for m in metrics:
+        name = m["name"]
+        parent = [r["metrics"][name]["value"] for r in results["parent"]]
+        change = [r["metrics"][name]["value"] for r in results["change"]]
+        sign = 1 if m["better"] == "higher" else -1
+        wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+        q1, q3 = quartiles(parent)
+        print(f"{name} ({m['unit']})\tparent {statistics.median(parent):.6g}"
+              f" [{q1:.6g}, {q3:.6g}]\tchange "
+              f"{statistics.median(change):.6g}\twins {wins}/{args.pairs}")
+    for side in ("parent", "change"):
+        print(f"correct\t{side}\t"
+              + " ".join(str(r["correct"]) for r in results[side]))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
