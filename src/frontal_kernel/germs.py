@@ -101,7 +101,8 @@ def _signed_permutations(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """(sign, perm) for every permutation of range(n)."""
     out = []
     for perm in itertools.permutations(range(n)):
-        inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+        inversions = sum(a > b for i, a in enumerate(perm)
+                         for b in perm[i + 1:])
         out.append((-1 if inversions % 2 else 1, perm))
     return tuple(out)
 

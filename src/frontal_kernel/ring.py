@@ -239,7 +239,8 @@ def _int_product(p: Iterable, q: Iterable,
 
 def _sum_of_products(target: Ring, products) -> "Poly":
     """The sum of c * f_1 * ... * f_k over the products (c, [f_1, ..., f_k]),
-    with c an int or a Fraction and each f_i an integer form (D, [(e, n)]).
+    with c an int or a Fraction, k >= 1 and each f_i an integer form
+    (D, [(e, n)]).
 
     The sum is taken in integers over the lcm of the products'
     denominators, in one accumulator that each product's last factor

@@ -12,8 +12,10 @@ from frontal_kernel import (DivisionError, GermError, corank, frontal_lift,
                             prenormal_candidates, ramification_ideal, ring, std)
 from frontal_kernel.basis import DEFAULT_LIMITS, Limits, ResourceLimitError
 from frontal_kernel.germfile import parse
-from frontal_kernel.germs import (_linear_part, compose_linear, min_generators,
-                                  poly_det)
+from frontal_kernel.derlog import LogField
+from frontal_kernel.germs import (_linear_part, compose_linear, maximal_minors,
+                                  min_generators, poly_det)
+from frontal_kernel.ring import RingMismatchError
 
 
 def test_corank(cuspidal_edge, e6):
@@ -221,11 +223,11 @@ def test_maximal_minors_form_one_fraction_per_term(monkeypatch, e6, f4,
     # the minors are Leibniz sums of integer products, with the partials
     # taken on integer numerators: one Fraction per term of each minor,
     # where Poly arithmetic would form one per partial, product and sum
-    from frontal_kernel.germs import maximal_minors
     R = ring("x", "y", local=True)
     x, y = R.gens()
     frac = (x, Fraction(2, 3) * y ** 3 + Fraction(-5, 7) * x * y,
-            Fraction(1, 4) * y ** 4 + Fraction(3, 2) * x ** 2 * y ** 2 + y ** 5)
+            Fraction(1, 4) * y ** 4 + Fraction(3, 2) * x ** 2 * y ** 2
+            + y ** 5)
     cases = [f.components for f in (e6, f4, swallowtail)] + [frac]
     made = []
     original = Fraction.__new__
@@ -244,9 +246,6 @@ def test_maximal_minors_form_one_fraction_per_term(monkeypatch, e6, f4,
 
 
 def test_minors_determinants_and_fields_refuse_mixed_rings():
-    from frontal_kernel.derlog import LogField
-    from frontal_kernel.germs import maximal_minors
-    from frontal_kernel.ring import RingMismatchError
     R, S = ring("x", "y", local=True), ring("x", "y")
     x, y = R.gens()
     u, v = S.gens()
