@@ -68,10 +68,20 @@ INFINITE = _Infinite()
 
 @dataclass(frozen=True)
 class Limits:
+    """The bounds every computation runs under.  The command line sets each
+    field with the flag of its name (``--max-pairs`` for ``max_pairs``)."""
+
     max_pairs: int = 20000
     max_degree: int = 80
     jet_order: int = 24
-    param_trials: int = 4
+
+    def __post_init__(self):
+        # a jet of order 0 drops the linear part that a lift's
+        # wave-front test reads
+        for name, least in (("max_pairs", 0), ("max_degree", 0),
+                            ("jet_order", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}")
 
 
 DEFAULT_LIMITS = Limits()

@@ -8,7 +8,6 @@ import dataclasses
 import difflib
 import functools
 import io
-import os
 import sys
 from importlib import resources
 from typing import Optional
@@ -106,9 +105,15 @@ class _Run:
             self.flag(EXIT_INTERNAL)
         return None
 
-
-def _status_of(value) -> str:
-    return INFINITE_STATUS if value is INFINITE else EXACT
+    def record(self, report: Report, key: str, fn, soft: bool = False):
+        """attempt(), then the value on the line of its own key, with the
+        status infinite for INFINITE; returns the value, or None when fn
+        failed."""
+        value = self.attempt(report, key, fn, soft)
+        if value is not None:
+            report.add(key, value,
+                       INFINITE_STATUS if value is INFINITE else EXACT)
+        return value
 
 
 def _wants(directives, *keys) -> bool:
@@ -144,11 +149,7 @@ def _analyze_map(run: _Run, name: str, f, directives, limits: Limits) -> Report:
 
     if _wants(directives, "wavefront"):
         if frontal:
-            def compute():
-                return is_wavefront(f, limits)
-            wf = run.attempt(report, "wavefront", compute)
-            if wf is not None:
-                report.add("wavefront", wf)
+            run.record(report, "wavefront", lambda: is_wavefront(f, limits))
         elif frontal is False:
             report.add("wavefront", "skipped", NOT_COMPUTED,
                        "germ is not frontal")
@@ -167,10 +168,8 @@ def _analyze_map(run: _Run, name: str, f, directives, limits: Limits) -> Report:
                 report.add("image.weighted_degree", qh[1])
 
     if _wants(directives, "mu") and image is not None:
-        mu = run.attempt(report, "mu",
-                         lambda: inv.image_milnor_number(image, limits))
-        if mu is not None:
-            report.add("mu", mu, _status_of(mu))
+        run.record(report, "mu",
+                   lambda: inv.image_milnor_number(image, limits))
 
     if _wants(directives, "plane_curve") and f.n == 1 and image is not None:
         pc = run.attempt(report, "plane_curve",
@@ -191,21 +190,15 @@ def _analyze_map(run: _Run, name: str, f, directives, limits: Limits) -> Report:
 
     if _wants(directives, "conductor") and image is not None \
             and len(f.branches) == 1:
-        lam = run.attempt(report, "conductor.lambda",
-                          lambda: inv.piene_lambda(f, limits))
+        lam = run.record(report, "conductor.lambda",
+                         lambda: inv.piene_lambda(f, limits))
         if lam is not None:
-            report.add("conductor.lambda", lam)
-            colen = run.attempt(report, "conductor.colength",
-                                lambda: inv.conductor_colength(lam, limits))
-            if colen is not None:
-                report.add("conductor.colength", colen, _status_of(colen))
+            run.record(report, "conductor.colength",
+                       lambda: inv.conductor_colength(lam, limits))
 
     if _wants(directives, "hat_M") and image is not None \
             and len(f.branches) == 1:
-        hm = run.attempt(report, "hat_M",
-                         lambda: inv.hat_M_dimension(f, limits))
-        if hm is not None:
-            report.add("hat_M", hm, _status_of(hm))
+        run.record(report, "hat_M", lambda: inv.hat_M_dimension(f, limits))
 
     if _wants(directives, "genfam") and frontal:
         fam = run.attempt(report, "genfam",
@@ -219,11 +212,9 @@ def _analyze_map(run: _Run, name: str, f, directives, limits: Limits) -> Report:
                                lambda: gf.critical_set_certificate(fam, limits))
             if cert is not None:
                 report.add("genfam.critical_set_is_graph", cert)
-            match = run.attempt(
+            run.record(
                 report, "genfam.discriminant_equals_image",
                 lambda: gf.verify_discriminant_equals_image(f, fam, limits))
-            if match is not None:
-                report.add("genfam.discriminant_equals_image", match)
     elif frontal is False:
         _skip(report, directives, "genfam", "germ is not frontal")
 
@@ -259,10 +250,8 @@ def _analyze_unfolding(run: _Run, name: str, U, directives,
     if fr is not None:
         report.add("unfolding.frontal", fr[0])
 
-    G = run.attempt(report, "image.equation",
-                    lambda: inv.unfolding_image_equation(U, limits))
-    if G is not None:
-        report.add("image.equation", G)
+    run.record(report, "image.equation",
+               lambda: inv.unfolding_image_equation(U, limits))
 
     siersma = None
     if _wants(directives, "siersma", "verify") and U.r == 1:
@@ -290,17 +279,13 @@ def _analyze_unfolding(run: _Run, name: str, U, directives,
 
     mf = codim = None
     if ge is not None and _wants(directives, "M_F", "verify"):
-        mf = run.attempt(report, "M_F",
-                         lambda: inv.M_F_dimension(ge, limits),
-                         soft=not _wants(directives, "M_F"))
-        if mf is not None:
-            report.add("M_F", mf, _status_of(mf))
+        mf = run.record(report, "M_F",
+                        lambda: inv.M_F_dimension(ge, limits),
+                        soft=not _wants(directives, "M_F"))
     if ge is not None and _wants(directives, "codim_Fe", "verify"):
-        codim = run.attempt(report, "codim_Fe",
-                            lambda: inv.frontal_codimension(ge, limits),
-                            soft=not _wants(directives, "codim_Fe"))
-        if codim is not None:
-            report.add("codim_Fe", codim, _status_of(codim))
+        codim = run.record(report, "codim_Fe",
+                           lambda: inv.frontal_codimension(ge, limits),
+                           soft=not _wants(directives, "codim_Fe"))
 
     samuel = None
     if ge is not None and _wants(directives, "samuel", "verify") \
@@ -413,30 +398,10 @@ def _emit(run: _Run, fmt: str, out) -> None:
     out.write("\n".join(_render(report, fmt) for report in run.reports))
 
 
-def _limits_from(args, env: Optional[str]) -> Limits:
-    """Limits() overridden by FRONTAL_KERNEL_LIMITS, then by the flags.
-
-    A field such as max_pairs is set by the key max-pairs and the flag
-    --max-pairs.
-    """
-    fields = {f.name.replace("_", "-"): f.name for f in dataclasses.fields(Limits)}
-    values = {}
-    if env:
-        for part in env.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            key, _, val = part.partition("=")
-            key = key.strip()
-            if key not in fields:
-                raise ValueError(f"unknown limit {key!r} in "
-                                 "FRONTAL_KERNEL_LIMITS")
-            values[fields[key]] = int(val)
-    for name in fields.values():
-        flag = getattr(args, name, None)
-        if flag is not None:
-            values[name] = flag
-    return Limits(**values)
+def _limits_from(args) -> Limits:
+    """Limits() with each field whose flag was given set from it."""
+    values = {f.name: getattr(args, f.name) for f in dataclasses.fields(Limits)}
+    return Limits(**{k: v for k, v in values.items() if v is not None})
 
 
 def _corpus_dir():
@@ -483,10 +448,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "invariants of polynomial map germs (exact arithmetic).")
     parser.add_argument("--format", choices=("pretty", "machine"),
                         default="pretty")
-    parser.add_argument("--max-pairs", type=int, default=None)
-    parser.add_argument("--max-degree", type=int, default=None)
-    parser.add_argument("--jet-order", type=int, default=None)
-    parser.add_argument("--param-trials", type=int, default=None)
+    for field in dataclasses.fields(Limits):
+        parser.add_argument("--" + field.name.replace("_", "-"), type=int,
+                            help=f"Limits.{field.name} (default "
+                                 f"{field.default})")
     sub = parser.add_subparsers(dest="command", required=True)
     for cmd, desc in (("check", "parse and validate a germ file"),
                       ("analyze", "run the analyses requested in the file"),
@@ -500,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        limits = _limits_from(args, os.environ.get("FRONTAL_KERNEL_LIMITS"))
+        limits = _limits_from(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

@@ -77,7 +77,12 @@ def generating_family_of(f: MapGerm, branch: int = 0,
 
 def critical_set_certificate(fam: GeneratingFamily,
                              limits: Limits = DEFAULT_LIMITS) -> bool:
-    """The critical ideal <dh'/dy_j> equals the graph ideal <u_i - p_i>."""
+    """The critical ideal <dh'/dy_j> equals the graph ideal <u_i - p_i>.
+
+    The graph ideal is the kernel of u -> p, also in the local ring since p
+    vanishes at the origin, so a critical generator lies in it exactly when
+    substituting u = p makes it zero.  The other inclusion is a membership
+    in a standard basis of the critical ideal."""
     if fam.k == 0:
         return True
     r = fam.ring
@@ -87,10 +92,11 @@ def critical_set_certificate(fam: GeneratingFamily,
     crit = [c for c in crit if not c.is_zero()]
     if not crit:
         return False
+    on_graph = r.gens()[:n] + list(fam.p)
+    if any(not c.substitute(on_graph, r).is_zero() for c in crit):
+        return False
     cb = std(crit, limits=limits)
-    gb = std(graph, limits=limits)
-    return (all(membership(g, cb, limits) for g in graph)
-            and all(membership(c, gb, limits) for c in crit))
+    return all(membership(g, cb, limits) for g in graph)
 
 
 def discriminant(fam: GeneratingFamily,

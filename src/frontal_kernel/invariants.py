@@ -257,6 +257,9 @@ def siersma_count(U: UnfoldingSpec, t0,
     return dim
 
 
+SIERSMA_TRIALS = 5      # parameter values t0 = 1, 2, ... tried
+
+
 @dataclass(frozen=True)
 class SiersmaResult:
     value: int
@@ -267,14 +270,14 @@ def frontal_milnor_siersma(U: UnfoldingSpec,
                            limits: Limits = DEFAULT_LIMITS) -> SiersmaResult:
     """Siersma count at t0 = 1, 2, ... until two consecutive values agree."""
     prev = None
-    for t0 in range(1, limits.param_trials + 2):
+    for t0 in range(1, SIERSMA_TRIALS + 1):
         value = siersma_count(U, t0, limits)
         if prev is not None and value == prev:
             return SiersmaResult(value, (t0 - 1, t0))
         prev = value
     raise InvariantError(
         f"no two consecutive parameter values agree within "
-        f"{limits.param_trials + 1} trials: genericity not certified")
+        f"{SIERSMA_TRIALS} trials: genericity not certified")
 
 
 # ---------------------------------------------------------------------------

@@ -535,21 +535,26 @@ class Poly:
 
 
 def exact_divide(p: Poly, q: Poly) -> Optional[Poly]:
-    """Return p/q when q divides p exactly as polynomials, else None."""
+    """Return p/q when q divides p exactly as polynomials, else None.
+
+    Division runs in p's own ordering.  When p = q*h, each step's quotient
+    term is the leading term of what is left of h, so every quotient term
+    has degree at most deg h = deg p - deg q, and the terms strictly
+    decrease in the ordering.  A global ordering needs no bound to stop.  In
+    a local one the leading terms climb in degree (1/(1 - x) never ends),
+    so a term above deg p - deg q proves that q does not divide p; with
+    finitely many monomials of bounded degree the loop ends either way.
+    """
     if q.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     ring_ = p.ring
-    if not ring_.ordering.is_global():
-        # division with leading terms needs a global order; reinterpret
-        glob = Ring(ring_.names, Ordering())
-        quotient = exact_divide(p.map_to(glob), q.map_to(glob))
-        return None if quotient is None else quotient.map_to(ring_)
+    bound = p.total_degree() - q.total_degree()
     quotient = ring_.zero()
     qe, qc = q.leading_term()
     while not p.is_zero():
         pe, pc = p.leading_term()
         diff = tuple(a - b for a, b in zip(pe, qe))
-        if any(d < 0 for d in diff):
+        if any(d < 0 for d in diff) or sum(diff) > bound:
             return None
         t = ring_.monomial(diff, pc / qc)
         quotient = quotient + t
@@ -558,10 +563,8 @@ def exact_divide(p: Poly, q: Poly) -> Optional[Poly]:
 
 
 def associates(p: Poly, q: Poly) -> bool:
-    """Mutual divisibility: each divides the other exactly."""
-    if p.is_zero() or q.is_zero():
-        return p.is_zero() and q.is_zero()
-    return exact_divide(p, q) is not None and exact_divide(q, p) is not None
+    """p = c*q for a nonzero constant c: their monic forms agree."""
+    return p.monic() == p._coerce(q).monic()
 
 
 def _vertex_weights(exps: list[list[int]]) -> Optional[list[Fraction]]:

@@ -166,6 +166,16 @@ def test_resource_limit():
         std(gens, limits=Limits(max_pairs=1))
 
 
+@pytest.mark.parametrize("field, least", [
+    ("max_pairs", 0), ("max_degree", 0), ("jet_order", 1)])
+def test_limits_refuse_values_below_their_least(field, least):
+    # the least value itself is a limit like any other
+    assert getattr(Limits(**{field: least}), field) == least
+    with pytest.raises(ValueError, match=f"^{field} must be at least "
+                                         f"{least}$"):
+        Limits(**{field: least - 1})
+
+
 def test_limits_count_every_pair_and_step():
     # every pair popped from the queue counts against max_pairs, the ones
     # the product and chain criteria skip included

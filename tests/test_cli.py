@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from frontal_kernel import cli, genfam, invariants
+from frontal_kernel import Limits, cli, genfam, invariants
 from frontal_kernel.cli import main
 
 E6 = """frontal-kernel v1
@@ -142,11 +142,41 @@ analyze F M_F codim_Fe verify;
     assert "verify.verdict\tinconclusive\t" in out
 
 
-def test_env_limits_parsing(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("FRONTAL_KERNEL_LIMITS", "max-pairs=2")
-    assert main(["analyze", write(tmp_path, E6)]) == 4
-    monkeypatch.setenv("FRONTAL_KERNEL_LIMITS", "bogus")
-    assert main(["analyze", write(tmp_path, E6)]) == 3
+def test_limit_flags_mirror_the_limits_fields(tmp_path, capsys):
+    assert main(["--max-pairs", "2", "analyze", write(tmp_path, E6)]) == 4
+    args = cli.build_parser().parse_args(
+        ["--max-pairs", "7", "--jet-order", "3", "corpus"])
+    assert cli._limits_from(args) == Limits(max_pairs=7, jet_order=3)
+
+
+WAVEFRONT = """frontal-kernel v1
+ring x, y;
+map f = x, y^2 + y^3, y^3;
+analyze f frontal wavefront;
+"""
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--jet-order", "0"], "jet_order must be at least 1"),
+    (["--jet-order", "-1"], "jet_order must be at least 1"),
+    (["--max-pairs", "-1"], "max_pairs must be at least 0"),
+    (["--max-degree", "-1"], "max_degree must be at least 0"),
+])
+def test_out_of_range_limit_exit_3(tmp_path, capsys, flags, message):
+    # a jet of order 0 loses the lift's linear part: this wave front
+    # would be reported as `wavefront false exact`
+    path = write(tmp_path, WAVEFRONT)
+    assert main(flags + ["--format", "machine", "analyze", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_least_jet_order_keeps_the_wave_front(tmp_path, capsys):
+    path = write(tmp_path, WAVEFRONT)
+    assert main(["--jet-order", "1", "--format", "machine", "analyze",
+                 path]) == 0
+    assert "wavefront\ttrue\texact\t" in capsys.readouterr().out
 
 
 def test_corpus_passes(capsys):

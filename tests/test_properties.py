@@ -3,11 +3,13 @@
 import random
 from fractions import Fraction
 
-from frontal_kernel import (INFINITE, associates, germ, image_equation,
-                            is_frontal, membership, milnor_number, normal_form,
+from frontal_kernel import (INFINITE, associates, exact_divide, germ,
+                            image_equation, is_frontal, membership,
+                            milnor_number, normal_form,
                             plane_curve_invariants, ring, std, eliminate,
                             vs_dimension)
 from frontal_kernel.germs import compose_linear, poly_det
+from frontal_kernel.ring import Ordering, Ring, block_ordering
 from frontal_kernel.squarefree import gcd, squarefree_part
 
 
@@ -705,3 +707,64 @@ def test_integer_minors_determinants_and_fields_match_poly_arithmetic():
                     expected.is_zero()
                 if not g.is_zero():
                     assert not LogField(scaled, expected + 1).verify(g)
+
+
+def _reference_exact_divide(p, q):
+    """The division by round trips that ring.exact_divide replaced: a ring
+    with a local block is read in degrevlex and divided there."""
+    if q.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    R = p.ring
+    if not R.ordering.is_global():
+        glob = Ring(R.names, Ordering())
+        quotient = _reference_exact_divide(p.map_to(glob), q.map_to(glob))
+        return None if quotient is None else quotient.map_to(R)
+    quotient = R.zero()
+    qe, qc = q.leading_term()
+    while not p.is_zero():
+        pe, pc = p.leading_term()
+        diff = tuple(a - b for a, b in zip(pe, qe))
+        if any(d < 0 for d in diff):
+            return None
+        t = R.monomial(diff, pc / qc)
+        quotient = quotient + t
+        p = p - t * q
+    return quotient
+
+
+def _reference_associates(p, q):
+    if p.is_zero() or q.is_zero():
+        return p.is_zero() and q.is_zero()
+    return (_reference_exact_divide(p, q) is not None
+            and _reference_exact_divide(q, p) is not None)
+
+
+def test_division_and_associates_match_the_round_trip_reference():
+    rng = random.Random(26)
+    names = ("x", "y", "z")
+    rings = [ring(*names), ring(*names, local=True),
+             ring(*names, weights=(1, 2, 3)),
+             ring(*names, local=True, weights=(3, 1, 2)),
+             Ring(names, block_ordering(
+                 [1, 2], [Ordering(local=True), Ordering()])),
+             Ring(names, block_ordering(
+                 [2, 1], [Ordering(), Ordering(local=True)]))]
+    for R in rings:
+        x, y, z = R.gens()
+        # units and 1 - x, whose inverse is no polynomial
+        divisors = [R.one() - x, R.one() + y * z, x.scale(3), R.const(-2)]
+        quotients = 0
+        for _ in range(40):
+            q = rng.choice(divisors + [random_poly(rng, R, 3, 3)])
+            h = random_poly(rng, R, 3, 3)
+            r = random_poly(rng, R, 2, 4)
+            c = Fraction(rng.choice([-3, -1, 2]), rng.randint(1, 3))
+            for p in (q * h, q * h + r, h, q.scale(c), R.zero()):
+                if q.is_zero():
+                    continue
+                expected = _reference_exact_divide(p, q)
+                assert exact_divide(p, q) == expected, (str(p), str(q))
+                quotients += expected is not None
+                assert associates(p, q) == _reference_associates(p, q)
+                assert associates(q, p) == _reference_associates(q, p)
+        assert quotients > 40

@@ -10,7 +10,7 @@ import pytest
 from frontal_kernel import Poly, associates, exact_divide, quasihomogeneous_weights, ring
 from frontal_kernel import basis
 from frontal_kernel.germfile import _ExprParser, tokenize
-from frontal_kernel.ring import Ordering, block_ordering
+from frontal_kernel.ring import Ordering, RingMismatchError, block_ordering
 
 
 def parse_poly(text, R):
@@ -220,3 +220,11 @@ def test_equal_orderings_share_one_key_memo(monkeypatch):
     exps = list(itertools.product(range(3), repeat=3))
     for o, key in zip(distinct, keys):
         assert [key(e) for e in exps] == [o.key(e) for e in exps]
+
+
+def test_associates_refuses_polynomials_of_different_rings():
+    R, S = ring("x"), ring("x", local=True)
+    with pytest.raises(RingMismatchError):
+        associates(R.var(0), S.var(0))
+    with pytest.raises(RingMismatchError):
+        associates(R.zero(), S.zero())

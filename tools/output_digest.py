@@ -11,6 +11,10 @@ in `bench/run.py`, and one line gives the item count and a sha256 over the
 items' stdout and exit codes, in the workload's order.  Two checkouts that
 print the same lines give the same bytes and exit codes on every item:
 this is the byte-identity check for a change that must not move an output.
+Two more lines follow, digested the same way over the eight corpus
+fixtures, in name order: one of `main(["--format", "machine", "verify",
+file])` and one of `main(["--format", "pretty", "analyze", file])`, the two
+paths of the command line that the workloads do not take.
 
     python3 tools/output_digest.py --seeds 1 2 --items
 
@@ -46,23 +50,49 @@ import workloads  # noqa: E402
 from frontal_kernel import cli, germfile  # noqa: E402
 
 
+CORPUS = ROOT / "src" / "frontal_kernel" / "corpus"
+# the command lines digested over the corpus fixtures after the workloads
+FIXTURE_COMMANDS = {"verify": ["--format", "machine", "verify"],
+                    "pretty analyze": ["--format", "pretty", "analyze"]}
+
+
 def items(workload: str, seed: int):
-    return workloads.generate(workload, seed,
-                              ROOT / "src" / "frontal_kernel" / "corpus")
+    return workloads.generate(workload, seed, CORPUS)
 
 
-def outcomes(workload: str, seed: int, workdir: Path):
-    """(item name, stdout, exit code) of each item of one workload."""
-    for i, item in enumerate(items(workload, seed)):
+def fixtures():
+    """(name, text) of each corpus fixture, in name order."""
+    return [(path.stem, path.read_text(encoding="utf-8"))
+            for path in sorted(CORPUS.glob("*.germ"))]
+
+
+def outcomes(texts, argv: list[str], workdir: Path):
+    """(item name, stdout, exit code) of `main(argv + [file])` on each
+    (name, text) pair."""
+    for i, (name, text) in enumerate(texts):
         path = workdir / f"{i:03d}.germ"
-        path.write_text(item.text, encoding="utf-8")
+        path.write_text(text, encoding="utf-8")
         out = io.StringIO()
         try:
             with contextlib.redirect_stdout(out):
-                code = cli.main(["--format", "machine", "analyze", str(path)])
+                code = cli.main(argv + [str(path)])
         except Exception as exc:  # a traceback is an outcome to compare too
             code = f"raised {type(exc).__name__}: {exc}"
-        yield item.name, out.getvalue(), code
+        yield name, out.getvalue(), code
+
+
+def digest(label: str, results, show_items: bool) -> None:
+    """One line: the item count and a sha256 over the items' stdout and
+    exit codes; with show_items, one line per item before it."""
+    sha, count = hashlib.sha256(), 0
+    for name, out, code in results:
+        sha.update(f"{out}\nexit {code}\n".encode("utf-8"))
+        count += 1
+        if show_items:
+            item_sha = hashlib.sha256(out.encode("utf-8"))
+            print(f"{label}\t{name}\texit {code}\t{item_sha.hexdigest()}",
+                  flush=True)
+    print(f"{label}\t{count} items\t{sha.hexdigest()}", flush=True)
 
 
 def parse_outcome(text: str) -> str:
@@ -105,16 +135,14 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for seed in args.seeds:
             for workload in workloads.WORKLOADS:
-                sha, count = hashlib.sha256(), 0
-                for name, out, code in outcomes(workload, seed, Path(tmp)):
-                    sha.update(f"{out}\nexit {code}\n".encode("utf-8"))
-                    count += 1
-                    if args.items:
-                        item_sha = hashlib.sha256(out.encode("utf-8"))
-                        print(f"seed {seed}\t{workload}\t{name}\texit {code}"
-                              f"\t{item_sha.hexdigest()}", flush=True)
-                print(f"seed {seed}\t{workload}\t{count} items\t"
-                      f"{sha.hexdigest()}", flush=True)
+                texts = [(item.name, item.text)
+                         for item in items(workload, seed)]
+                argv = ["--format", "machine", "analyze"]
+                digest(f"seed {seed}\t{workload}",
+                       outcomes(texts, argv, Path(tmp)), args.items)
+        for label, argv in FIXTURE_COMMANDS.items():
+            digest(f"fixtures\t{label}",
+                   outcomes(fixtures(), argv, Path(tmp)), args.items)
     return 0
 
 
