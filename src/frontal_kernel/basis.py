@@ -596,9 +596,7 @@ def eliminate(gens: Sequence[Poly], elim: Sequence[int],
             if not any(any(e[:m]) for e, _ in p.terms)]
     basis = _std_basis([G[i] for i in free], [LT[i] for i in free],
                        [EC[i] for i in free], work, 1, limits)
-    sub = Ring(tuple(ring.names[i] for i in keep),
-               Ordering(local=ring.ordering.local, weights=kept_weights),
-               kept_weights)
+    sub = Ring(tuple(ring.names[i] for i in keep), inner)
     return sub, [p.map_to(sub) for p in basis.polys()]
 
 
@@ -636,7 +634,7 @@ def saturation(gens: Sequence[Poly], f: Poly,
     s_name, = fresh_names("s", 1, R.names)
     weights = None if R.weights is None else (Fraction(1),) + R.weights
     work = Ring((s_name,) + R.names,
-                Ordering(local=R.ordering.local, weights=weights), weights)
+                Ordering(local=R.ordering.local, weights=weights))
     s = work.var(0)
     _, out = eliminate([g.map_to(work) for g in gens]
                        + [work.one() - s * f.map_to(work)], [0], limits)

@@ -208,13 +208,21 @@ def _analyze_map(run: _Run, name: str, f, directives, limits: Limits) -> Report:
             report.add("genfam.hprime", fam.hprime,
                        EXACT if fam.exact else CERTIFIED,
                        "" if fam.exact else f"jet order {fam.jet_order}")
-            cert = run.attempt(report, "genfam.critical_set",
-                               lambda: gf.critical_set_certificate(fam, limits))
-            if cert is not None:
-                report.add("genfam.critical_set_is_graph", cert)
-            run.record(
-                report, "genfam.discriminant_equals_image",
-                lambda: gf.verify_discriminant_equals_image(f, fam, limits))
+            if not fam.exact:
+                # exact comparisons, on a family right only to its jet order
+                for key in ("critical_set_is_graph",
+                            "discriminant_equals_image"):
+                    report.add(f"genfam.{key}", "unavailable", INCONCLUSIVE,
+                               f"family truncated at jet order {fam.jet_order}")
+            else:
+                cert = run.attempt(
+                    report, "genfam.critical_set",
+                    lambda: gf.critical_set_certificate(fam, limits))
+                if cert is not None:
+                    report.add("genfam.critical_set_is_graph", cert)
+                run.record(
+                    report, "genfam.discriminant_equals_image",
+                    lambda: gf.verify_discriminant_equals_image(f, fam, limits))
     elif frontal is False:
         _skip(report, directives, "genfam", "germ is not frontal")
 

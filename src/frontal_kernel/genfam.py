@@ -7,10 +7,10 @@ from fractions import Fraction
 from typing import Optional
 
 from . import linalg
-from .basis import DEFAULT_LIMITS, Limits, eliminate, membership, std
+from .basis import DEFAULT_LIMITS, Limits, membership, std
 from .germs import (MapGerm, NashData, PrenormalForm, _combination,
                     _linear_part, corank_branch, frontal_lift, target_names)
-from .invariants import ImageData, _graph_ideal, image_equation
+from .invariants import ImageData, _branch_eliminant, image_equation
 from .ring import Poly, Ring, associates, fresh_names, ring
 from .squarefree import squarefree_part
 
@@ -101,28 +101,19 @@ def critical_set_certificate(fam: GeneratingFamily,
 
 def discriminant(fam: GeneratingFamily,
                  limits: Limits = DEFAULT_LIMITS) -> ImageData:
-    """Critical values of h: eliminate all source variables from the
-    graph-plus-critical ideal, then reduce to a squarefree equation.  Its
-    coordinates are the family's (x-block, u-block, h'); ``fam.target``
-    writes them in the germ's."""
-    r = fam.ring
+    """Critical values of h: the eliminant of the source variables from
+    the graph-plus-critical ideal (``_branch_eliminant``, as for an image
+    branch), reduced to a squarefree equation.  Its coordinates are the
+    family's (x-block, u-block, h'); ``fam.target`` writes them in the
+    germ's."""
     n, k = fam.n, fam.k
-    tnames = target_names(n + 1)
-    target = ring(*tnames, local=True)
     if k == 0:
-        return image_equation(MapGerm(r, (fam.components,)), limits)
+        return image_equation(MapGerm(fam.ring, (fam.components,)), limits)
+    tnames = target_names(n + 1)
     crit = [fam.hprime.diff(n - k + j) for j in range(k)]
-    crit = [c for c in crit if not c.is_zero()]
-    _, gens = eliminate(*_graph_ideal(fam.components, tnames, extra=crit),
-                        limits)
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        raise GenFamError("discriminant eliminant is zero")
-    if len(gens) > 1:
-        raise GenFamError("discriminant is not a hypersurface: "
-                          f"{len(gens)} generators")
-    reduced = squarefree_part(gens[0].map_to(target), limits).monic()
-    return ImageData(target, reduced)
+    g = _branch_eliminant(fam.components, tnames, (), limits, extra=crit)
+    target = ring(*tnames, local=True)
+    return ImageData(target, squarefree_part(g.map_to(target), limits).monic())
 
 
 def verify_discriminant_equals_image(f: MapGerm, fam: GeneratingFamily,

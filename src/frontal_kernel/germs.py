@@ -392,41 +392,40 @@ def _local_quotient(b: Poly, a: Poly, limits: Limits) -> Optional[tuple[Poly, bo
 def nash_lift(pre: PrenormalForm, limits: Limits = DEFAULT_LIMITS) -> NashData:
     """Solve dq = sum lam dx + sum mu dp for the lift coefficients.
 
-    The y-block of the 1-form gives a k x k system P mu = dq/dy, solved by
-    Cramer's rule in the local ring.  Each quotient is a polynomial when one
-    exists (all bundled fixtures); otherwise mu is its jet of order
-    limits.jet_order.  A quotient outside the local ring means the germ is
-    not frontal for this prenormal split, and raises DivisionError.
+    The maximal minors m_i of the Jacobian of c = (x, p, q), m_i deleting
+    c_i, satisfy sum (-1)^i m_i dc_i = 0: mu_j, the coefficient of
+    dp_j = dc_i, is (-1)^(n-i+1) m_i / m_n, m_n = det(dp/dy), a polynomial
+    when one exists (all bundled fixtures), else its jet of order
+    limits.jet_order in the local ring.  A quotient outside the local ring
+    means the germ is not frontal for this split: DivisionError.  lam is the
+    x-block of dq - sum mu dp (dividing the x-block minors by m_n can take
+    Mora's normal form thousands of times longer).
     """
     n, k = pre.n, pre.k
-    ys = list(range(n - k, n))
-    P = [[pj.diff(ell) for pj in pre.p] for ell in ys]   # k x k
-    bvec = [pre.q.diff(ell) for ell in ys]
-    det = poly_det(P)
+    minors = maximal_minors(pre.components())
+    det = minors[n]
     if det.is_zero():
         raise DivisionError("singular p-block")
 
     mu: list[Poly] = []
     exact = True
-    for j in range(k):
-        col = [[P[ell][t] if t != j else bvec[ell] for t in range(k)]
-               for ell in range(k)]
-        quotient = _local_quotient(poly_det(col), det, limits)
+    for i in range(n - k, n):
+        numerator = minors[i] if (n - i) % 2 else -minors[i]
+        quotient = _local_quotient(numerator, det, limits)
         if quotient is None:
             raise DivisionError("Nash division failed: germ is not frontal "
                                 "for this prenormal split")
-        mu_j, exact_j = quotient
-        mu.append(mu_j)
-        exact = exact and exact_j
+        mu.append(quotient[0])
+        exact = exact and quotient[1]
 
+    jet_order = None if exact else limits.jet_order
     lam = []
     for i in range(n - k):
         li = pre.q.diff(i)
-        for j, pj in enumerate(pre.p):
-            li = li - mu[j] * pj.diff(i)
-        lam.append(li)
-    return NashData(tuple(mu), tuple(lam), exact,
-                    None if exact else limits.jet_order)
+        for m, pj in zip(mu, pre.p):
+            li = li - m * pj.diff(i)
+        lam.append(li if exact else li.jet(jet_order))
+    return NashData(tuple(mu), tuple(lam), exact, jet_order)
 
 
 def frontal_lift(f: MapGerm, branch: int = 0,

@@ -58,17 +58,18 @@ def _graph_ideal(comps: Sequence[Poly], target: Sequence[str],
 
 
 def _branch_eliminant(comps: Sequence[Poly], target: Sequence[str],
-                      params: Sequence[str], limits: Limits) -> tuple[Ring, Poly]:
-    """Eliminate the source variables from the graph ideal of one branch."""
-    sub, gens = eliminate(*_graph_ideal(comps, target, params), limits)
-    gens = [g for g in gens if not g.is_zero()]
+                      params: Sequence[str], limits: Limits,
+                      extra: Sequence[Poly] = ()) -> Poly:
+    """The monic generator of the eliminant of the source variables from
+    the graph ideal of one branch plus ``extra``."""
+    _, gens = eliminate(*_graph_ideal(comps, target, params, extra), limits)
     if not gens:
         raise InvariantError("elimination yields the zero ideal: image is "
                              "not a hypersurface (germ not finite?)")
     if len(gens) > 1:
         raise InvariantError("image is not a hypersurface: elimination ideal "
                              f"needs {len(gens)} generators")
-    return sub, gens[0].monic()
+    return gens[0].monic()
 
 
 def _check_vanishes(equation: Poly, comps: Sequence[Poly],
@@ -101,8 +102,7 @@ def _image_equation(f: MapGerm, limits: Limits) -> ImageData:
     target = f.target_ring(local=True)
     factors: list[Poly] = []
     for comps in f.branches:
-        _, g = _branch_eliminant(comps, tnames, (), limits)
-        g = g.map_to(target)
+        g = _branch_eliminant(comps, tnames, (), limits).map_to(target)
         if not any(associates(g, h) for h in factors):
             factors.append(g)
     product = target.one()
@@ -217,7 +217,7 @@ def _unfolding_image_equation(U: UnfoldingSpec, limits: Limits) -> Poly:
     # the graph ideal of F is prime (Q[x, u, y]/(y - f_u) is Q[x, u]), so its
     # principal eliminant is irreducible over Q and needs no squarefree gcd
     tnames = target_names(U.n + 1)
-    _, g = _branch_eliminant(U.components, tnames, U.params, limits)
+    g = _branch_eliminant(U.components, tnames, U.params, limits)
     target = U.target_ring()
     reduced = g.map_to(target).monic()
     param_vars = [U.source.var(U.n + j) for j in range(U.r)]

@@ -89,19 +89,22 @@ def block_ordering(sizes: Sequence[int], orderings: Sequence[Ordering]) -> Order
 class Ring:
     """A polynomial ring with named variables and a fixed monomial ordering.
 
-    Weights, when given, are positive rationals used by the weighted degree
-    and by weighted orderings; they default to 1 for each variable.
+    Weights, the ordering's, are positive rationals used by the weighted
+    degree and by weighted orderings; they default to 1 for each variable.
     """
 
     names: tuple[str, ...]
     ordering: Ordering = field(default_factory=Ordering)
-    weights: Optional[tuple[Fraction, ...]] = None
 
     def __post_init__(self):
         if len(set(self.names)) != len(self.names):
             raise ValueError(f"duplicate variable names: {self.names}")
         if self.weights is not None and len(self.weights) != len(self.names):
             raise ValueError("weight vector length differs from arity")
+
+    @property
+    def weights(self) -> Optional[tuple[Fraction, ...]]:
+        return self.ordering.weights
 
     @property
     def arity(self) -> int:
@@ -168,8 +171,7 @@ class Ring:
 
 def ring(*names: str, local: bool = False, weights=None) -> Ring:
     w = None if weights is None else tuple(Fraction(x) for x in weights)
-    ordering = Ordering(local=local, weights=w)
-    return Ring(tuple(names), ordering, w)
+    return Ring(tuple(names), Ordering(local=local, weights=w))
 
 
 def fresh_names(stem: str, k: int, taken) -> tuple[str, ...]:
@@ -192,7 +194,8 @@ def fresh_names(stem: str, k: int, taken) -> tuple[str, ...]:
 # logarithmic-field checks of ``derlog`` are each one sum of products of such
 # integer forms over one common denominator (``_sum_of_products``), with
 # partial derivatives taken on the forms (``_int_diff``).
-# ``Poly.terms`` always holds Fraction coefficients.
+# ``Poly.terms`` holds Fraction coefficients, except inside ``std``: the
+# Polys of ``StdBasis.vectors``, ``_std`` and ``_weak_nf`` hold ints.
 
 
 def _numerators(terms) -> tuple[int, list]:

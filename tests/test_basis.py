@@ -111,6 +111,21 @@ def test_eliminate_circle():
     assert associates(gens[0], S.var(1) ** 2 - S.var(0) ** 3)
 
 
+def test_eliminate_keeps_the_weights_of_the_ordering():
+    # a Ring built on a weighted Ordering and one from ring(weights=...)
+    # are the same ring: the subring keeps the weights (1, 5) of x and y, so
+    # y^2 (weighted degree 10) leads the eliminant
+    weights = (1, 1, 5)
+    direct = Ring(("s", "x", "y"),
+                  Ordering(weights=tuple(map(Fraction, weights))))
+    assert direct == ring("s", "x", "y", weights=weights)
+    assert direct.weights == (1, 1, 5)
+    s, x, y = direct.gens()
+    sub, (g,) = eliminate([s - x ** 2, s * y - x ** 3 + y ** 2], [0])
+    assert sub.weights == (1, 5) and sub.ordering.weights == (1, 5)
+    assert str(g) == "y^2 + x^2*y - x^3"
+
+
 def test_syzygies_vanish():
     R = ring("x", "y", local=True)
     x, y = R.var(0), R.var(1)
@@ -403,7 +418,7 @@ def _eliminate_through_full_std(gens, elim):
     work = Ring(tuple(R.names[i] for i in elim + keep),
                 block_ordering((len(elim), len(keep)),
                                (Ordering(), Ordering())))
-    sub = Ring(tuple(R.names[i] for i in keep), Ordering(), None)
+    sub = Ring(tuple(R.names[i] for i in keep), Ordering())
     return [p.map_to(sub) for p in std([g.map_to(work) for g in gens]).polys()
             if not any(any(e[:len(elim)]) for e, _ in p.terms)]
 

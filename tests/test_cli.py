@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from frontal_kernel import Limits, cli, genfam, invariants
+from frontal_kernel import Limits, cli, invariants
 from frontal_kernel.cli import main
 
 E6 = """frontal-kernel v1
@@ -179,6 +179,21 @@ def test_least_jet_order_keeps_the_wave_front(tmp_path, capsys):
     assert "wavefront\ttrue\texact\t" in capsys.readouterr().out
 
 
+def test_truncated_family_leaves_its_comparisons_inconclusive(tmp_path,
+                                                              capsys):
+    # mu = 3y/(2 + 3y) is not a polynomial, so the generating family is a
+    # jet; the critical set and the discriminant are not compared on it
+    path = write(tmp_path, WAVEFRONT.replace("wavefront;", "wavefront genfam;"))
+    start = time.perf_counter()
+    assert main(["--format", "machine", "analyze", path]) == 0
+    assert time.perf_counter() - start < 2
+    out = capsys.readouterr().out
+    assert "\tcertified\tjet order 24\n" in out
+    note = "unavailable\tinconclusive\tfamily truncated at jet order 24\n"
+    assert f"genfam.critical_set_is_graph\t{note}" in out
+    assert f"genfam.discriminant_equals_image\t{note}" in out
+
+
 def test_corpus_passes(capsys):
     assert main(["corpus"]) == 0
     out = capsys.readouterr().out
@@ -223,7 +238,6 @@ def test_each_elimination_runs_once_per_file(tmp_path, monkeypatch, capsys):
                      tuple(elim), limits))
         return original(gens, elim, limits)
     monkeypatch.setattr(invariants, "eliminate", counting)
-    monkeypatch.setattr(genfam, "eliminate", counting)
     assert main(["--format", "machine", "analyze", path]) == 0
     assert len(seen) == len(set(seen)) == 3
     golden = (corpus / "cusp.golden").read_text(encoding="utf-8")

@@ -13,7 +13,8 @@ from frontal_kernel import (DivisionError, GermError, corank, frontal_lift,
 from frontal_kernel.basis import DEFAULT_LIMITS, Limits, ResourceLimitError
 from frontal_kernel.germfile import parse
 from frontal_kernel.derlog import LogField
-from frontal_kernel.germs import (_linear_part, compose_linear, maximal_minors,
+from frontal_kernel.germs import (_linear_part, _local_quotient,
+                                  compose_linear, maximal_minors,
                                   min_generators, poly_det)
 from frontal_kernel.ring import RingMismatchError
 
@@ -105,6 +106,99 @@ def test_frontal_lift_kept_per_limits():
     assert short[1].mu[0] != lift[1].mu[0]
     assert frontal_lift(f) is lift
     assert frontal_lift(f, 0, Limits(jet_order=6)) is short
+
+
+def _cramer_lift(pre, limits):
+    """Reference lift: mu from the y-block system (dp/dy) mu = dq/dy by
+    Cramer's rule, each quotient divided in the local ring, then lam by
+    back-substitution in dq - sum mu dp; (mu, lam, exact)."""
+    n, k = pre.n, pre.k
+    ys = range(n - k, n)
+    P = [[pj.diff(ell) for pj in pre.p] for ell in ys]
+    b = [pre.q.diff(ell) for ell in ys]
+    det = poly_det(P)
+    if det.is_zero():
+        raise DivisionError("singular p-block")
+    mu, exact = [], True
+    for j in range(k):
+        col = [[b[r] if t == j else P[r][t] for t in range(k)]
+               for r in range(k)]
+        quotient = _local_quotient(poly_det(col), det, limits)
+        if quotient is None:
+            raise DivisionError("no lift for this split")
+        mu.append(quotient[0])
+        exact = exact and quotient[1]
+    lam = []
+    for i in range(n - k):
+        li = pre.q.diff(i)
+        for m, pj in zip(mu, pre.p):
+            li = li - m * pj.diff(i)
+        lam.append(li)
+    return tuple(mu), tuple(lam), exact
+
+
+def _random_prenormal_germ(rng):
+    """(x, p, q) of corank k: q = F(x, p) has the polynomial lift dF/dp,
+    a random q mostly has none, and p_j + c*q in place of p_j turns a lift
+    mu into mu/(1 + c*mu_j), a power series."""
+    n, k = rng.choice([(2, 1), (2, 2), (3, 1), (3, 2)])
+    R = ring(*[f"x{i + 1}" for i in range(n - k)],
+             *[f"y{j + 1}" for j in range(k)], local=True)
+    xs, ys = R.gens()[:n - k], R.gens()[n - k:]
+
+    def terms(gens, degrees, count):
+        p = R.zero()
+        for _ in range(count):
+            m = R.one()
+            for _ in range(rng.choice(degrees)):
+                m = m * rng.choice(gens)
+            p = p + m.scale(rng.choice([-2, -1, 1, 2, 3]))
+        return p
+
+    p = [y ** 2 + terms(R.gens(), [2, 3], rng.randint(0, 1)) for y in ys]
+    if rng.random() < 2 / 3:
+        q = terms(xs + p, [2], rng.randint(1, 2))
+    else:
+        q = terms(R.gens(), [2, 3], rng.randint(1, 3))
+    if rng.random() < 0.6:
+        j = rng.randrange(k)
+        p[j] = p[j] + q.scale(rng.choice([-1, 1, 2]))
+    if q.is_zero() or any(pj.is_zero() for pj in p):
+        return None
+    return germ(R, *xs, *p, q)
+
+
+def test_nash_lift_matches_cramers_rule():
+    # differential: on every prenormal candidate of seeded germs, the lift
+    # from the maximal minors and the Cramer reference agree on the error,
+    # or on mu, exact and jet_order, and on lam up to the jet order
+    rng = random.Random(2718)
+    order = DEFAULT_LIMITS.jet_order
+    seen = set()
+    germs = 0
+    while germs < 150:
+        f = _random_prenormal_germ(rng)
+        if f is None:
+            continue
+        germs += 1
+        for pre in prenormal_candidates(f):
+            try:
+                mu, lam, exact = _cramer_lift(pre, DEFAULT_LIMITS)
+            except DivisionError:
+                with pytest.raises(DivisionError):
+                    nash_lift(pre)
+                seen.add((pre.n, pre.k, "none"))
+                continue
+            nash = nash_lift(pre)
+            assert nash.mu == mu and nash.exact == exact
+            assert nash.jet_order == (None if exact else order)
+            if exact:
+                assert nash.lam == lam
+            else:
+                assert [li.jet(order) for li in lam] == list(nash.lam)
+            seen.add((pre.n, pre.k, "exact" if exact else "jet"))
+    assert seen == {(n, k, kind) for n, k in [(2, 1), (2, 2), (3, 1), (3, 2)]
+                    for kind in ("exact", "jet", "none")}
 
 
 def test_multiplicity(e6, cusp):

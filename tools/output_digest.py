@@ -14,7 +14,15 @@ this is the byte-identity check for a change that must not move an output.
 Two more lines follow, digested the same way over the eight corpus
 fixtures, in name order: one of `main(["--format", "machine", "verify",
 file])` and one of `main(["--format", "pretty", "analyze", file])`, the two
-paths of the command line that the workloads do not take.
+paths of the command line that the workloads do not take.  Last comes one
+line per seed, `seed K\tlifts\tN candidates\tsha256`, over the Nash lift
+of every prenormal candidate of every map and unfolded map in the three
+workloads, in their order, as `frontal_kernel.germs.nash_lift` returns it
+under the default limits: mu, lam (as its jet of the lift's jet order when
+the lift is not exact), exact and jet_order, or the class of the error
+raised; a branch without prenormal candidates counts once, with the class
+of its error.  No command-line line prints lam, so this is the identity
+check for it.
 
     python3 tools/output_digest.py --seeds 1 2 --items
 
@@ -48,6 +56,7 @@ sys.path.insert(0, str(ROOT / "bench"))
 
 import workloads  # noqa: E402
 from frontal_kernel import cli, germfile  # noqa: E402
+from frontal_kernel.germs import nash_lift, prenormal_candidates  # noqa: E402
 
 
 CORPUS = ROOT / "src" / "frontal_kernel" / "corpus"
@@ -120,6 +129,48 @@ def parse_digest(seed: int, show_items: bool) -> None:
           flush=True)
 
 
+def lift_outcome(pre) -> str:
+    """mu, lam up to the jet order, exact and jet_order of the lift of a
+    prenormal candidate, or the class of the error it raises."""
+    try:
+        nash = nash_lift(pre)
+    except Exception as exc:  # an error is an outcome to compare too
+        return f"raised {type(exc).__name__}\n"
+    lam = nash.lam if nash.exact else [li.jet(nash.jet_order)
+                                       for li in nash.lam]
+    return (f"mu {', '.join(map(str, nash.mu))}; "
+            f"lam {', '.join(map(str, lam))}; "
+            f"exact {nash.exact}; jet_order {nash.jet_order}\n")
+
+
+def lift_outcomes(f):
+    """The lift outcome of each prenormal candidate of each branch of f; a
+    branch without candidates gives the class of its error instead."""
+    for branch in range(len(f.branches)):
+        try:
+            candidates = prenormal_candidates(f, branch)
+        except Exception as exc:  # an error is an outcome to compare too
+            yield f"raised {type(exc).__name__}\n"
+            continue
+        yield from map(lift_outcome, candidates)
+
+
+def lift_digest(seed: int) -> None:
+    """One line: the number of lift outcomes of the maps and unfolded maps
+    of every workload item at the seed, and a sha256 over them."""
+    sha, count = hashlib.sha256(), 0
+    for workload in workloads.WORKLOADS:
+        for item in items(workload, seed):
+            parsed = germfile.parse(item.text)
+            for f in [*parsed.maps.values(),
+                      *(U.unfolded_map() for U in parsed.unfoldings.values())]:
+                for outcome in lift_outcomes(f):
+                    sha.update(outcome.encode("utf-8"))
+                    count += 1
+    print(f"seed {seed}\tlifts\t{count} candidates\t{sha.hexdigest()}",
+          flush=True)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[1])
@@ -143,6 +194,8 @@ def main(argv=None) -> int:
         for label, argv in FIXTURE_COMMANDS.items():
             digest(f"fixtures\t{label}",
                    outcomes(fixtures(), argv, Path(tmp)), args.items)
+    for seed in args.seeds:
+        lift_digest(seed)
     return 0
 
 
