@@ -112,9 +112,10 @@ def _as_vectors(gens: Sequence[Union[Poly, Vector]]) -> tuple[list[Vector], int]
 def _lt(v: Vector, width: Optional[int] = None):
     """Leading (component, exponent, coefficient) of the first ``width``
     components (all by default) under POT, component 0 on top."""
-    for c, p in enumerate(v[:width]):
-        if p.terms:
-            e, k = p.terms[0]
+    for c in range(len(v) if width is None else width):
+        terms = v[c].terms
+        if terms:
+            e, k = terms[0]
             return c, e, k
     return None
 
@@ -135,13 +136,19 @@ def _vec_is_zero(v: Vector) -> bool:
 def _vec_comb(a: int, v: Vector, b: int, exp, w: Vector) -> Vector:
     """a*v - b*x^exp*w for integers a and b (b nonzero): the one
     multiply-subtract of ``std`` and its normal forms.  Where w is zero the
-    component of v is only scaled by a (kept as is for a = 1); every other
-    component is merged in one dict pass and sorted once."""
+    component of v is only scaled by a (kept as is for a = 1).  Where v is
+    zero it is the shifted, scaled terms of w in w's order, since monomial
+    orders are invariant under translation.  Every other component is
+    merged in one dict pass and sorted once."""
     out = []
     for p, q in zip(v, w):
         if not q.terms:
             out.append(p if a == 1 or not p.terms else
                        Poly(p.ring, tuple([(e, a * c) for e, c in p.terms])))
+            continue
+        if not p.terms:
+            out.append(Poly(q.ring, tuple([(tuple(map(add, e, exp)), -b * c)
+                                           for e, c in q.terms])))
             continue
         acc = dict(p.terms) if a == 1 else {e: a * c for e, c in p.terms}
         for e, c in q.terms:
@@ -167,7 +174,7 @@ def _primitive(v: Vector) -> tuple[Vector, int, int]:
     coefficient; v is nonzero."""
     coeffs = [c for p in v for _, c in p.terms]
     den = 1
-    if set(map(type, coeffs)) != {int}:
+    if any(type(c) is not int for c in coeffs):
         den = lcm(*[c.denominator for c in coeffs])
         v = tuple(Poly(p.ring, tuple([(e, c.numerator * (den // c.denominator))
                                       for e, c in p.terms])) for p in v)
@@ -247,10 +254,16 @@ class StdBasis:
 # Normal forms
 
 
-def _divisors(leads, comp, exp) -> list[int]:
-    """Indices of the leading terms in ``leads`` that divide x^exp e_comp."""
-    return [i for i, (c, e, _) in enumerate(leads)
-            if c == comp and all(map(le, e, exp))]
+def _divisor(leads, ecarts: list[int], comp: int, exp) -> int:
+    """Index of the first leading term of least ecart among those in
+    ``leads`` that divide x^exp e_comp, or -1 when none does: one scan,
+    skipping the divisibility test where the ecart could not win."""
+    i = -1
+    for k, (c, e, _) in enumerate(leads):
+        if (c == comp and (i < 0 or ecarts[k] < ecarts[i])
+                and all(map(le, e, exp))):
+            i = k
+    return i
 
 
 def _weak_nf(v: Vector, basis: list[Vector], leads: list, ecarts: list[int],
@@ -292,8 +305,8 @@ def _weak_nf(v: Vector, basis: list[Vector], leads: list, ecarts: list[int],
     steps = 0
     while (lead_h := _lt(h, width)) is not None:
         comp, exp, ch = lead_h
-        divs = _divisors(L, comp, exp)
-        if not divs:
+        i = _divisor(L, E, comp, exp)
+        if i < 0:
             if not full:
                 break
             # the leading terms met in one component only decrease, so the
@@ -304,7 +317,6 @@ def _weak_nf(v: Vector, basis: list[Vector], leads: list, ecarts: list[int],
         steps += 1
         if steps > limits.max_pairs * 20:
             raise ResourceLimitError("normal form step limit exceeded")
-        i = min(divs, key=E.__getitem__)
         if not is_global:
             ecart_h = _vec_degree(h[:width]) - sum(exp)
             if E[i] > ecart_h:
@@ -434,7 +446,7 @@ def _std(vecs: list[Vector], width: int, limits: Limits, corner=None):
         _, ej, kj = LT[j]
         lcm_exp = tuple(map(max, ei, ej))
         # product criterion (valid for ideals only)
-        if width == 1 and all(a + b == c for a, b, c in zip(ei, ej, lcm_exp)):
+        if width == 1 and not any(map(min, ei, ej)):
             continue
         # chain criterion: some k, paired with i and with j (so in
         # component ci), whose leading term divides the lcm
@@ -553,9 +565,13 @@ def vs_dimension(basis: StdBasis) -> Union[int, _Infinite]:
             if not pures:
                 return INFINITE
             bounds.append(min(pures))
-        for mono in iproduct(*(range(b) for b in bounds)):
-            if not any(all(a <= b for a, b in zip(e, mono)) for e in exps):
-                total += 1
+        # column by column: below the head x^h (all exponents but the last)
+        # the standard monomials are x^h*x_n^t for t under the least last
+        # exponent of a leading term whose head divides x^h; the pure power
+        # of x_n is one such term
+        cols = [(e[:-1], e[-1]) for e in exps]
+        for head in iproduct(*(range(b) for b in bounds[:-1])):
+            total += min([t for h, t in cols if all(map(le, h, head))])
     return total
 
 
@@ -717,7 +733,7 @@ def _colon_basis(numerator: Sequence[Union[Poly, Vector]],
     for c in range(s):
         for i in variables:
             exp = tuple(int(j == i) for j in range(ring.arity))
-            if not _divisors(leads, c, exp):
+            if _divisor(leads, ecarts, c, exp) < 0:
                 vectors.append(tag(c, ring.var(i)))
                 leads.append((c, exp, 1))
                 ecarts.append(0)

@@ -313,7 +313,7 @@ def hat_M_dimension(f: MapGerm,
     if any(p.is_unit() for p in partials):
         return 0  # smooth image: J(g) is the unit ideal
     comps = f.components
-    if all(p.substitute(list(comps), f.source).is_zero() for p in partials):
+    if all(p.is_zero() for p in _pullbacks(f, g, limits)):
         raise InvariantError("all Jacobian pullbacks vanish (g not reduced?)")
     mu = image_milnor_number(image, limits)
     _, pre_gens = eliminate(*_graph_ideal(comps, target.names,
@@ -501,16 +501,24 @@ def samuel_multiplicity_estimate(ge: GoodEquation,
 # Piene's lambda and the conductor
 
 
+def _pullbacks(f: MapGerm, g: Poly, limits: Limits) -> tuple[Poly, ...]:
+    """dg/dy_i o f for every i, for the image equation g of the mono-germ f
+    under limits (once per germ and limits): ``piene_lambda`` and
+    ``hat_M_dimension`` read the same pullbacks."""
+    return once(f, ("pullbacks", limits), lambda: tuple(
+        g.diff(i).substitute(list(f.components), f.source)
+        for i in range(g.ring.arity)))
+
+
 def piene_lambda(f: MapGerm, limits: Limits = DEFAULT_LIMITS) -> Poly:
     """The conductor generator: dg/dy_i o f = (-1)^i lambda * minor_i, all i."""
     if len(f.branches) != 1:
         raise GermError("the conductor generator is computed for mono-germs")
     g = image_equation(f, limits).equation
     comps = list(f.components)
-    src = f.source
     n = f.n
     minors = maximal_minors(comps)
-    pullbacks = [g.diff(i).substitute(comps, src) for i in range(n + 1)]
+    pullbacks = _pullbacks(f, g, limits)
     lam = None
     for i in range(n + 1):
         if minors[i].is_zero():

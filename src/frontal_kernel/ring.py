@@ -486,7 +486,15 @@ class Poly:
         return max(self.ring.weighted_degree(e) for e, _ in self.terms)
 
     def map_to(self, other: Ring) -> "Poly":
-        """Reinterpret in a ring with the same variable names (any order/ordering)."""
+        """Reinterpret in a ring with the same variable names (any order/ordering).
+        With the names in the same order the exponents stay as they are, and
+        only a different ordering sorts them."""
+        if other.names == self.ring.names:
+            if other.ordering == self.ring.ordering:
+                return Poly(other, self.terms)
+            key = other.ordering.sort_key
+            return Poly(other, tuple(sorted(self.terms, key=lambda t: key(t[0]),
+                                            reverse=True)))
         idx = [other.names.index(n) if n in other.names else -1
                for n in self.ring.names]
         acc = {}
@@ -616,6 +624,8 @@ def quasihomogeneous_weights(p: Poly):
     rows = [[Fraction(e[i] - base[i]) for i in present] for e in exps[1:]]
     pivots = _echelon(rows, m)
     free_cols = [j for j in range(m) if j not in pivots]
+    if not free_cols:
+        return None  # only w = 0 solves the rows, so no vertex exists either
 
     def solution(free_values):
         w = [Fraction(0)] * m

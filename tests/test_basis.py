@@ -1,18 +1,21 @@
 """Standard bases, normal forms, dimensions, elimination, quotients."""
 
+import itertools
 import math
+import operator
 import random
 import time
 from fractions import Fraction
 
 import pytest
 
-from frontal_kernel import (INFINITE, Limits, ResourceLimitError, StdBasis,
-                            eliminate, germfile, ideal_quotient, membership,
-                            membership_certificate, normal_form, ring,
-                            saturation, std, subquotient_dimension, syzygies,
-                            vs_dimension)
-from frontal_kernel.basis import (colon_submodule, minimal_subset,
+from frontal_kernel import (INFINITE, Limits, Poly, ResourceLimitError,
+                            StdBasis, eliminate, germfile, ideal_quotient,
+                            membership, membership_certificate, normal_form,
+                            ring, saturation, std, subquotient_dimension,
+                            syzygies, vs_dimension)
+from frontal_kernel.basis import (_divisor, _lt, _vec_comb, _vec_degree,
+                                  colon_submodule, minimal_subset,
                                   vector_normal_form)
 from frontal_kernel.germs import min_generators, ramification_ideal
 from frontal_kernel.invariants import (M_F_dimension, _relative_module,
@@ -725,3 +728,144 @@ def test_poly_product_forms_one_fraction_per_term(monkeypatch):
         assert len(made) <= len(product.terms)
     made.clear()
     assert Fraction(1, 3) and made
+
+
+# The kernels of the pair loop against the code they replaced, kept here as
+# the references: the same vectors, divisor picks and counts.
+
+def _kernel_rings():
+    names = ("x", "y", "z")
+    return [ring(*names), ring(*names, local=True),
+            ring(*names, local=True, weights=(2, 3, 5)),
+            Ring(names, block_ordering((1, 2), (Ordering(),
+                                                Ordering(local=True))))]
+
+
+def _int_poly(rng, R):
+    """Zero one time in three, else a few integer terms, sorted by R."""
+    if rng.randrange(3) == 0:
+        return R.zero()
+    return R._from_dict({tuple(rng.randint(0, 3) for _ in range(R.arity)):
+                         rng.choice([-7, -2, -1, 1, 3, 4, 9])
+                         for _ in range(rng.randint(1, 4))})
+
+
+def _shifted(p, b, exp):
+    return p.ring._from_dict({tuple(map(operator.add, e, exp)): b * c
+                              for e, c in p.terms})
+
+
+def _vec_comb_by_dict(a, v, b, exp, w):
+    """a*v - b*x^exp*w with a dict merge and a sort for every component
+    where w is nonzero."""
+    out = []
+    for p, q in zip(v, w):
+        if not q.terms:
+            out.append(p if a == 1 or not p.terms else
+                       Poly(p.ring, tuple([(e, a * c) for e, c in p.terms])))
+            continue
+        acc = {e: a * c for e, c in p.terms}
+        for e, c in q.terms:
+            e = tuple(map(operator.add, e, exp))
+            c = acc.get(e, 0) - b * c
+            if c:
+                acc[e] = c
+            else:
+                del acc[e]
+        out.append(q.ring._from_dict(acc))
+    return tuple(out)
+
+
+def test_vec_comb_matches_the_dict_merge():
+    rng = random.Random(61)
+    zero_shifts = 0
+    for R in _kernel_rings():
+        for _ in range(150):
+            rank = rng.randint(1, 3)
+            v = tuple(_int_poly(rng, R) for _ in range(rank))
+            w = tuple(_int_poly(rng, R) for _ in range(rank))
+            a = rng.choice([1, 1, 2, -3])
+            b = rng.choice([1, -1, 2, -5])
+            exp = tuple(rng.randint(0, 2) for _ in range(R.arity))
+            if rng.randrange(4) == 0:
+                # a*v cancels the shift of w in the first component
+                v = (_shifted(w[0], Fraction(b, a), exp),) + v[1:]
+            zero_shifts += sum(not p.terms and bool(q.terms)
+                               for p, q in zip(v, w))
+            got = _vec_comb(a, v, b, exp, w)
+            want = _vec_comb_by_dict(a, v, b, exp, w)
+            assert [(p.ring, p.terms) for p in got] == \
+                [(p.ring, p.terms) for p in want]
+    assert zero_shifts > 100
+
+
+def test_divisor_matches_the_least_ecart_of_all_divisors():
+    rng = random.Random(67)
+    found = missed = 0
+    for R in _kernel_rings():
+        for _ in range(150):
+            rank = rng.randint(1, 3)
+            vecs = [v for v in (tuple(_int_poly(rng, R) for _ in range(rank))
+                                for _ in range(rng.randint(1, 8)))
+                    if _lt(v)]
+            leads = [_lt(v) for v in vecs]
+            ecarts = [_vec_degree(v) - sum(lead[1])
+                      for v, lead in zip(vecs, leads)]
+            h = tuple(_int_poly(rng, R) for _ in range(rank))
+            if not _lt(h):
+                continue
+            comp, exp, _ = _lt(h)
+            divs = [i for i, (c, e, _) in enumerate(leads)
+                    if c == comp and all(map(operator.le, e, exp))]
+            want = min(divs, key=ecarts.__getitem__) if divs else -1
+            assert _divisor(leads, ecarts, comp, exp) == want
+            found += want >= 0
+            missed += want < 0
+    assert found > 50 and missed > 50
+
+
+def _box_count(stdbasis):
+    """Standard monomials of every component counted one by one in the box
+    under the pure powers."""
+    n = stdbasis.ring.arity
+    stair = stdbasis.leading_data()
+    total = 0
+    for comp in range(stdbasis.rank):
+        exps = stair.get(comp, [])
+        if any(not any(e) for e in exps):
+            continue
+        bounds = []
+        for i in range(n):
+            pures = [e[i] for e in exps if sum(e) == e[i]]
+            if not pures:
+                return INFINITE
+            bounds.append(min(pures))
+        for mono in itertools.product(*(range(b) for b in bounds)):
+            if not any(all(a <= b for a, b in zip(e, mono)) for e in exps):
+                total += 1
+    return total
+
+
+def test_vs_dimension_matches_the_box_count():
+    rng = random.Random(71)
+    kinds = set()
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        rank = rng.randint(1, 2)
+        R = ring(*"xyz"[:n], local=rng.random() < 0.5)
+        exps = []
+        for c in range(rank):
+            if rng.random() < 0.8:
+                exps += [(c, tuple(rng.randint(1, 5) if j == i else 0
+                                   for j in range(n))) for i in range(n)]
+            if rng.random() < 0.05:
+                exps.append((c, (0,) * n))
+            exps += [(c, tuple(rng.randint(0, 4) for _ in range(n)))
+                     for _ in range(rng.randint(0, 5))]
+        stdbasis = StdBasis(R, rank, [
+            tuple(R.monomial(e) if j == c else R.zero() for j in range(rank))
+            for c, e in exps])
+        want = _box_count(stdbasis)
+        assert vs_dimension(stdbasis) == want
+        kinds.add((n, rank, want is INFINITE))
+    assert len(kinds) == 12

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from frontal_kernel import Limits, cli, invariants
+from frontal_kernel import Limits, Poly, cli, invariants
 from frontal_kernel.cli import main
 
 E6 = """frontal-kernel v1
@@ -242,6 +242,26 @@ def test_each_elimination_runs_once_per_file(tmp_path, monkeypatch, capsys):
     assert len(seen) == len(set(seen)) == 3
     golden = (corpus / "cusp.golden").read_text(encoding="utf-8")
     assert capsys.readouterr().out == golden
+
+
+@pytest.mark.parametrize("variables, components, substitutions", [
+    ("x", "x^3, 2*x^4", 3),
+    ("x, y", "x, y^2, 1/3*x^2*y + y^7", 4)])
+def test_pullbacks_are_substituted_once_per_germ(
+        tmp_path, monkeypatch, capsys, variables, components, substitutions):
+    # the conductor and hat_M read one set of pullbacks dg/dy_i o f; the
+    # one other substitution checks that g vanishes on f
+    seen = []
+    original = Poly.substitute
+
+    def counting(self, *args, **kwargs):
+        seen.append(self)
+        return original(self, *args, **kwargs)
+    monkeypatch.setattr(Poly, "substitute", counting)
+    path = write(tmp_path, f"frontal-kernel v1\nring {variables};\n"
+                 f"map f = {components};\nanalyze f image conductor hat_M;\n")
+    assert main(["--format", "machine", "analyze", path]) == 0
+    assert len(seen) == substitutions
 
 
 def test_reports_stream_statement_by_statement(tmp_path, monkeypatch, capsys):

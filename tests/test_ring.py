@@ -1,5 +1,6 @@
 """Exact polynomial arithmetic and orderings."""
 
+import importlib
 import itertools
 import math
 import random
@@ -10,7 +11,8 @@ import pytest
 from frontal_kernel import Poly, associates, exact_divide, quasihomogeneous_weights, ring
 from frontal_kernel import basis
 from frontal_kernel.germfile import _ExprParser, tokenize
-from frontal_kernel.ring import Ordering, RingMismatchError, block_ordering
+from frontal_kernel.ring import (Ordering, Ring, RingMismatchError,
+                                 block_ordering)
 
 
 def parse_poly(text, R):
@@ -188,6 +190,38 @@ def test_quasihomogeneous_weights_of_planted_weights():
             assert not any(
                 len({sum(wi * a for wi, a in zip(w, e)) for e in exps}) == 1
                 for w in itertools.product(range(1, 13), repeat=3)), g
+
+
+def test_quasihomogeneous_weights_stop_at_full_column_rank(monkeypatch):
+    # the rows w.(e - e0) = 0 have no free column, so only w = 0 solves
+    # them and the vertex search is not reached
+    def unreachable(exps):
+        raise AssertionError("vertex search on a full-rank system")
+    monkeypatch.setattr(importlib.import_module("frontal_kernel.ring"),
+                        "_vertex_weights", unreachable)
+    R = ring("y1", "y2", local=True)
+    y1, y2 = R.gens()
+    g = (y2 ** 5 + Fraction(25, 3) * y1 ** 3 * y2 ** 3 - y1 ** 7
+         + Fraction(125, 9) * y1 ** 6 * y2 + Fraction(3125, 243) * y1 ** 8)
+    assert quasihomogeneous_weights(g) is None
+
+
+def test_map_to_a_ring_of_the_same_names_matches_the_general_path():
+    # same names: the exponents stay and only the ordering's sort remains
+    rng = random.Random(31)
+    names = ("x", "y", "z")
+    rings = [ring(*names), ring(*names, local=True),
+             ring(*names, local=True, weights=(2, 3, 5)),
+             Ring(names, block_ordering((1, 2), (Ordering(),
+                                                 Ordering(local=True))))]
+    for _ in range(60):
+        R, S = rng.choice(rings), rng.choice(rings)
+        p = R.from_terms((tuple(rng.randint(0, 3) for _ in names),
+                          Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
+                         for _ in range(rng.randint(0, 6)))
+        mapped = p.map_to(S)
+        assert mapped.ring is S
+        assert mapped.terms == S.from_terms(p.terms).terms
 
 
 def test_equal_orderings_share_one_key_memo(monkeypatch):

@@ -14,11 +14,14 @@ only `bench/` and `BENCHMARK.json` of each tree are read.
 One line per run gives the side, its metrics, the number of items it
 attempted and `correct`.  Then one line
 per end-to-end metric gives the parent's median [first quartile, third
-quartile], the change's median and the number of pairs in which the change
-is better (ties count for neither side), and a last line the `correct`
-value of every run.  A gain is claimed when the change wins at least nine
-pairs in ten and the medians differ by more than the parent's quartile
-distance.
+quartile], the change's median, the number of pairs in which the change
+is better (ties count for neither side) and the median [quartiles] of the
+per-pair ratios change/parent (over the pairs whose parent value is not
+zero; `n/a` when there is none), and a last line the `correct` value of
+every run.  A host slow spell moves both runs of a pair, so the ratios
+show a gain that the spread of the unpaired medians can hide.  A gain is
+claimed when the change wins at least nine pairs in ten and the medians
+differ by more than the parent's quartile distance.
 """
 
 from __future__ import annotations
@@ -106,9 +109,17 @@ def main(argv=None) -> int:
         sign = 1 if m["better"] == "higher" else -1
         wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
         q1, q3 = quartiles(parent)
+        ratios = [c / p for p, c in zip(parent, change) if p]
+        if ratios:
+            r1, r3 = quartiles(ratios)
+            ratio = (f"{statistics.median(ratios):.4g} "
+                     f"[{r1:.4g}, {r3:.4g}]")
+        else:
+            ratio = "n/a"
         print(f"{name} ({m['unit']})\tparent {statistics.median(parent):.6g}"
               f" [{q1:.6g}, {q3:.6g}]\tchange "
-              f"{statistics.median(change):.6g}\twins {wins}/{args.pairs}")
+              f"{statistics.median(change):.6g}\twins {wins}/{args.pairs}"
+              f"\tratio {ratio}")
     for side in ("parent", "change"):
         print(f"correct\t{side}\t"
               + " ".join(str(r["correct"]) for r in results[side]))
