@@ -14,16 +14,21 @@ The file is read with one cursor over one token list: `_ExprParser` holds
 it with the expression grammar, and the statement parser extends it, setting
 the ring each expression list is read in (the source ring, the unfolding
 ring or the target ring).
+
+`tokenize` reads the text with one regex scan into token strings; a token's
+kind is known by its first character, and the parsers compare strings.  The
+token list carries its text, and the line and column of a token are found by
+scanning that text again, only when an error reports them.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from operator import add
-from typing import NamedTuple, Optional, Union
+from typing import Optional, Union
 
 from .basis import DEFAULT_LIMITS, ResourceLimitError
 from .germs import MapGerm, germ
@@ -111,71 +116,81 @@ class GermFile:
 # Tokenizer
 
 
-class Token(NamedTuple):
-    kind: str       # name, number, punct, end
-    text: str
-    line: int
-    column: int
+class Tokens(list):
+    """The token strings of a text, ending in the end marker '', and the
+    text they were read from, which is scanned again for the line and
+    column of a token only when an error reports them."""
+
+    __slots__ = ("text",)
 
 
-# One match per token, run of blanks or comment.  A name starts with a letter
-# or '_' and goes on with letters, digits or '_': \w is exactly
-# str.isalnum() or '_', but [^\W\d] also admits numeric characters such as
-# '²', which tokenize rejects as a name's first character.  Numbers are ASCII
-# digits only (int() would also read other decimal digits).
-_TOKEN = re.compile(r"[ \t\r]+|#.*|(?P<name>[^\W\d]\w*)|(?P<number>[0-9]+)"
-                    r"|(?P<punct>[;,=:+\-*/^()])|(?P<other>.)")
+# One match per token, run of blanks or comment; group 1 is the token.  A
+# name starts with a letter or '_' and goes on with letters, digits or '_':
+# \w is exactly str.isalnum() or '_', but [^\W\d] also admits numeric
+# characters such as '²', which tokenize rejects as a name's first
+# character.  Numbers are ASCII digits only (int() would also read other
+# decimal digits).  Any other character is a token of its own, rejected.
+_TOKEN = re.compile(r"[ \t\r\n]+|#.*|([^\W\d]\w*|[0-9]+|[;,=:+\-*/^()]|.)")
+_PUNCT = frozenset(";,=:+-*/^()")
+_DIGITS = frozenset("0123456789")
 
 
-def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
+def _is_name(tok: str) -> bool:
+    return tok[:1].isalpha() or tok[:1] == "_"
+
+
+def _position(tokens: Tokens, i: int) -> tuple[int, int]:
+    """(line, column) of token i, by scanning the text again."""
+    text = tokens.text
+    if i < len(tokens) - 1:
+        starts = (m.start() for m in _TOKEN.finditer(text) if m.lastindex)
+        start = next(itertools.islice(starts, i, None))
+    else:
+        start = len(text)  # the end marker
+    return text.count("\n", 0, start) + 1, start - text.rfind("\n", 0, start)
+
+
+def tokenize(text: str) -> Tokens:
+    """The tokens of text.  A name is known by its first character, a
+    letter or '_'; a number by its first, a digit; punctuation is one
+    character of its own."""
+    tokens = Tokens(filter(None, _TOKEN.findall(text)))
+    tokens.append("")
+    tokens.text = text
     limit = sys.get_int_max_str_digits()
-    new_token = tuple.__new__  # Token(...) without its Python-level __new__
-    lines = text.split("\n")
-    for line, source in enumerate(lines, 1):
-        for m in _TOKEN.finditer(source):
-            kind = m.lastgroup
-            if kind is None:
-                continue
-            word, column = m.group(), m.start() + 1
-            if kind == "other" or kind == "name" and not (
-                    word[0].isalpha() or word[0] == "_"):
-                raise SyntaxErrorAt(f"unexpected character {word[0]!r}",
-                                    line, column)
-            if kind == "number" and limit and len(word) > limit:
-                raise SyntaxErrorAt(
-                    f"integer literal of {len(word)} digits is longer than "
-                    f"{limit} digits", line, column)
-            tokens.append(new_token(Token, (kind, word, line, column)))
-    tokens.append(Token("end", "", len(lines), len(lines[-1]) + 1))
+    errors = {}
+    for tok in set(tokens).difference(_PUNCT):
+        first = tok[:1]
+        if first in _DIGITS:
+            if limit and len(tok) > limit:
+                errors[tok] = (f"integer literal of {len(tok)} digits is "
+                               f"longer than {limit} digits")
+        elif not (_is_name(tok) or tok == ""):
+            errors[tok] = f"unexpected character {first!r}"
+    if errors:
+        i = min(map(tokens.index, errors))
+        raise SyntaxErrorAt(errors[tokens[i]], *_position(tokens, i))
     return tokens
 
 
 # ---------------------------------------------------------------------------
 # Expression parsing (sum of products; '/' needs a constant divisor)
 #
-# A term whose factors are numbers, variables or their powers is read as a
-# monomial (exponents, coefficient): '*' adds exponents, '^' scales them and
-# '/' divides the coefficient, an int until then.  A parenthesised factor is
-# a Poly, and so is every product it enters.  A sum is merged and sorted
-# once, with one Fraction per monomial term.  A punctuation token is known by
-# its text alone.
+# A term is read in one loop, one signed power after another: a power of a
+# number or a variable is multiplied into one exponent list and integer
+# coefficient, and '/' divides the coefficient, an int until then.  A
+# parenthesised sum is a Poly; its powers are multiplied into a second
+# product, and the term is the monomial times that product.  A sum is merged
+# and sorted once, with one Fraction per monomial term.
 
 Monomial = tuple[tuple[int, ...], Union[int, Fraction]]
-
-
-def _degree(factor: Union[Monomial, Poly]) -> int:
-    """Total degree; -1 for zero, as for the zero Poly."""
-    if isinstance(factor, Poly):
-        return factor.total_degree()
-    return sum(factor[0]) if factor[1] else -1
 
 
 class _ExprParser:
     """A cursor over a token list, and the expression grammar read with it
     in ``self.ring``."""
 
-    def __init__(self, tokens: list[Token], pos: int, ring_: Ring,
+    def __init__(self, tokens: Tokens, pos: int, ring_: Ring,
                  max_degree: int = DEFAULT_LIMITS.max_degree):
         self.tokens = tokens
         self.pos = pos
@@ -188,43 +203,37 @@ class _ExprParser:
 
     @ring.setter
     def ring(self, ring_: Ring) -> None:
-        # with the exponents of a constant and of each variable of the ring
+        # with the index of each variable of the ring
         self._ring = ring_
         names = ring_.names if ring_ is not None else ()
-        self.const_exp = (0,) * len(names)
-        self.var_exp = {name: tuple(int(i == j) for j in range(len(names)))
-                        for i, name in enumerate(names)}
+        self.var_index = {name: i for i, name in enumerate(names)}
 
-    def peek(self) -> Token:
+    def peek(self) -> str:
         return self.tokens[self.pos]
 
-    def take(self) -> Token:
+    def take(self) -> str:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def error(self, message: str, tok: Optional[Token] = None):
-        tok = tok or self.peek()
-        raise SyntaxErrorAt(message, tok.line, tok.column)
+    def error(self, message: str, at: Optional[int] = None):
+        """Raise at token index at, by default at the cursor."""
+        line, column = _position(self.tokens, self.pos if at is None else at)
+        raise SyntaxErrorAt(message, line, column)
 
     def expect_punct(self, text: str) -> None:
-        tok = self.peek()
-        if not (tok.kind == "punct" and tok.text == text):
+        if self.tokens[self.pos] != text:
             self.error(f"expected {text!r}")
-        self.take()
+        self.pos += 1
 
-    def check_degree(self, degree: int, tok: Token,
+    def check_degree(self, degree: int, at: int,
                      what: str = "degree") -> None:
         """Refuse a product or power before expanding it past the bound."""
         if degree > self.max_degree:
+            line, column = _position(self.tokens, at)
             raise ResourceLimitError(
-                f"line {tok.line}, column {tok.column}: {what} {degree} "
+                f"line {line}, column {column}: {what} {degree} "
                 f"exceeds limit {self.max_degree}")
-
-    def poly(self, factor: Union[Monomial, Poly]) -> Poly:
-        if isinstance(factor, Poly):
-            return factor
-        return self.ring.monomial(*factor)
 
     def parse_expr(self) -> Poly:
         """A signed sum of terms, merged and sorted once at the end."""
@@ -244,87 +253,110 @@ class _ExprParser:
     def take_sign(self) -> Optional[str]:
         """Consume a leading '+' or '-' and return it, else None."""
         tok = self.tokens[self.pos]
-        if tok.text == "+" or tok.text == "-":
+        if tok == "+" or tok == "-":
             self.pos += 1
-            return tok.text
+            return tok
         return None
 
     def parse_term(self) -> Union[Monomial, Poly]:
-        acc = self.parse_power()
+        """Signed powers joined by '*' or '/'.
+
+        A unary sign applies to the power after it, and no further '^'
+        applies to the signed power: -x^2^3 stops at the second '^', as
+        x^2^3 does.  Each product and power is checked against the degree
+        bound before it is formed."""
+        tokens, index, bound = self.tokens, self.var_index, self.max_degree
+        # the term is the monomial (exp, coeff) times the product of its
+        # parenthesised powers, once there is one
+        exp = [0] * len(index)
+        coeff, degree = 1, 0  # and sum(exp)
+        product = None
+        op = None             # index of the '*' or '/' before the power
+        pos = self.pos
         while True:
-            tok = self.tokens[self.pos]
-            if tok.text == "*":
-                self.pos += 1
-                factor = self.parse_power()
-                self.check_degree(_degree(acc) + _degree(factor), tok)
-                if isinstance(acc, Poly) or isinstance(factor, Poly):
-                    acc = self.poly(acc) * self.poly(factor)
-                else:
-                    acc = (tuple(map(add, acc[0], factor[0])),
-                           acc[1] * factor[1])
-            elif tok.text == "/":
-                self.pos += 1
-                divisor = self.parse_power()
-                if isinstance(divisor, Poly):
-                    c = divisor.constant_term() if divisor.is_constant() else 0
-                else:
-                    c = 0 if any(divisor[0]) else divisor[1]
-                if not c:
-                    self.error("division requires a nonzero constant divisor")
-                if isinstance(acc, Poly):
-                    acc = acc.scale(Fraction(1) / c)
-                else:
-                    acc = (acc[0], Fraction(acc[1], c))
+            tok = tokens[pos]
+            negative = False
+            while tok == "-" or tok == "+":
+                negative = negative != (tok == "-")
+                pos += 1
+                tok = tokens[pos]
+            var = index.get(tok)
+            if var is not None:
+                base, base_degree = 1, 1
+            elif tok.isdigit():
+                base = int(tok)
+                base_degree = 0 if base else -1
+            elif tok == "(":
+                self.pos = pos + 1
+                base = self.parse_expr()
+                self.expect_punct(")")
+                pos = self.pos - 1
+                base_degree = base.total_degree()
             else:
-                return acc
+                self.pos = pos
+                if _is_name(tok):
+                    self.error(f"undeclared variable {tok!r} "
+                               f"(known: {', '.join(self.ring.names)})")
+                self.error("expected a variable, number, or '('")
+            pos += 1
+            k = 1
+            if tokens[pos] == "^":
+                caret = pos
+                pos += 1
+                if not tokens[pos].isdigit():
+                    self.pos = pos
+                    self.error("exponent must be a nonnegative integer")
+                k = int(tokens[pos])
+                pos += 1
+                if base_degree * k > bound or k > bound:
+                    self.check_degree(base_degree * k, caret)
+                    # a constant base has degree 0, but its power still grows
+                    self.check_degree(k, caret, "exponent")
+            if isinstance(base, Poly):
+                power = base ** k if k != 1 else base
+                if negative:
+                    power = -power
+            else:
+                power = None
+                c = -base ** k if negative else base ** k
 
-    def parse_power(self) -> Union[Monomial, Poly]:
-        sign = self.take_sign()
-        if sign is not None:
-            # a unary sign inside a term applies to the power after it, and
-            # no further '^' applies to the signed power: -x^2^3 stops at
-            # the second '^', as x^2^3 does
-            factor = self.parse_power()
-            if sign == "+":
-                return factor
-            if isinstance(factor, Poly):
-                return -factor
-            return factor[0], -factor[1]
-        base = self.parse_atom()
-        tok = self.tokens[self.pos]
-        if tok.text != "^":
-            return base
-        self.pos += 1
-        exp = self.tokens[self.pos]
-        if exp.kind != "number":
-            self.error("exponent must be a nonnegative integer")
-        self.pos += 1
-        power = int(exp.text)
-        self.check_degree(_degree(base) * power, tok)
-        # a constant base has degree 0, but its power still grows
-        self.check_degree(power, tok, "exponent")
-        if isinstance(base, Poly):
-            return base ** power
-        return tuple([a * power for a in base[0]]), base[1] ** power
+            if op is not None and tokens[op] == "/":
+                if power is not None:
+                    c = power.constant_term() if power.is_constant() else 0
+                elif var is not None and k:
+                    c = 0
+                if not c:
+                    self.pos = pos
+                    self.error("division requires a nonzero constant divisor")
+                coeff = Fraction(coeff, c)
+            else:
+                if op is not None:
+                    # the degrees of the term so far and of the power; -1
+                    # for zero, as for the zero Poly
+                    d = 0 if product is None else product.total_degree()
+                    acc_degree = degree + d if coeff and d >= 0 else -1
+                    if power is not None:
+                        power_degree = power.total_degree()
+                    else:
+                        power_degree = (0 if var is None else k) if c else -1
+                    if acc_degree + power_degree > bound:
+                        self.check_degree(acc_degree + power_degree, op)
+                if power is not None:
+                    product = power if product is None else product * power
+                else:
+                    if var is not None:
+                        exp[var] += k
+                        degree += k
+                    coeff *= c
 
-    def parse_atom(self) -> Union[Monomial, Poly]:
-        tok = self.tokens[self.pos]
-        if tok.kind == "number":
-            self.pos += 1
-            return self.const_exp, int(tok.text)
-        if tok.kind == "name":
-            exp = self.var_exp.get(tok.text)
-            if exp is None:
-                self.error(f"undeclared variable {tok.text!r} "
-                           f"(known: {', '.join(self.ring.names)})")
-            self.pos += 1
-            return exp, 1
-        if tok.text == "(":
-            self.pos += 1
-            inner = self.parse_expr()
-            self.expect_punct(")")
-            return inner
-        self.error("expected a variable, number, or '('")
+            tok = tokens[pos]
+            if tok != "*" and tok != "/":
+                self.pos = pos
+                if product is None:
+                    return tuple(exp), coeff
+                return self.ring.monomial(exp, coeff) * product
+            op = pos
+            pos += 1
 
 
 # ---------------------------------------------------------------------------
@@ -347,26 +379,25 @@ class _Parser(_ExprParser):
 
     def expect_name(self, what: str = "name") -> str:
         tok = self.peek()
-        if tok.kind != "name":
+        if not _is_name(tok):
             self.error(f"expected a {what}")
-        self.take()
-        return tok.text
+        self.pos += 1
+        return tok
 
     def expect_keyword(self, word: str) -> None:
-        tok = self.peek()
-        if not (tok.kind == "name" and tok.text == word):
+        if self.peek() != word:
             self.error(f"expected keyword {word!r}")
-        self.take()
+        self.pos += 1
 
     def parse(self) -> GermFile:
-        while self.peek().kind != "end":
+        while self.peek():
             self.statement()
         weights = self.source_ring.weights if self.source_ring else None
         return GermFile(self.statements, weights, self.maps, self.unfoldings)
 
     def statement(self) -> None:
         tok = self.peek()
-        if tok.kind != "name":
+        if not _is_name(tok):
             self.error("expected a statement keyword")
         handler = {
             "ring": self.ring_stmt,
@@ -376,18 +407,18 @@ class _Parser(_ExprParser):
             "good_equation": self.good_equation_stmt,
             "assert_frontal_stable": self.assert_stable_stmt,
             "analyze": self.analyze_stmt,
-        }.get(tok.text)
+        }.get(tok)
         if handler is None:
-            self.error(f"unknown statement {tok.text!r}")
-        self.take()
+            self.error(f"unknown statement {tok!r}")
+        self.pos += 1
         handler()
         self.expect_punct(";")
 
     def comma_list(self, item) -> tuple:
         """One or more items, each read by item(), separated by ','."""
         items = [item()]
-        while self.peek().kind == "punct" and self.peek().text == ",":
-            self.take()
+        while self.peek() == ",":
+            self.pos += 1
             items.append(item())
         return tuple(items)
 
@@ -403,7 +434,7 @@ class _Parser(_ExprParser):
         except ValueError as exc:
             # at the first repeated name; the names are every other token
             i = next(i for i, name in enumerate(names) if name in names[:i])
-            self.error(str(exc), self.tokens[start + 2 * i])
+            self.error(str(exc), start + 2 * i)
         self.statements.append(RingStmt(names))
 
     def weights_stmt(self) -> None:
@@ -420,28 +451,28 @@ class _Parser(_ExprParser):
                                 weights=values)
         self.statements.append(WeightsStmt(values))
 
-    def weight(self) -> tuple[Token, Fraction]:
-        """A positive weight, with its first token."""
-        tok = self.peek()
-        if tok.kind != "number" or int(tok.text) == 0:
+    def weight(self) -> tuple[int, Fraction]:
+        """A positive weight, with the index of its first token."""
+        start, num = self.pos, self.peek()
+        if not num.isdigit() or int(num) == 0:
             self.error("expected a positive integer weight")
-        self.take()
-        if not (self.peek().kind == "punct" and self.peek().text == "/"):
-            return tok, Fraction(int(tok.text))
-        self.take()
+        self.pos += 1
+        if self.peek() != "/":
+            return start, Fraction(int(num))
+        self.pos += 1
         den = self.peek()
-        if den.kind != "number" or int(den.text) == 0:
+        if not den.isdigit() or int(den) == 0:
             self.error("expected a positive denominator")
-        self.take()
-        return tok, Fraction(int(tok.text), int(den.text))
+        self.pos += 1
+        return start, Fraction(int(num), int(den))
 
     def map_stmt(self) -> None:
         if self.source_ring is None:
             self.error("map before any ring declaration")
-        tok = self.peek()
+        at = self.pos
         name = self.expect_name("map name")
         if name in self.maps or name in self.unfoldings:
-            self.error(f"duplicate definition of {name!r}", tok)
+            self.error(f"duplicate definition of {name!r}", at)
         self.expect_punct("=")
         comps = self.expr_list(self.source_ring)
         if len(comps) != self.source_ring.arity + 1:
@@ -454,16 +485,16 @@ class _Parser(_ExprParser):
         self.statements.append(MapStmt(name, comps))
 
     def unfold_stmt(self) -> None:
-        tok = self.peek()
+        at = self.pos
         name = self.expect_name("unfolding name")
         if name in self.maps or name in self.unfoldings:
-            self.error(f"duplicate definition of {name!r}", tok)
+            self.error(f"duplicate definition of {name!r}", at)
         self.expect_keyword("of")
-        tok = self.peek()
+        at = self.pos
         base_name = self.expect_name("map name")
         base = self.maps.get(base_name)
         if base is None:
-            self.error(f"undeclared map {base_name!r}", tok)
+            self.error(f"undeclared map {base_name!r}", at)
         self.expect_keyword("params")
         start = self.pos
         params = self.comma_list(self.expect_name)
@@ -476,8 +507,8 @@ class _Parser(_ExprParser):
             names = base.source.names
             i = next(i for i, p in enumerate(params)
                      if p in names or p in params[:i])
-            self.error(str(exc), self.tokens[start + 2 * i])
-        first = self.peek()
+            self.error(str(exc), start + 2 * i)
+        first = self.pos
         comps = self.expr_list(uring)
         try:
             self.unfoldings[name] = unfolding(base, params, comps)
@@ -486,41 +517,41 @@ class _Parser(_ExprParser):
         self.statements.append(UnfoldStmt(name, base_name, params, comps))
 
     def good_equation_stmt(self) -> None:
-        tok = self.peek()
+        at = self.pos
         name = self.expect_name("unfolding name")
         spec = self.unfoldings.get(name)
         if spec is None:
-            self.error(f"undeclared unfolding {name!r}", tok)
+            self.error(f"undeclared unfolding {name!r}", at)
         self.expect_punct("=")
         try:
             self.ring = spec.target_ring()
         except ValueError as exc:
             # a parameter of the unfolding repeats a target variable
-            self.error(str(exc), tok)
+            self.error(str(exc), at)
         equation = self.parse_expr()
         self.unfoldings[name] = replace(spec, explicit_G=equation)
         self.statements.append(GoodEquationStmt(name, equation))
 
     def assert_stable_stmt(self) -> None:
-        tok = self.peek()
+        at = self.pos
         name = self.expect_name("unfolding name")
         spec = self.unfoldings.get(name)
         if spec is None:
-            self.error(f"undeclared unfolding {name!r}", tok)
+            self.error(f"undeclared unfolding {name!r}", at)
         self.unfoldings[name] = replace(spec, stable_asserted=True)
         self.statements.append(AssertStableStmt(name))
 
     def analyze_stmt(self) -> None:
-        tok = self.peek()
+        at = self.pos
         name = self.expect_name("map or unfolding name")
         if name not in self.maps and name not in self.unfoldings:
-            self.error(f"undeclared map or unfolding {name!r}", tok)
+            self.error(f"undeclared map or unfolding {name!r}", at)
         directives = []
-        while self.peek().kind == "name":
+        while _is_name(self.peek()):
             tok = self.take()
-            if tok.text not in DIRECTIVES:
-                self.error(f"unknown directive {tok.text!r}", tok)
-            directives.append(tok.text)
+            if tok not in DIRECTIVES:
+                self.error(f"unknown directive {tok!r}", self.pos - 1)
+            directives.append(tok)
         self.statements.append(AnalyzeStmt(name, tuple(directives)))
 
 

@@ -6,13 +6,13 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import linalg
 from .basis import (DEFAULT_LIMITS, Limits, membership_certificate,
                     minimal_subset, std)
-from .ring import (Poly, Ring, _forms, _int_diff, _sum_of_products,
-                   exact_divide, ring)
+from .ring import (Poly, Ring, _check_ring, _forms, _int_diff,
+                   _sum_of_products, exact_divide, ring)
 
 
 class GermError(ValueError):
@@ -127,15 +127,24 @@ def poly_det(m: list[list[Poly]]) -> Poly:
     return _sum_of_products(ring_, _leibniz([_forms(ring_, row) for row in m]))
 
 
-def maximal_minors(comps: Sequence[Poly]) -> list[Poly]:
+def maximal_minors(comps: Sequence[Poly],
+                   deleted: Optional[Iterable[int]] = None) -> list[Poly]:
     """The n x n minors of the Jacobian matrix of the n + 1 components, in
-    n variables: entry i is the minor that deletes component i.  The
-    partials are taken once, on the components' integer forms."""
+    n variables, that delete the components listed in deleted, in its
+    order; by default every one: entry i is the minor that deletes
+    component i.  The partials are taken once, on the components' integer
+    forms; for n = 1 a minor is the other component's derivative, whose
+    terms keep their order."""
     ring_ = comps[0].ring
+    if deleted is None:
+        deleted = range(len(comps))
+    if ring_.arity == 1:
+        _check_ring(ring_, comps)
+        return [comps[1 - i].diff(0) for i in deleted]
     rows = [[_int_diff(form, j) for j in range(ring_.arity)]
             for form in _forms(ring_, comps)]
     return [_sum_of_products(ring_, _leibniz(rows[:i] + rows[i + 1:]))
-            for i in range(len(rows))]
+            for i in deleted]
 
 
 def _linear_part(p: Poly) -> list[Fraction]:
@@ -402,15 +411,15 @@ def nash_lift(pre: PrenormalForm, limits: Limits = DEFAULT_LIMITS) -> NashData:
     Mora's normal form thousands of times longer).
     """
     n, k = pre.n, pre.k
-    minors = maximal_minors(pre.components())
-    det = minors[n]
+    # only the minors that delete a p-row or q
+    *minors, det = maximal_minors(pre.components(), range(n - k, n + 1))
     if det.is_zero():
         raise DivisionError("singular p-block")
 
     mu: list[Poly] = []
     exact = True
-    for i in range(n - k, n):
-        numerator = minors[i] if (n - i) % 2 else -minors[i]
+    for i, minor in zip(range(n - k, n), minors):
+        numerator = minor if (n - i) % 2 else -minor
         quotient = _local_quotient(numerator, det, limits)
         if quotient is None:
             raise DivisionError("Nash division failed: germ is not frontal "

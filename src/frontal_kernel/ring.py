@@ -207,15 +207,18 @@ def _numerators(terms) -> tuple[int, list]:
     return den, [(e, c.numerator * (den // c.denominator)) for e, c in terms]
 
 
-def _forms(ring_: Ring, polys: Iterable["Poly"]) -> list[tuple[int, list]]:
-    """The integer forms of polys, which must all live in ring_."""
-    out = []
+def _check_ring(ring_: Ring, polys: Iterable["Poly"]) -> None:
+    """Raise RingMismatchError unless every poly lives in ring_."""
     for p in polys:
         if p.ring is not ring_ and p.ring != ring_:
             raise RingMismatchError(
                 f"rings differ: {ring_.names} vs {p.ring.names}")
-        out.append(_numerators(p.terms))
-    return out
+
+
+def _forms(ring_: Ring, polys: Sequence["Poly"]) -> list[tuple[int, list]]:
+    """The integer forms of polys, which must all live in ring_."""
+    _check_ring(ring_, polys)
+    return [_numerators(p.terms) for p in polys]
 
 
 def _int_diff(form: tuple[int, list], var: int) -> tuple[int, list]:

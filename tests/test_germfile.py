@@ -182,6 +182,14 @@ _DIGITS = sys.get_int_max_str_digits()
                  "unknown directive 'bogus'", id="unknown-directive"),
     pytest.param(H + "ring x, y;\nmap f = x, y, y*-x^2^3;\n", 3, 21,
                  "expected ';'", id="power-of-a-signed-power"),
+    pytest.param(H + "ring x;\n# a comment; map f = x;\nmap f = x, z^2;\n", 4,
+                 12, "undeclared variable 'z' (known: x)",
+                 id="after-a-comment-line"),
+    pytest.param(H + "ring x;\nmap f =\tx,\tz^2;\n", 3, 12,
+                 "undeclared variable 'z' (known: x)", id="after-a-tab"),
+    pytest.param(H + "ring x, y;\nmap f = x, y^2, x^3\n    + x/y;\n", 4, 10,
+                 "division requires a nonzero constant divisor",
+                 id="second-line-of-a-component"),
 ])
 def test_each_syntax_error_site_gives_its_message_and_position(
         text, line, column, message):

@@ -4,12 +4,14 @@
         --seconds S [--seed K]
 
 Run from anywhere in a source checkout.  REV is exported with
-`git archive` to a temporary directory, and `bench/run.py --workload W
---seed K --seconds S --trace 0` runs N times in that tree and N times in
-this checkout's working tree (uncommitted edits included), one pair after
-another, alternating which side runs first.  Each run's end-to-end metrics
-are read from the last line of its output, as BENCHMARK.json names them;
-only `bench/` and `BENCHMARK.json` of each tree are read.
+`git archive` to a temporary directory, and the files of this checkout's
+working tree (uncommitted edits and untracked files that git does not
+ignore included) are copied to a sibling of it, so that both sides run
+from fresh trees alike.  `bench/run.py --workload W --seed K --seconds S
+--trace 0` runs N times in each tree, one pair after another, alternating
+which side runs first.  Each run's end-to-end metrics are read from the
+last line of its output, as BENCHMARK.json names them; only `bench/` and
+`BENCHMARK.json` of each tree are read.
 
 One line per run gives the side, its metrics, the number of items it
 attempted and `correct`.  Then one line
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -43,6 +46,20 @@ def export(rev: str, dest: Path) -> None:
                              capture_output=True, check=True).stdout
     dest.mkdir()
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def copy_worktree(dest: Path) -> None:
+    """The working tree's files, as `git ls-files` lists them (tracked and
+    untracked, not ignored), in a new dest."""
+    listed = subprocess.run(
+        ["git", "-C", str(ROOT), "ls-files", "-z", "--cached", "--others",
+         "--exclude-standard"], capture_output=True, check=True).stdout
+    dest.mkdir()
+    for name in filter(None, listed.decode().split("\0")):
+        source = ROOT / name
+        if source.is_file():  # a tracked file may be deleted, not staged
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, dest / name)
 
 
 def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -83,8 +100,9 @@ def main(argv=None) -> int:
     metrics = spec["end_to_end"]
     results = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory() as tmp:
-        trees = {"parent": Path(tmp) / "parent", "change": ROOT}
+        trees = {side: Path(tmp) / side for side in ("parent", "change")}
         export(args.parent, trees["parent"])
+        copy_worktree(trees["change"])
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change",
                                                              "parent")

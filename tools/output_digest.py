@@ -36,8 +36,12 @@ parses every item's germ file with `frontal_kernel.germfile.parse` instead
 of running it, and prints one line per seed: the file count and a sha256
 over the outcomes of all three workloads (the corpus workload is the eight
 corpus fixtures).  An outcome is `serialize(parse(text))`, or the error's
-class, message, line and column.  Two checkouts that print the same lines
-parse every file alike: this is the parity check for a parser change.
+class, message, line and column.  A second line per seed digests the
+outcomes of 1,000 random token strings and 1,500 one-character mutations of
+the corpus fixtures, drawn from `random.Random(seed)` by the generators of
+`tests/test_germfile.py`, so that rejected inputs and their positions are
+compared too.  Two checkouts that print the same lines parse every file
+alike: this is the parity check for a parser change.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import random
 import sys
 import tempfile
 from pathlib import Path
@@ -53,8 +58,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "bench"))
+sys.path.insert(0, str(ROOT / "tests"))
 
 import workloads  # noqa: E402
+from test_germfile import _mutant, _token_soup  # noqa: E402
 from frontal_kernel import cli, germfile  # noqa: E402
 from frontal_kernel.germs import nash_lift, prenormal_candidates  # noqa: E402
 
@@ -127,6 +134,15 @@ def parse_digest(seed: int, show_items: bool) -> None:
                       f"{item_sha.hexdigest()}", flush=True)
     print(f"seed {seed}\tparse\t{count} files\t{sha.hexdigest()}",
           flush=True)
+    rng = random.Random(seed)
+    corpus = [text for _, text in fixtures()]
+    inputs = [_token_soup(rng) for _ in range(1000)]
+    inputs += [_mutant(rng, rng.choice(corpus)) for _ in range(1500)]
+    sha = hashlib.sha256()
+    for text in inputs:
+        sha.update(parse_outcome(text).encode("utf-8"))
+    print(f"seed {seed}\tparse fuzz\t{len(inputs)} inputs\t"
+          f"{sha.hexdigest()}", flush=True)
 
 
 def lift_outcome(pre) -> str:
