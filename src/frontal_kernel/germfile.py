@@ -161,7 +161,7 @@ def tokenize(text: str) -> Tokens:
     errors = {}
     for tok in set(tokens).difference(_PUNCT):
         first = tok[:1]
-        if first in _DIGITS:
+        if first in _DIGITS:  # not str.isdigit(), which '²' passes
             if limit and len(tok) > limit:
                 errors[tok] = (f"integer literal of {len(tok)} digits is "
                                f"longer than {limit} digits")
