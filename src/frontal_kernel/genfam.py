@@ -102,8 +102,10 @@ def critical_set_certificate(fam: GeneratingFamily,
 def discriminant(fam: GeneratingFamily,
                  limits: Limits = DEFAULT_LIMITS) -> ImageData:
     """Critical values of h: the eliminant of the source variables from
-    the graph-plus-critical ideal (``_branch_eliminant``, as for an image
-    branch), reduced to a squarefree equation.  Its coordinates are the
+    the graph-plus-critical ideal, one elimination (``_branch_eliminant``
+    with the critical generators as ``extra``, which an image branch
+    without a characteristic determinant takes too), reduced to a
+    squarefree equation.  Its coordinates are the
     family's (x-block, u-block, h'); ``fam.target`` writes them in the
     germ's."""
     n, k = fam.n, fam.k

@@ -2,17 +2,17 @@
 
 from __future__ import annotations
 
-import functools
-import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 from typing import Iterable, Optional, Sequence
 
 from . import linalg
 from .basis import (DEFAULT_LIMITS, Limits, membership_certificate,
                     minimal_subset, std)
 from .ring import (Poly, Ring, _check_ring, _forms, _int_diff,
-                   _sum_of_products, exact_divide, ring)
+                   _int_product, exact_divide, ring)
 
 
 class GermError(ValueError):
@@ -96,35 +96,78 @@ def multigerm(source: Ring, *branch_lists: Sequence[Poly]) -> MapGerm:
 # Jacobian data
 
 
-@functools.cache
-def _signed_permutations(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """(sign, perm) for every permutation of range(n)."""
+def _exact_quotient(p: list, q: list) -> list:
+    """p / q for integer polynomials [(e, n)] that q divides in Z[x]: lex
+    division, where each quotient term is the lex-leading term of what is
+    left of p over that of q, so its coefficient is an integer."""
+    (qe, qc), *tail = sorted(q, reverse=True)
+    rest = dict(p)
     out = []
-    for perm in itertools.permutations(range(n)):
-        inversions = sum(a > b for i, a in enumerate(perm)
-                         for b in perm[i + 1:])
-        out.append((-1 if inversions % 2 else 1, perm))
-    return tuple(out)
-
-
-def _leibniz(rows: list[list]) -> list:
-    """(sign, factors) for each term of the Leibniz expansion of a square
-    matrix of integer forms, leaving out every term with a zero factor:
-    the products of ``_sum_of_products`` that make its determinant."""
-    out = []
-    for sign, perm in _signed_permutations(len(rows)):
-        factors = [row[j] for row, j in zip(rows, perm)]
-        if all(terms for _, terms in factors):
-            out.append((sign, factors))
+    while rest:
+        e = max(rest)
+        k, r = divmod(rest.pop(e), qc)
+        shift = tuple(map(sub, e, qe))
+        if r or min(shift) < 0:
+            raise AssertionError("Bareiss step is not an exact division")
+        out.append((shift, k))
+        for e2, n2 in tail:
+            e3 = tuple(map(add, shift, e2))
+            c = rest.get(e3, 0) - k * n2
+            if c:
+                rest[e3] = c
+            else:
+                rest.pop(e3, None)
     return out
 
 
+def _form_det(ring_: Ring, rows: list[list]) -> Poly:
+    """det of a square matrix of integer forms by Bareiss's fraction-free
+    elimination (Bareiss, Math. Comp. 22, 1968).  Each row is scaled to
+    integers over the lcm of its denominators.  Step k replaces each entry
+    below and right of the pivot by (pivot*a_ij - a_ik*a_kj) / p, with p
+    the previous pivot; every entry is then a minor of the integer matrix,
+    so the division is exact in Z[x].  A zero pivot swaps in a lower row
+    that is nonzero in its column.  A 2 x 2 matrix takes the two products
+    of its expansion and no division."""
+    m = len(rows)
+    den = 1
+    mat = []
+    for row in rows:
+        d = math.lcm(*[fd for fd, _ in row])
+        den *= d
+        mat.append([terms if fd == d else
+                    [(e, n * (d // fd)) for e, n in terms]
+                    for fd, terms in row])
+    sign, prev = 1, None
+    for k in range(m - 1):
+        if not mat[k][k]:
+            swap = next((i for i in range(k + 1, m) if mat[i][k]), None)
+            if swap is None:
+                return ring_.zero()
+            mat[k], mat[swap] = mat[swap], mat[k]
+            sign = -sign
+        pivot = mat[k][k]
+        for i in range(k + 1, m):
+            lead = [(e, -n) for e, n in mat[i][k]]
+            for j in range(k + 1, m):
+                acc = _int_product(pivot, mat[i][j]) if mat[i][j] else {}
+                if lead and mat[k][j]:
+                    _int_product(lead, mat[k][j], acc)
+                entry = [(e, n) for e, n in acc.items() if n]
+                if prev and entry:
+                    entry = _exact_quotient(entry, prev)
+                mat[i][j] = entry
+        prev = pivot
+    # a negative denominator carries the sign of the row swaps
+    return ring_._from_numerators(dict(mat[-1][-1]), sign * den)
+
+
 def poly_det(m: list[list[Poly]]) -> Poly:
-    """det m as one Leibniz sum of integer products."""
+    """det m by fraction-free elimination on integer forms."""
     if not m:
         raise ValueError("empty matrix")
     ring_ = m[0][0].ring
-    return _sum_of_products(ring_, _leibniz([_forms(ring_, row) for row in m]))
+    return _form_det(ring_, [_forms(ring_, row) for row in m])
 
 
 def maximal_minors(comps: Sequence[Poly],
@@ -143,8 +186,7 @@ def maximal_minors(comps: Sequence[Poly],
         return [comps[1 - i].diff(0) for i in deleted]
     rows = [[_int_diff(form, j) for j in range(ring_.arity)]
             for form in _forms(ring_, comps)]
-    return [_sum_of_products(ring_, _leibniz(rows[:i] + rows[i + 1:]))
-            for i in deleted]
+    return [_form_det(ring_, rows[:i] + rows[i + 1:]) for i in deleted]
 
 
 def _linear_part(p: Poly) -> list[Fraction]:

@@ -3,18 +3,20 @@
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from . import linalg
-from .basis import (DEFAULT_LIMITS, INFINITE, Limits, StdBasis, _Infinite,
-                    colon_submodule, eliminate, saturation, std,
-                    subquotient_dimension, vs_dimension)
+from .basis import (DEFAULT_LIMITS, INFINITE, Limits, ResourceLimitError,
+                    StdBasis, _Infinite, colon_submodule, eliminate,
+                    saturation, std, subquotient_dimension, vs_dimension)
 from .derlog import LogField, euler_certificate
 from .germs import (GermError, MapGerm, maximal_minors, multiplicity, once,
-                    target_names)
-from .ring import Poly, Ring, associates, exact_divide, fresh_names, ring
+                    poly_det, target_names)
+from .ring import (Poly, Ring, _int_product, _numerators, associates,
+                   exact_divide, fresh_names, ring)
 from .squarefree import is_squarefree
 
 
@@ -32,11 +34,24 @@ class ImageData:
 
     The equation is squarefree by construction, without a gcd: it is the
     product of the distinct principal generators of the branch graph
-    eliminants, each irreducible over Q (see ``_image_equation``).
+    eliminants, each irreducible over Q.  A branch's generator is its
+    characteristic determinant D = c g^k when k = 1 is certified, else its
+    elimination (see ``_image_equation``).
     """
 
     ring: Ring          # local ring in the target variables
     equation: Poly      # squarefree, monic leading coefficient
+
+
+def _graph_names(comps: Sequence[Poly], target: Sequence[str],
+                 params: Sequence[str]) -> tuple[str, ...]:
+    """The names of the graph ring of ``_graph_ideal``, which must differ."""
+    src = comps[0].ring
+    names = src.names[:src.arity - len(params)] + tuple(target) + tuple(params)
+    if len(set(names)) != len(names):
+        raise InvariantError(
+            f"source/target/parameter name clash in {names}; rename variables")
+    return names
 
 
 def _graph_ideal(comps: Sequence[Poly], target: Sequence[str],
@@ -46,13 +61,8 @@ def _graph_ideal(comps: Sequence[Poly], target: Sequence[str],
     generators (on the source or the target), in the ring of the source
     variables, then ``target``, then the trailing ``params`` of the source;
     with the indices of the source variables, for ``eliminate``."""
-    src = comps[0].ring
-    n = src.arity - len(params)
-    names = src.names[:n] + tuple(target) + tuple(params)
-    if len(set(names)) != len(names):
-        raise InvariantError(
-            f"source/target/parameter name clash in {names}; rename variables")
-    big = ring(*names, local=local)
+    n = comps[0].ring.arity - len(params)
+    big = ring(*_graph_names(comps, target, params), local=local)
     gens = [big.var(n + j) - c.map_to(big) for j, c in enumerate(comps)]
     return gens + [p.map_to(big) for p in extra], range(n)
 
@@ -61,7 +71,13 @@ def _branch_eliminant(comps: Sequence[Poly], target: Sequence[str],
                       params: Sequence[str], limits: Limits,
                       extra: Sequence[Poly] = ()) -> Poly:
     """The monic generator of the eliminant of the source variables from
-    the graph ideal of one branch plus ``extra``."""
+    the graph ideal of one branch plus ``extra``: with no ``extra``, the
+    certified characteristic determinant when the branch has its form
+    (``_image_determinant``), else one elimination."""
+    if not extra:
+        g = _image_determinant(comps, target, params, limits)
+        if g is not None:
+            return g
     _, gens = eliminate(*_graph_ideal(comps, target, params, extra), limits)
     if not gens:
         raise InvariantError("elimination yields the zero ideal: image is "
@@ -70,6 +86,157 @@ def _branch_eliminant(comps: Sequence[Poly], target: Sequence[str],
         raise InvariantError("image is not a hypersurface: elimination ideal "
                              f"needs {len(gens)} generators")
     return gens[0].monic()
+
+
+# the points t = 1, 2, 3, at which a characteristic determinant is
+# specialised to certify that it is squarefree (see ``_squarefree_in``)
+_CERTIFICATE_POINTS = 3
+
+
+def _image_determinant(comps: Sequence[Poly], target: Sequence[str],
+                       params: Sequence[str], limits: Limits
+                       ) -> Optional[Poly]:
+    """The branch eliminant as det(y_q I - A) (Mond-Pellikaan, *Fitting
+    ideals and multiple points of analytic mappings*, LNM 1414, 1989), in
+    the ring ``eliminate`` returns it in; None when the branch lacks the
+    form below or the determinant is not certified.
+
+    The form: n - 1 components are distinct source variables x_i (the
+    parameters, mapped to themselves, count as such), leaving one source
+    variable x_r, and one more component f_p has a nonzero constant
+    leading coefficient lc in x_r, of least x_r-degree d among the two left.
+    Then Q[x] is a free Q[x', y_p]-module with basis 1, x_r, ..., x_r^(d-1),
+    where y_p acts as f_p, so x_r^d = (y_p - (f_p - lc x_r^d)) / lc.  A is
+    multiplication by the last component f_q on that basis, written in the
+    target coordinates.  D = det(y_q I - A) is the characteristic
+    polynomial of f_q over the fraction field of Q[x', y_p], so D = c g^k:
+    g is the minimal polynomial of f_q, the eliminant up to a constant c,
+    and k is the generic degree of the branch onto its image.  D is monic
+    in y_q of degree d, so if one specialisation of (x', y_p) leaves a
+    squarefree polynomial in y_q then k = 1, and D.monic() is the eliminant.
+    The specialisations are tested by a remainder sequence over Q, not by
+    ``squarefree.is_squarefree``, whose gcd is one elimination per call and
+    costs several times the determinant.  An uncertified D (k > 1, as for
+    (x^2, x^4 + x^6)) falls back to ``eliminate``."""
+    _graph_names(comps, target, params)
+    n = comps[0].ring.arity - len(params)
+    ident: dict[int, int] = {}      # source variable -> its component
+    for i, c in enumerate(comps):
+        if len(c.terms) == 1:
+            e, k = c.terms[0]
+            if k == 1 and sum(e) == 1 and e.index(1) < n:
+                ident.setdefault(e.index(1), i)
+    if len(ident) == n:     # leave the last one to be x_r
+        ident.popitem()
+    if len(ident) != n - 1:
+        return None
+    r = next(v for v in range(n) if v not in ident)
+    # the target index of every source variable but x_r
+    place = dict(ident)
+    place.update({n + j: len(comps) + j for j in range(len(params))})
+    arity = len(comps) + len(params)
+
+    def split(h: Poly) -> list[dict]:
+        # h as a polynomial in x_r over the target coordinates of x'
+        out: list[dict] = []
+        for e, c in h.terms:
+            while len(out) <= e[r]:
+                out.append({})
+            te = [0] * arity
+            for v, a in enumerate(e):
+                if a and v != r:
+                    te[place[v]] = a
+            out[e[r]][tuple(te)] = c
+        return out
+
+    rest = [i for i in range(len(comps)) if i not in ident.values()]
+    forms = {i: split(comps[i]) for i in rest}
+    zero = (0,) * arity
+    monic = [i for i in rest
+             if len(forms[i]) > 1 and list(forms[i][-1]) == [zero]]
+    if not monic:
+        return None
+    p = min(monic, key=lambda i: len(forms[i]))
+    q, = (i for i in rest if i != p)
+    *low, top = forms[p]
+    d, lc = len(low), top[zero]
+    # x_r^d in the basis: rho_0 = (y_p - a_0)/lc, rho_k = -a_k/lc
+    rho = [{e: -c / lc for e, c in a.items()} for a in low]
+    y_p = tuple(int(j == p) for j in range(arity))
+    rho[0][y_p] = 1 / lc
+
+    def times_x_r(w: list[dict]) -> list[dict]:
+        *shifted, carry = w
+        out = [{}] + shifted
+        if carry:
+            for i, a in enumerate(rho):
+                if a:
+                    out[i] = acc = dict(out[i])
+                    _int_product(carry.items(), a.items(), acc)
+        return out
+
+    # the columns of A: f_q by Horner's rule, then times x_r, d - 1 times
+    column: list[dict] = [{}] * d
+    for coeff in reversed(forms[q]):
+        column = times_x_r(column)      # a new dict at index 0
+        for e, c in coeff.items():
+            column[0][e] = column[0].get(e, 0) + c
+    columns = [column]
+    while len(columns) < d:
+        columns.append(times_x_r(columns[-1]))
+    T = ring(*target, *params)
+    y_q = tuple(int(j == q) for j in range(arity))
+    rows = [[T.from_terms([(e, -c) for e, c in columns[j][i].items()]
+                          + ([(y_q, 1)] if i == j else []))
+             for j in range(d)] for i in range(d)]
+    D = poly_det(rows)
+    if not any(_squarefree_in(D, q, t)
+               for t in range(1, _CERTIFICATE_POINTS + 1)):
+        return None
+    degree = D.total_degree()
+    if degree > limits.max_degree:
+        raise ResourceLimitError(f"image determinant degree {degree} "
+                                 f"exceeds limit {limits.max_degree}")
+    return D.monic()
+
+
+def _squarefree_in(D: Poly, q: int, t: int) -> bool:
+    """Whether D, with every variable but the q-th set to t(1 + i t) for
+    the i-th of them, is a squarefree polynomial in the q-th: whether its
+    gcd with its derivative is a constant.  The gcd is the last term of a
+    Euclidean remainder sequence, each remainder kept as a primitive
+    integer multiple of the one over Q (a pseudo-remainder over its
+    content)."""
+    _, terms = _numerators(D.terms)
+    coeffs: dict[int, int] = {}
+    for e, n in terms:
+        for i, a in enumerate(e):
+            if a and i != q:
+                n *= (t * (1 + i * t)) ** a
+        coeffs[e[q]] = coeffs.get(e[q], 0) + n
+    a = [coeffs.get(k, 0) for k in range(max(coeffs) + 1)]
+    b = [k * c for k, c in enumerate(a)][1:]   # its top entry is d a[d]
+    while b:
+        a, b = b, _pseudo_remainder(a, b)
+    return len(a) == 1
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """The remainder of lead(b)^k a by b over its content, polynomials as
+    coefficient lists from the constant term up, b with a nonzero last
+    entry; trimmed, so [] for a zero remainder."""
+    lead, m = b[-1], len(b) - 1
+    for k in range(len(a) - 1, m - 1, -1):
+        c = a[k]
+        if c:
+            a = [lead * x for x in a]
+            for i, bc in enumerate(b):
+                a[k - m + i] -= c * bc
+    a = a[:m]
+    while a and not a[-1]:
+        a.pop()
+    content = math.gcd(*a)
+    return [x // content for x in a] if content > 1 else a
 
 
 def _check_vanishes(equation: Poly, comps: Sequence[Poly],
@@ -82,8 +249,8 @@ def _check_vanishes(equation: Poly, comps: Sequence[Poly],
 
 
 def image_equation(f: MapGerm, limits: Limits = DEFAULT_LIMITS) -> ImageData:
-    """Reduced equation of the image, by graph-ideal elimination per branch
-    (once per germ and limits)."""
+    """Reduced equation of the image, by one characteristic determinant or
+    one graph-ideal elimination per branch (once per germ and limits)."""
     return once(f, ("image_equation", limits),
                 lambda: _image_equation(f, limits))
 
@@ -93,8 +260,12 @@ def _image_equation(f: MapGerm, limits: Limits) -> ImageData:
 
     No squarefree reduction is needed.  The graph ideal (y - f(x)) of a
     branch is prime, since Q[x, y]/(y - f) is isomorphic to Q[x], so its
-    elimination ideal is prime; when it is principal its generator is
-    irreducible over Q.  Distinct branches give pairwise non-associate
+    elimination ideal is prime; when it is principal its generator g is
+    irreducible over Q.  A branch of the form of ``_image_determinant``
+    gives D = det(y_q I - A) = c g^k, with k the generic degree of the
+    branch onto its image; D is taken only when k = 1 is certified (D is
+    squarefree), so it is g up to the constant c.  Every other branch
+    takes one elimination.  Distinct branches give pairwise non-associate
     irreducibles (associates are dropped below), so their product is
     squarefree.
     """

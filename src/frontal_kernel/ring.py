@@ -190,10 +190,11 @@ def fresh_names(stem: str, k: int, taken) -> tuple[str, ...]:
 # Products, substitution and derivatives run on integer numerators: each
 # operand is scaled once to integers over the least common denominator of
 # its coefficients, and one Fraction is formed per term of the result.
-# Substitution, the Jacobian minors and determinants of ``germs`` and the
-# logarithmic-field checks of ``derlog`` are each one sum of products of such
-# integer forms over one common denominator (``_sum_of_products``), with
-# partial derivatives taken on the forms (``_int_diff``).
+# Substitution and the logarithmic-field checks of ``derlog`` are each one
+# sum of products of such integer forms over one common denominator
+# (``_sum_of_products``), with partial derivatives taken on the forms
+# (``_int_diff``); the Jacobian minors and determinants of ``germs`` are
+# fraction-free eliminations on the same forms.
 # ``Poly.terms`` holds Fraction coefficients, except inside ``std``: the
 # Polys of ``StdBasis.vectors``, ``_std`` and ``_weak_nf`` hold ints.
 

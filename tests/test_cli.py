@@ -63,7 +63,26 @@ ring x, y;
 map f = x, y^2, y^7 + x^7*y^5;
 analyze f image;
 """
-    assert main(["--max-pairs", "2", "analyze", write(tmp_path, text)]) == 4
+    # the image has degree 19, and every input polynomial at most 12
+    assert main(["--max-degree", "18", "analyze", write(tmp_path, text)]) == 4
+
+
+@pytest.mark.parametrize("variables, components, limit, line", [
+    # x^4 is refused as it is read, before any image is computed
+    ("x", "x^3, x^4", "3",
+     "degree\tresource-limit\terror\tline 3, column 15: degree 4 exceeds "
+     "limit 3"),
+    # the characteristic determinant has degree 19 from inputs of degree 12
+    ("x, y", "x, y^2, y^7 + x^7*y^5", "18",
+     "image.equation\tresource-limit\terror\timage determinant degree 19 "
+     "exceeds limit 18")])
+def test_max_degree_exit_4_names_the_stage(tmp_path, capsys, variables,
+                                           components, limit, line):
+    path = write(tmp_path, f"frontal-kernel v1\nring {variables};\n"
+                 f"map f = {components};\nanalyze f image;\n")
+    assert main(["--format", "machine", "--max-degree", limit, "analyze",
+                 path]) == 4
+    assert line in capsys.readouterr().out.splitlines()
 
 
 def test_analyze_exit_0_and_values(tmp_path, capsys):
@@ -226,20 +245,29 @@ map f = x, (1+x+y)^300, y^3;
 
 
 def test_each_elimination_runs_once_per_file(tmp_path, monkeypatch, capsys):
-    # the image, the unfolding image and the discriminant are each
-    # eliminated once, however many analyses read them
+    # the image and the unfolding image are each one characteristic
+    # determinant, and the discriminant one elimination, however many
+    # analyses read them
     corpus = cli._corpus_dir()
     path = write(tmp_path, (corpus / "cusp.germ").read_text(encoding="utf-8"))
-    seen = []
+    seen, dets = [], []
     original = invariants.eliminate
+    original_det = invariants._image_determinant
 
     def counting(gens, elim, limits):
         seen.append((tuple((g.ring.names, g.terms) for g in gens),
                      tuple(elim), limits))
         return original(gens, elim, limits)
+
+    def counting_det(comps, target, params, limits):
+        dets.append((tuple(c.terms for c in comps), tuple(target),
+                     tuple(params), limits))
+        return original_det(comps, target, params, limits)
     monkeypatch.setattr(invariants, "eliminate", counting)
+    monkeypatch.setattr(invariants, "_image_determinant", counting_det)
     assert main(["--format", "machine", "analyze", path]) == 0
-    assert len(seen) == len(set(seen)) == 3
+    assert len(seen) == len(set(seen)) == 1
+    assert len(dets) == len(set(dets)) == 2
     golden = (corpus / "cusp.golden").read_text(encoding="utf-8")
     assert capsys.readouterr().out == golden
 

@@ -1,6 +1,7 @@
 """Image equations, Milnor numbers, Siersma counts, Jacobian modules."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -28,12 +29,25 @@ def test_image_equation_e6(e6):
 
 
 def test_image_equation_limits_not_shared(e6):
-    # a result kept under the default limits is not returned under a pair
-    # limit too small for the elimination
+    # a result kept under the default limits is not returned under a degree
+    # limit below the image's degree of 4
     img = image_equation(e6)
     with pytest.raises(ResourceLimitError):
-        image_equation(e6, Limits(max_pairs=1))
+        image_equation(e6, Limits(max_degree=3))
     assert image_equation(e6) is img
+
+
+def test_image_determinant_of_size_12_is_fast():
+    # (x^12, x^13 + x^14) is a 12 x 12 characteristic determinant, which a
+    # Leibniz expansion over the 12! permutations would not finish
+    R = ring("x", local=True)
+    x = R.var(0)
+    f = germ(R, x ** 12, x ** 13 + x ** 14)
+    start = time.perf_counter()
+    img = image_equation(f)
+    assert time.perf_counter() - start < 2
+    _, (ref,) = eliminate(*_graph_ideal(f.components, ("y1", "y2")))
+    assert img.equation == ref.monic().map_to(img.ring)
 
 
 def test_image_equation_cuspidal_edge(cuspidal_edge):

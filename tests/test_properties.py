@@ -1,5 +1,6 @@
 """Randomized algebraic-identity and invariance properties (fixed seeds)."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -8,7 +9,9 @@ from frontal_kernel import (INFINITE, associates, exact_divide, germ,
                             milnor_number, normal_form,
                             plane_curve_invariants, ring, std, eliminate,
                             vs_dimension)
+from frontal_kernel.basis import DEFAULT_LIMITS
 from frontal_kernel.germs import compose_linear, poly_det
+from frontal_kernel.invariants import _graph_ideal
 from frontal_kernel.ring import Ordering, Ring, block_ordering
 from frontal_kernel.squarefree import gcd, squarefree_part
 
@@ -768,3 +771,89 @@ def test_division_and_associates_match_the_round_trip_reference():
                 assert associates(p, q) == _reference_associates(p, q)
                 assert associates(q, p) == _reference_associates(q, p)
         assert quotients > 40
+
+
+def _random_tail(rng, R, order, max_deg):
+    """A sum of up to three terms of total degree order..max_deg with
+    Fraction coefficients."""
+    p = R.zero()
+    for _ in range(rng.randint(0, 3)):
+        exp = [0] * R.arity
+        for _ in range(rng.randint(order, max_deg)):
+            exp[rng.randrange(R.arity)] += 1
+        p = p + R.monomial(exp, Fraction(rng.randint(-5, 5),
+                                         rng.randint(1, 4)))
+    return p
+
+
+def _determinant_cases(rng):
+    """(components, target, params) of seeded branches of the form the
+    characteristic determinant takes: plane curves whose least-degree
+    component has a Fraction leading coefficient, surfaces and
+    swallowtail-like germs with the identity component in any position and
+    on either source variable, and unfoldings with parameters."""
+    from frontal_kernel.germs import target_names
+    cases = []
+    R = ring("x", local=True)
+    x = R.var(0)
+    for _ in range(12):
+        a = rng.randint(2, 4)
+        b = rng.choice([b for b in range(a + 1, 8) if math.gcd(a, b) == 1])
+        c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(2, 4))
+        comps = [x ** a * c + _random_tail(rng, R, a + 1, a + 3),
+                 x ** b + _random_tail(rng, R, b + 1, b + 2)]
+        rng.shuffle(comps)
+        cases.append((comps, target_names(2), ()))
+    for names in (("x", "y"), ("y", "u")):
+        R = ring(*names, local=True)
+        for _ in range(8):
+            i = rng.randrange(2)
+            s, v = R.var(i), R.var(1 - i)
+            p = rng.randint(2, 3)
+            comps = [s, v ** p * Fraction(rng.randint(1, 4), rng.randint(1, 3))
+                     + s * v * rng.randint(-2, 2),
+                     v ** (p + 1) + _random_tail(rng, R, 2, p + 2)]
+            rng.shuffle(comps)
+            cases.append((comps, target_names(3), ()))
+    R = ring("x", "t", local=True)
+    x, t = R.gens()
+    for _ in range(8):
+        a = rng.randint(2, 3)
+        b = rng.randint(a + 1, 5)
+        comps = [x ** a + t * x * rng.randint(-2, 2),
+                 x ** b + t * x ** (a - 1) * Fraction(rng.randint(1, 3),
+                                                      rng.randint(1, 3))]
+        rng.shuffle(comps)
+        cases.append((comps, target_names(2), ("t",)))
+    return cases
+
+
+def test_image_determinant_matches_eliminate():
+    # the characteristic determinant, certified squarefree, is the monic
+    # eliminant of the graph ideal, term for term; eliminate is the
+    # reference.  A branch of generic degree 2 onto its image, (x^2, x^4 +
+    # x^6), and a linear change of the cuspidal edge, which has no identity
+    # component, are left to the elimination
+    from frontal_kernel.invariants import _branch_eliminant, _image_determinant
+    rng = random.Random(30)
+    cases = _determinant_cases(rng)
+    assert len(cases) == 36
+    for comps, target, params in cases:
+        _, (ref,) = eliminate(*_graph_ideal(comps, target, params),
+                              DEFAULT_LIMITS)
+        ref = ref.monic()
+        det = _image_determinant(comps, target, params, DEFAULT_LIMITS)
+        assert det is not None, [str(c) for c in comps]
+        assert (det.ring, det.terms) == (ref.ring, ref.terms), \
+            [str(c) for c in comps]
+    R = ring("x", local=True)
+    x = R.var(0)
+    S = ring("x", "y", local=True)
+    X, Y = S.gens()
+    for comps in ([x ** 2, x ** 4 + x ** 6],
+                  [X + Y + Y ** 2, Y ** 2, Y ** 3 + X + Y]):
+        target = ("y1", "y2") if len(comps) == 2 else ("X", "Y", "Z")
+        assert _image_determinant(comps, target, (), DEFAULT_LIMITS) is None
+        _, (ref,) = eliminate(*_graph_ideal(comps, target), DEFAULT_LIMITS)
+        assert _branch_eliminant(comps, target, (), DEFAULT_LIMITS) == \
+            ref.monic()
