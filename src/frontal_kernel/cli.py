@@ -424,9 +424,8 @@ def _run_corpus(limits: Limits, out) -> int:
     for name in names:
         text = (corpus / f"{name}.germ").read_text(encoding="utf-8")
         golden_path = corpus / f"{name}.golden"
-        run = _run_file(text, "analyze", limits)
         buf = io.StringIO()
-        _emit(run, "machine", buf)
+        _run_file(text, "analyze", limits, buf)
         actual = buf.getvalue()
         if not golden_path.is_file():
             out.write(f"MISSING {name}: no golden file\n")

@@ -5,14 +5,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, sub
 from typing import Iterable, Optional, Sequence
 
 from . import linalg
 from .basis import (DEFAULT_LIMITS, Limits, membership_certificate,
                     minimal_subset, std)
-from .ring import (Poly, Ring, _check_ring, _forms, _int_diff,
-                   _int_product, exact_divide, ring)
+from .ring import (Poly, Ring, _check_ring, _exact_quotient, _forms,
+                   _int_diff, _int_product, exact_divide, ring)
 
 
 class GermError(ValueError):
@@ -96,39 +95,15 @@ def multigerm(source: Ring, *branch_lists: Sequence[Poly]) -> MapGerm:
 # Jacobian data
 
 
-def _exact_quotient(p: list, q: list) -> list:
-    """p / q for integer polynomials [(e, n)] that q divides in Z[x]: lex
-    division, where each quotient term is the lex-leading term of what is
-    left of p over that of q, so its coefficient is an integer."""
-    (qe, qc), *tail = sorted(q, reverse=True)
-    rest = dict(p)
-    out = []
-    while rest:
-        e = max(rest)
-        k, r = divmod(rest.pop(e), qc)
-        shift = tuple(map(sub, e, qe))
-        if r or min(shift) < 0:
-            raise AssertionError("Bareiss step is not an exact division")
-        out.append((shift, k))
-        for e2, n2 in tail:
-            e3 = tuple(map(add, shift, e2))
-            c = rest.get(e3, 0) - k * n2
-            if c:
-                rest[e3] = c
-            else:
-                rest.pop(e3, None)
-    return out
-
-
 def _form_det(ring_: Ring, rows: list[list]) -> Poly:
     """det of a square matrix of integer forms by Bareiss's fraction-free
     elimination (Bareiss, Math. Comp. 22, 1968).  Each row is scaled to
     integers over the lcm of its denominators.  Step k replaces each entry
     below and right of the pivot by (pivot*a_ij - a_ik*a_kj) / p, with p
     the previous pivot; every entry is then a minor of the integer matrix,
-    so the division is exact in Z[x].  A zero pivot swaps in a lower row
-    that is nonzero in its column.  A 2 x 2 matrix takes the two products
-    of its expansion and no division."""
+    so the division (``_exact_quotient``) is exact in Z[x].  A zero pivot
+    swaps in a lower row that is nonzero in its column.  A 2 x 2 matrix
+    takes the two products of its expansion and no division."""
     m = len(rows)
     den = 1
     mat = []
@@ -156,6 +131,9 @@ def _form_det(ring_: Ring, rows: list[list]) -> Poly:
                 entry = [(e, n) for e, n in acc.items() if n]
                 if prev and entry:
                     entry = _exact_quotient(entry, prev)
+                    if entry is None:
+                        raise AssertionError(
+                            "Bareiss step is not an exact division")
                 mat[i][j] = entry
         prev = pivot
     # a negative denominator carries the sign of the row swaps

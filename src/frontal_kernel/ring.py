@@ -7,7 +7,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add
+from operator import add, sub
 from typing import Iterable, Optional, Sequence
 
 from .linalg import _echelon
@@ -194,7 +194,9 @@ def fresh_names(stem: str, k: int, taken) -> tuple[str, ...]:
 # sum of products of such integer forms over one common denominator
 # (``_sum_of_products``), with partial derivatives taken on the forms
 # (``_int_diff``); the Jacobian minors and determinants of ``germs`` are
-# fraction-free eliminations on the same forms.
+# fraction-free eliminations on the same forms.  Exact division is one
+# routine on integer forms (``_exact_quotient``), behind ``exact_divide``
+# and the Bareiss steps of those eliminations.
 # ``Poly.terms`` holds Fraction coefficients, except inside ``std``: the
 # Polys of ``StdBasis.vectors``, ``_std`` and ``_weak_nf`` hold ints.
 
@@ -242,6 +244,32 @@ def _int_product(p: Iterable, q: Iterable,
             e = tuple(map(add, e1, e2))
             acc[e] = get(e, 0) + n1 * n2
     return acc
+
+
+def _exact_quotient(p: list, q: list) -> Optional[list]:
+    """p / q for integer polynomials [(e, n)], or None when q does not
+    divide p in Z[x].  Lex division: each quotient term is the lex-leading
+    term of what is left of p over that of q, so its coefficient is an
+    integer when q | p in Z[x].  Lex is a well-order whatever the ring's
+    ordering, so the loop ends."""
+    (qe, qc), *tail = sorted(q, reverse=True)
+    rest = dict(p)
+    out = []
+    while rest:
+        e = max(rest)
+        k, r = divmod(rest.pop(e), qc)
+        shift = tuple(map(sub, e, qe))
+        if r or min(shift, default=0) < 0:
+            return None
+        out.append((shift, k))
+        for e2, n2 in tail:
+            e3 = tuple(map(add, shift, e2))
+            c = rest.get(e3, 0) - k * n2
+            if c:
+                rest[e3] = c
+            else:
+                rest.pop(e3, None)
+    return out
 
 
 def _sum_of_products(target: Ring, products) -> "Poly":
@@ -552,29 +580,20 @@ class Poly:
 def exact_divide(p: Poly, q: Poly) -> Optional[Poly]:
     """Return p/q when q divides p exactly as polynomials, else None.
 
-    Division runs in p's own ordering.  When p = q*h, each step's quotient
-    term is the leading term of what is left of h, so every quotient term
-    has degree at most deg h = deg p - deg q, and the terms strictly
-    decrease in the ordering.  A global ordering needs no bound to stop.  In
-    a local one the leading terms climb in degree (1/(1 - x) never ends),
-    so a term above deg p - deg q proves that q does not divide p; with
-    finitely many monomials of bounded degree the loop ends either way.
+    The integer form of p is divided by the primitive integer form of q
+    (``_exact_quotient``); by Gauss's lemma that quotient is integral
+    exactly when q | p in Q[x].
     """
-    if q.is_zero():
+    (dp, pn), (dq, qn) = _forms(p.ring, [p, q])
+    if not qn:
         raise ZeroDivisionError("division by the zero polynomial")
-    ring_ = p.ring
-    bound = p.total_degree() - q.total_degree()
-    quotient = ring_.zero()
-    qe, qc = q.leading_term()
-    while not p.is_zero():
-        pe, pc = p.leading_term()
-        diff = tuple(a - b for a, b in zip(pe, qe))
-        if any(d < 0 for d in diff) or sum(diff) > bound:
-            return None
-        t = ring_.monomial(diff, pc / qc)
-        quotient = quotient + t
-        p = p - t * q
-    return quotient
+    content = math.gcd(*[n for _, n in qn])
+    quotient = _exact_quotient(pn, [(e, n // content) for e, n in qn])
+    if quotient is None:
+        return None
+    # p/q = (P/dp) / (content*Q'/dq) = (P/Q') * dq / (dp*content)
+    return p.ring._from_numerators({e: k * dq for e, k in quotient},
+                                   dp * content)
 
 
 def associates(p: Poly, q: Poly) -> bool:

@@ -314,9 +314,9 @@ def test_ramification_ideal_keeps_the_minor_order(corpus_files):
 
 def test_maximal_minors_form_one_fraction_per_term(monkeypatch, e6, f4,
                                                    swallowtail):
-    # the minors are Leibniz sums of integer products, with the partials
-    # taken on integer numerators: one Fraction per term of each minor,
-    # where Poly arithmetic would form one per partial, product and sum
+    # the minors are Bareiss eliminations on integer forms, with the
+    # partials taken on integer numerators: one Fraction per term of each
+    # minor, where Poly arithmetic would form one per partial, product and sum
     R = ring("x", "y", local=True)
     x, y = R.gens()
     frac = (x, Fraction(2, 3) * y ** 3 + Fraction(-5, 7) * x * y,

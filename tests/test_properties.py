@@ -643,7 +643,7 @@ def test_poly_kernels_keep_the_axioms():
 
 def _laplace_det(m):
     """det m by Laplace expansion along the first row, in plain Poly
-    arithmetic: the reference for the integer Leibniz sums."""
+    arithmetic: the reference for the integer Bareiss eliminations."""
     if len(m) == 1:
         return m[0][0]
     acc = m[0][0].ring.zero()

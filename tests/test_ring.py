@@ -262,3 +262,7 @@ def test_associates_refuses_polynomials_of_different_rings():
         associates(R.var(0), S.var(0))
     with pytest.raises(RingMismatchError):
         associates(R.zero(), S.zero())
+    with pytest.raises(RingMismatchError):
+        exact_divide(R.var(0), S.var(0))
+    with pytest.raises(RingMismatchError):
+        exact_divide(R.zero(), S.var(0))
