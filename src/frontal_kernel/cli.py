@@ -37,14 +37,11 @@ _PRECONDITION_ERRORS = (GermError, PrenormalError, DivisionError,
 
 
 class _Run:
-    """Collects reports and the worst exit code seen.
+    """Writes each report to out as soon as it is complete, so a slow file
+    shows how far it got, and keeps the worst exit code seen."""
 
-    With an output stream, each report is also written there as soon as it
-    is complete, so a slow file shows how far it got.
-    """
-
-    def __init__(self, out=None, fmt: str = "machine"):
-        self.reports: list[Report] = []
+    def __init__(self, out, fmt: str = "machine"):
+        self.published = 0
         self.exit_code = EXIT_OK
         self.out = out
         self.fmt = fmt
@@ -56,12 +53,11 @@ class _Run:
             # an integer longer than the interpreter converts to a string
             self._refuse_long_values(report)
             text = _render(report, self.fmt)
-        self.reports.append(report)
-        if self.out is not None:
-            if len(self.reports) > 1:
-                self.out.write("\n")
-            self.out.write(text)
-            self.out.flush()
+        if self.published:
+            self.out.write("\n")
+        self.published += 1
+        self.out.write(text)
+        self.out.flush()
 
     def _refuse_long_values(self, report: Report) -> None:
         """Report each value with an integer of more digits than
@@ -342,9 +338,9 @@ def _verdict(run: _Run, report: Report, U, siersma, samuel, codim,
 # Entry points
 
 
-def _run_file(text: str, mode: str, limits: Limits, out=None,
+def _run_file(text: str, mode: str, limits: Limits, out,
               fmt: str = "machine") -> _Run:
-    """Run one germ file; reports stream to out when it is given."""
+    """Run one germ file; its reports stream to out."""
     run = _Run(out, fmt)
     try:
         parsed = germfile.parse(text, limits.max_degree)
@@ -400,10 +396,6 @@ def _run_file(text: str, mode: str, limits: Limits, out=None,
 
 def _render(report: Report, fmt: str) -> str:
     return report.machine() if fmt == "machine" else report.pretty()
-
-
-def _emit(run: _Run, fmt: str, out) -> None:
-    out.write("\n".join(_render(report, fmt) for report in run.reports))
 
 
 def _limits_from(args) -> Limits:

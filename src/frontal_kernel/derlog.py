@@ -54,7 +54,8 @@ class LogDerivations:
     generators: tuple[LogField, ...]   # minimal generating set
     epsilon: Optional[tuple[Poly, tuple[Poly, ...]]] = None
     # epsilon = (unit, coeffs): the field (1/unit) * sum coeffs_i d/dy_i
-    # satisfies epsilon(g) = g; present iff g is in J(g).
+    # satisfies epsilon(g) = g; present iff g is in J(g).  It is the first
+    # generator whose cofactor is a unit.
 
 
 def _syzygy_fields(g: Poly, gens: list[Poly],
@@ -83,7 +84,12 @@ def _prune_minimal(fields: list[LogField], limits: Limits) -> list[LogField]:
 
 
 def derlog(g: Poly, limits: Limits = DEFAULT_LIMITS) -> LogDerivations:
-    """Minimal generators of Der(-log V(g)) = {xi : xi(g) in (g)}."""
+    """Minimal generators of Der(-log V(g)) = {xi : xi(g) in (g)}.
+
+    The cofactors of the generators generate (J(g) : g), which is the
+    whole local ring exactly when g is in J(g), and then one of them is a
+    unit: its field divided by it is the Euler-type field epsilon.
+    """
     if g.is_zero():
         raise DerlogError("zero polynomial defines no divisor")
     ring_ = g.ring
@@ -97,7 +103,8 @@ def derlog(g: Poly, limits: Limits = DEFAULT_LIMITS) -> LogDerivations:
     for f in minimal:
         if not f.verify(g):
             raise AssertionError("unsound logarithmic-field certificate")
-    eps = euler_certificate(g, limits)
+    eps = next(((f.cofactor, f.coeffs) for f in minimal
+                if f.cofactor.is_unit()), None)
     return LogDerivations(ring_, g, tuple(minimal), eps)
 
 

@@ -11,7 +11,8 @@ from . import linalg
 from .basis import (DEFAULT_LIMITS, Limits, membership_certificate,
                     minimal_subset, std)
 from .ring import (Poly, Ring, _check_ring, _exact_quotient, _forms,
-                   _int_diff, _int_product, exact_divide, ring)
+                   _int_diff, _int_product, _sum_of_products, exact_divide,
+                   ring)
 
 
 class GermError(ValueError):
@@ -285,12 +286,10 @@ class PrenormalForm:
 
 
 def _combination(ring_: Ring, coeffs, polys) -> Poly:
-    """sum c_k * p_k over the nonzero coefficients c_k."""
-    acc = ring_.zero()
-    for c, p in zip(coeffs, polys):
-        if c:
-            acc = acc + p.scale(c)
-    return acc
+    """sum c_k * p_k over the nonzero coefficients c_k, as one sum of
+    products of integer forms."""
+    return _sum_of_products(ring_, [(c, [form]) for c, form in
+                                    zip(coeffs, _forms(ring_, polys)) if c])
 
 
 def prenormal_candidates(f: MapGerm, branch: int = 0) -> list[PrenormalForm]:
@@ -305,29 +304,21 @@ def prenormal_candidates(f: MapGerm, branch: int = 0) -> list[PrenormalForm]:
     if k == 0:
         raise PrenormalError("immersion: no prenormal form needed (k = 0)")
 
-    # pick n-k components that are exactly linear, with independent gradients
-    chosen: list[int] = []
-    rows: list[list[Fraction]] = []
-    for j, c in enumerate(comps):
-        if len(chosen) == n - k:
-            break
-        if c.total_degree() == 1:
-            row = _linear_part(c)
-            if linalg.rank(rows + [row]) == len(rows) + 1:
-                chosen.append(j)
-                rows.append(row)
+    # the gradients of the exactly linear components, then the coordinate
+    # vectors, as columns: the Gauss-Jordan pivots are the columns
+    # independent of the earlier ones, so they pick n - k components with
+    # independent gradients (their rank is at most n - k) and complete them
+    # to a source basis with coordinate vectors
+    linear = [j for j, c in enumerate(comps) if c.total_degree() == 1]
+    columns = [_linear_part(comps[j]) for j in linear] + linalg.identity(n)
+    pivots = linalg._echelon([list(row) for row in zip(*columns)],
+                             len(columns))
+    chosen = [linear[c] for c in pivots if c < len(linear)]
     if len(chosen) < n - k:
         raise PrenormalError(
             "corank witness components are not linear; a non-linear source "
             "change would be required")
-
-    # complete the chosen gradients to a source basis with coordinate vectors
-    amat = [r[:] for r in rows]
-    for unit in linalg.identity(n):
-        if linalg.rank(amat + [unit]) == len(amat) + 1:
-            amat.append(unit)
-        if len(amat) == n:
-            break
+    amat = [columns[c] for c in pivots]
     ainv = linalg.inverse(amat)
     if ainv is None:
         raise AssertionError("source change is singular")

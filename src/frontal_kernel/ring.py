@@ -117,14 +117,10 @@ class Ring:
         return self.const(1)
 
     def const(self, c) -> "Poly":
-        c = Fraction(c)
-        if c == 0:
-            return self.zero()
-        return Poly(self, (((0,) * self.arity, c),))
+        return self.monomial((0,) * self.arity, c)
 
     def var(self, i: int) -> "Poly":
-        exp = tuple(1 if j == i else 0 for j in range(self.arity))
-        return Poly(self, ((exp, Fraction(1)),))
+        return self.monomial([int(j == i) for j in range(self.arity)])
 
     def gens(self) -> list["Poly"]:
         return [self.var(i) for i in range(self.arity)]
@@ -225,8 +221,11 @@ def _forms(ring_: Ring, polys: Sequence["Poly"]) -> list[tuple[int, list]]:
 
 
 def _int_diff(form: tuple[int, list], var: int) -> tuple[int, list]:
-    """The partial derivative in variable ``var`` of an integer form, over
-    the same denominator; the surviving terms keep their order."""
+    """The partial derivative in variable ``var`` of a form (D, [(e, n)]),
+    over the same denominator D; the n may be any exact coefficients, ints
+    or Fractions.  Lowering one exponent moves every surviving term by the
+    same vector, and monomial orders are invariant under translation, so
+    the surviving terms keep their order."""
     den, terms = form
     return den, [(e[:var] + (e[var] - 1,) + e[var + 1:], n * e[var])
                  for e, n in terms if e[var]]
@@ -468,12 +467,7 @@ class Poly:
     def diff(self, var: int) -> "Poly":
         if not 0 <= var < self.ring.arity:
             raise IndexError(f"no variable with index {var}")
-        # lowering one exponent moves every surviving term by the same
-        # vector, and monomial orders are invariant under translation
-        return Poly(self.ring, tuple([
-            (e[:var] + (e[var] - 1,) + e[var + 1:],
-             Fraction(c.numerator * e[var], c.denominator))
-            for e, c in self.terms if e[var]]))
+        return Poly(self.ring, tuple(_int_diff((1, self.terms), var)[1]))
 
     def substitute(self, images: Sequence["Poly"], target: Optional[Ring] = None) -> "Poly":
         """Evaluate self at the given images (one per variable)."""

@@ -19,7 +19,7 @@ from frontal_kernel import (INFINITE, M_F_dimension, associates,
                             samuel_multiplicity_estimate, std, unfolding,
                             verify_discriminant_equals_image)
 from frontal_kernel.basis import Limits
-from frontal_kernel.cli import _emit, _run_file
+from frontal_kernel.cli import _run_file
 
 
 def ok(n, text):
@@ -162,10 +162,9 @@ analyze F siersma M_F codim_Fe samuel verify;
 """
     outputs = []
     for _ in range(2):
-        run = _run_file(text, "analyze", Limits())
-        assert run.exit_code == 0
         buf = io.StringIO()
-        _emit(run, "machine", buf)
+        run = _run_file(text, "analyze", Limits(), buf)
+        assert run.exit_code == 0
         outputs.append(buf.getvalue())
     assert outputs[0] == outputs[1]
     ok(9, "byte-identical machine reports; property suites in session")

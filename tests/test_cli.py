@@ -146,6 +146,14 @@ analyze F M_F;
     out = capsys.readouterr().out
     assert ("good_equation\tfailed\terror\tdefining equation is not reduced"
             in out)
+    # under verify alone the good equation only feeds the verdict: its
+    # failure is a soft one, and the verdict is inconclusive
+    text = text.replace("analyze F M_F;", "analyze F verify;")
+    assert main(["--format", "machine", "analyze", write(tmp_path, text)]) == 0
+    out = capsys.readouterr().out
+    assert ("good_equation\tunavailable\tinconclusive\tdefining equation "
+            "is not reduced" in out)
+    assert "verify.verdict\tinconclusive\t" in out
 
 
 def test_verdict_inconclusive(tmp_path, capsys):
@@ -159,6 +167,21 @@ analyze F M_F codim_Fe verify;
     out = capsys.readouterr().out
     assert "M_F\tINFINITE\t" in out
     assert "verify.verdict\tinconclusive\t" in out
+
+
+def test_corpus_reports_failing_and_missing_goldens(tmp_path, monkeypatch,
+                                                   capsys):
+    (tmp_path / "altered.germ").write_text(E6)
+    (tmp_path / "altered.golden").write_text("report\tnot this\n")
+    (tmp_path / "orphan.germ").write_text(E6)
+    monkeypatch.setattr(cli, "_corpus_dir", lambda: tmp_path)
+    assert cli._run_corpus(Limits(), sys.stdout) == 1
+    out = capsys.readouterr().out
+    assert "FAIL altered\n" in out
+    assert "--- altered.golden\n+++ altered.actual\n" in out
+    assert "-report\tnot this\n" in out
+    assert "MISSING orphan: no golden file\n" in out
+    assert out.endswith("0/2 fixtures match\n")
 
 
 def test_limit_flags_mirror_the_limits_fields(tmp_path, capsys):

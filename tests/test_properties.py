@@ -265,7 +265,7 @@ def test_milnor_orlik_on_image_equations(e6, cusp, cuspidal_edge,
 
 def test_machine_report_byte_identical(tmp_path):
     import io
-    from frontal_kernel.cli import _run_file, _emit, _limits_from
+    from frontal_kernel.cli import _run_file, _limits_from
     from frontal_kernel.basis import Limits
     text = """frontal-kernel v1
 ring x;
@@ -274,9 +274,8 @@ analyze f frontal image mu plane_curve conductor genfam derlog;
 """
     outputs = []
     for _ in range(2):
-        run = _run_file(text, "analyze", Limits())
         buf = io.StringIO()
-        _emit(run, "machine", buf)
+        _run_file(text, "analyze", Limits(), buf)
         outputs.append(buf.getvalue())
     assert outputs[0] == outputs[1]
 
