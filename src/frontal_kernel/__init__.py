@@ -22,12 +22,13 @@ from .germs import (DivisionError, GermError, MapGerm, NashData,
                     nash_lift, prenormal_candidates, ramification_ideal)
 from .invariants import (GoodEquation, ImageData, InvariantError,
                          PlaneCurveInvariants, SamuelEstimate, SiersmaResult,
-                         UnfoldingSpec, M_F_dimension, conductor_colength,
-                         frontal_codimension, frontal_milnor_siersma,
-                         good_equation, hat_M_dimension, image_equation,
+                         UnfoldingSpec, ValueSemigroup, M_F_dimension,
+                         conductor_colength, frontal_codimension,
+                         frontal_milnor_siersma, good_equation,
+                         hat_M_dimension, image_equation, meets_origin_again,
                          milnor_number, piene_lambda, plane_curve_invariants,
                          samuel_multiplicity_estimate, siersma_count,
-                         unfolding, unfolding_image_equation)
+                         unfolding, unfolding_image_equation, value_semigroup)
 from .ring import (Ordering, Poly, Ring, associates, exact_divide,
                    quasihomogeneous_weights, ring)
 
@@ -47,11 +48,13 @@ __all__ = [
     "is_wavefront", "multigerm", "multiplicity", "nash_lift",
     "prenormal_candidates", "ramification_ideal",
     "GoodEquation", "ImageData", "InvariantError", "PlaneCurveInvariants",
-    "SamuelEstimate", "SiersmaResult", "UnfoldingSpec", "M_F_dimension",
-    "conductor_colength", "frontal_codimension", "frontal_milnor_siersma",
-    "good_equation", "hat_M_dimension", "image_equation", "milnor_number",
-    "piene_lambda", "plane_curve_invariants", "samuel_multiplicity_estimate",
+    "SamuelEstimate", "SiersmaResult", "UnfoldingSpec", "ValueSemigroup",
+    "M_F_dimension", "conductor_colength", "frontal_codimension",
+    "frontal_milnor_siersma", "good_equation", "hat_M_dimension",
+    "image_equation", "meets_origin_again", "milnor_number", "piene_lambda",
+    "plane_curve_invariants", "samuel_multiplicity_estimate",
     "siersma_count", "unfolding", "unfolding_image_equation",
+    "value_semigroup",
     "Ordering", "Poly", "Ring", "associates", "exact_divide",
     "quasihomogeneous_weights", "ring",
     "__version__",

@@ -31,6 +31,10 @@ EXIT_RESOURCE = 4
 EXIT_VIOLATION = 5
 EXIT_INTERNAL = 6
 
+# the note of a value read off the global image equation where the curve
+# has other branches at the origin than the germ's
+GLOBAL = "global: the curve passes through the origin again away from the germ"
+
 _PRECONDITION_ERRORS = (GermError, PrenormalError, DivisionError,
                         inv.InvariantError, gf.GenFamError, DerlogError,
                         ValueError)
@@ -156,7 +160,8 @@ def _analyze_map(run: _Run, name: str, f, directives, limits: Limits) -> Report:
         image = run.attempt(report, "image.equation",
                             lambda: inv.image_equation(f, limits))
         if image is not None:
-            report.add("image.equation", image.equation)
+            report.add("image.equation", image.equation, EXACT,
+                       GLOBAL if inv.meets_origin_again(f) else "")
             qh = quasihomogeneous_weights(image.equation)
             report.add("image.quasihomogeneous", qh is not None)
             if qh is not None:
@@ -164,8 +169,12 @@ def _analyze_map(run: _Run, name: str, f, directives, limits: Limits) -> Report:
                 report.add("image.weighted_degree", qh[1])
 
     if _wants(directives, "mu") and image is not None:
-        run.record(report, "mu",
-                   lambda: inv.image_milnor_number(image, limits))
+        def mu():
+            # one plane branch: mu = c, from its value semigroup
+            S = inv.value_semigroup(f, limits)
+            return (inv.image_milnor_number(image, limits) if S is None
+                    else S.conductor)
+        run.record(report, "mu", mu)
 
     if _wants(directives, "plane_curve") and f.n == 1 and image is not None:
         pc = run.attempt(report, "plane_curve",
@@ -189,8 +198,18 @@ def _analyze_map(run: _Run, name: str, f, directives, limits: Limits) -> Report:
         lam = run.record(report, "conductor.lambda",
                          lambda: inv.piene_lambda(f, limits))
         if lam is not None:
-            run.record(report, "conductor.colength",
-                       lambda: inv.conductor_colength(lam, limits))
+            lam_line = report.entries[-1]
+
+            def colength():
+                # one plane branch: the conductor ideal is (x^c)
+                S = inv.value_semigroup(f, limits)
+                return (inv.conductor_colength(lam, limits) if S is None
+                        else S.conductor)
+            c = run.record(report, "conductor.colength", colength)
+            # lambda comes from the image equation: on a plane curve it has
+            # order c exactly when that equation is the germ's
+            if f.n == 1 and c is not None and lam.order() != c:
+                lam_line.note = GLOBAL
 
     if _wants(directives, "hat_M") and image is not None \
             and len(f.branches) == 1:

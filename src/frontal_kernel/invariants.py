@@ -15,8 +15,8 @@ from .basis import (DEFAULT_LIMITS, INFINITE, Limits, ResourceLimitError,
 from .derlog import LogField, euler_certificate
 from .germs import (GermError, MapGerm, maximal_minors, multiplicity, once,
                     poly_det, target_names)
-from .ring import (Poly, Ring, _int_product, _numerators, associates,
-                   exact_divide, fresh_names, ring)
+from .ring import (Poly, Ring, _forms, _int_product, _numerators,
+                   associates, exact_divide, fresh_names, ring)
 from .squarefree import is_squarefree
 
 
@@ -216,9 +216,16 @@ def _squarefree_in(D: Poly, q: int, t: int) -> bool:
         coeffs[e[q]] = coeffs.get(e[q], 0) + n
     a = [coeffs.get(k, 0) for k in range(max(coeffs) + 1)]
     b = [k * c for k, c in enumerate(a)][1:]   # its top entry is d a[d]
+    return len(_int_gcd(a, b)) == 1
+
+
+def _int_gcd(a: list[int], b: list[int]) -> list[int]:
+    """A gcd over Q of two polynomials given as integer coefficient lists
+    from the constant term up, b with a nonzero last entry: the last
+    nonzero remainder of their Euclidean sequence."""
     while b:
         a, b = b, _pseudo_remainder(a, b)
-    return len(a) == 1
+    return a
 
 
 def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
@@ -237,6 +244,26 @@ def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
         a.pop()
     content = math.gcd(*a)
     return [x // content for x in a] if content > 1 else a
+
+
+def meets_origin_again(f: MapGerm) -> bool:
+    """Whether a branch of the plane curve f (n = 1) also passes through
+    the origin at some x != 0: whether the gcd over Q of its components
+    has a root other than 0, that is, is not a monomial.  The image
+    equation, which is global, then has branches at the origin that the
+    germ does not have.  False for n >= 2, where this is not tested."""
+    if f.n != 1:
+        return False
+    for comps in f.branches:
+        lists = []
+        for _, terms in _forms(f.source, comps):
+            coeffs = [0] * (max(e for (e,), _ in terms) + 1)
+            for (e,), n in terms:
+                coeffs[e] = n
+            lists.append(coeffs)
+        if sum(map(bool, _int_gcd(*lists))) > 1:
+            return True
+    return False
 
 
 def _check_vanishes(equation: Poly, comps: Sequence[Poly],
@@ -309,10 +336,134 @@ def milnor_number(g: Poly,
 def image_milnor_number(image: ImageData, limits: Limits = DEFAULT_LIMITS
                         ) -> Union[int, _Infinite]:
     """Milnor number of a kept image equation (once per image and limits,
-    so once per germ): the ``mu`` line, the plane-curve chain and
-    ``hat_M_dimension`` share one standard basis of J(g)."""
+    so once per germ).  For every germ but a plane branch, whose local
+    numbers come from ``value_semigroup``, the ``mu`` line, the plane-curve
+    chain and ``hat_M_dimension`` share this one standard basis of J(g)."""
     return once(image, ("milnor_number", limits),
                 lambda: milnor_number(image.equation, limits))
+
+
+# ---------------------------------------------------------------------------
+# The value semigroup of a plane branch
+
+
+@dataclass(frozen=True)
+class ValueSemigroup:
+    """The values S = {ord_x h(f(x)) : h in O_2} of a plane branch f
+    (Zariski, *The Moduli Problem for Plane Branches*, 1973; Casas-Alvero,
+    *Singularities of Plane Curves*, LMS LNS 276, 2000).  S holds every
+    integer from its conductor c on, and its least positive value m is the
+    multiplicity of f."""
+
+    values: tuple[int, ...]     # the values below c, ascending from 0
+    conductor: int
+    multiplicity: int
+
+    @property
+    def delta(self) -> int:
+        """The number of gaps of S, dim O_1 / f^*O_2."""
+        return self.conductor - len(self.values)
+
+
+def value_semigroup(f: MapGerm, limits: Limits = DEFAULT_LIMITS
+                    ) -> Optional[ValueSemigroup]:
+    """The value semigroup of f when f is one plane branch (n = 1) of
+    generic degree 1, else None (once per germ and limits).
+
+    The local numbers of the branch need no image equation: mu = c
+    (Milnor's mu = 2 delta - r + 1 for r = 1 branch, with c = 2 delta), the
+    conductor ideal is (x^c), of colength c, and hat_M = delta - m + 1
+    (``hat_M_dimension``).  They hold also where the global image equation
+    has branches at the origin that f does not have
+    (``meets_origin_again``)."""
+    return once(f, ("value_semigroup", limits),
+                lambda: _value_semigroup(f, limits))
+
+
+def _value_semigroup(f: MapGerm, limits: Limits) -> Optional[ValueSemigroup]:
+    """Modulo x^N, Q[[p, q]] is spanned by the p^i q^j with
+    i ord p + j ord q < N, every other product lying in (x^N), so the
+    values of S below N are the pivots of their echelon form by lowest
+    order (``_values_below``).  Once [c, c + m) lies in S, adding m gives
+    every integer from c on: that certifies the conductor c.  N starts at
+    (a - 1)(b - 1) + m for the orders a and b of p and q, the conductor of
+    <a, b> plus m, which certifies in one round when gcd(a, b) = 1, since
+    S = <a, b> then, and doubles until it certifies.
+
+    Values that keep a common divisor > 1 mean a generic degree > 1, and S
+    has no conductor: None when every exponent of p and q shares a divisor
+    > 1, as in (x^2, x^4 + x^6), or when the values below the degree limit
+    do.  Values of gcd 1 that do not certify within the limit raise
+    ResourceLimitError."""
+    if f.n != 1 or len(f.branches) != 1:
+        return None
+    p, q = f.components
+    if math.gcd(*[e for c in (p, q) for (e,), _ in c.terms]) > 1:
+        return None
+    a, b = p.order(), q.order()
+    m = min(a, b)
+    # constant factors do not change the orders of the values
+    forms = [terms for _, terms in _forms(f.source, (p, q))]
+    cap = limits.max_degree + 1     # series of degree at most max_degree
+    N = min((a - 1) * (b - 1) + m, cap)
+    while True:
+        values = _values_below(forms, N)
+        c = N
+        while c - 1 in values:
+            c -= 1
+        if N - c >= m:
+            break
+        if N == cap:
+            if math.gcd(*values) > 1:
+                return None
+            raise ResourceLimitError(
+                "value semigroup: the conductor is not certified by series "
+                f"of degree at most {limits.max_degree} (max_degree)")
+        N = min(2 * N, cap)
+    S = ValueSemigroup(tuple(sorted(v for v in values if v < c)), c, m)
+    # a plane branch is Gorenstein: S is symmetric, so c = 2 delta
+    if c != 2 * S.delta:
+        raise AssertionError(f"value semigroup has conductor {c}, "
+                             f"not 2 delta = {2 * S.delta}")
+    return S
+
+
+def _values_below(forms: list[list], N: int) -> set[int]:
+    """The orders below N of the nonzero series in the span of the
+    products p^i q^j mod x^N, for the integer forms [p, q] of one variable
+    (terms ((e,), n)): the pivots of one fraction-free echelon by lowest
+    order.  A product's order is i ord p + j ord q, so each power p^i takes
+    the factors q^j until its order reaches N."""
+    p, q = forms
+    pivots: dict[int, dict[int, int]] = {}
+
+    def times(series, factor):
+        # series * factor mod x^N
+        return [(e, n) for e, n in _int_product(series, factor).items()
+                if n and e[0] < N]
+
+    power = [((0,), 1)]
+    while power:
+        product = power
+        while product:
+            row = {e: n for (e,), n in product}
+            while row:
+                k = min(row)
+                pivot = pivots.get(k)
+                if pivot is None:
+                    content = math.gcd(*row.values())
+                    pivots[k] = {e: n // content for e, n in row.items()}
+                    break
+                # s row - t pivot is zero at k, with no division
+                g = math.gcd(pivot[k], row[k])
+                s, t = pivot[k] // g, row[k] // g
+                acc = {e: s * n for e, n in row.items()}
+                for e, n in pivot.items():
+                    acc[e] = acc.get(e, 0) - t * n
+                row = {e: n for e, n in acc.items() if n}
+            product = times(product, q)
+        power = times(power, p)
+    return set(pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -466,16 +617,28 @@ def hat_M_dimension(f: MapGerm,
     generators of that ideal and free of the source variables, so J(g) lies
     in the preimage by construction.
 
-    Two routes.  When mu = dim O/J(g) is finite, length is additive along
-    J(g) <= preimage <= O, so the value is mu - dim O/preimage: mu is the
-    germ's kept Milnor number (``image_milnor_number``) and the colength is
-    read off the standard basis that ``eliminate`` returns, with no further
-    pair loop.  When mu is infinite (a non-isolated image, such as every
-    surface) that difference is undefined, and the subquotient is measured
-    directly by the colon module of ``subquotient_dimension``, which may
-    still be finite."""
+    A plane branch with a value semigroup S (``value_semigroup``) takes
+    no image equation: the value is delta - m + 1.  J(g)O_1 = (x^(c+m-1)),
+    since dg/dy_1 o f and dg/dy_2 o f are lambda times the derivatives of
+    the components, of least order m - 1, and the conductor generator
+    lambda has order c (Dedekind's formula for the different).  So
+    dim O/preimage is the number of values of S below c + m - 1, which is
+    c + m - 1 - delta, and mu = c.
+
+    Every other germ takes one of two routes.  When mu = dim O/J(g) is
+    finite, length is additive along J(g) <= preimage <= O, so the value is
+    mu - dim O/preimage: mu is the germ's kept Milnor number
+    (``image_milnor_number``) and the colength is read off the standard
+    basis that ``eliminate`` returns, with no further pair loop.  When mu
+    is infinite (a non-isolated image, such as every surface) that
+    difference is undefined, and the subquotient is measured directly by
+    the colon module of ``subquotient_dimension``, which may still be
+    finite."""
     if len(f.branches) != 1:
         raise GermError("the Jacobian module is computed for mono-germs")
+    S = value_semigroup(f, limits)
+    if S is not None:
+        return S.delta - S.multiplicity + 1
     image = image_equation(f, limits)
     g = image.equation
     target = image.ring
@@ -803,17 +966,28 @@ def _ae_codimension(f: MapGerm, mu: int) -> tuple[int, int]:
 
 def plane_curve_invariants(f: MapGerm,
                            limits: Limits = DEFAULT_LIMITS) -> PlaneCurveInvariants:
-    """mu, delta, mult, image/frontal Milnor numbers and both codimensions."""
+    """mu, delta, mult, image/frontal Milnor numbers and both codimensions.
+
+    A plane branch reads mu = c and delta, the number of gaps, off its
+    value semigroup (``value_semigroup``); other curves read mu off the
+    image equation and delta from Milnor's mu = 2 delta - r + 1 for r
+    branches."""
     if f.n != 1:
         raise GermError("plane-curve invariants need source dimension 1")
     image = image_equation(f, limits)
-    mu = image_milnor_number(image, limits)
-    if mu is INFINITE:
-        raise InvariantError("non-isolated image singularity: mu is infinite")
+    S = value_semigroup(f, limits)
     rb = len(f.branches)
-    if (mu + rb - 1) % 2:
-        raise InvariantError("mu + r - 1 is odd: branch count or equation wrong")
-    delta = (mu + rb - 1) // 2
+    if S is not None:
+        mu, delta = S.conductor, S.delta
+    else:
+        mu = image_milnor_number(image, limits)
+        if mu is INFINITE:
+            raise InvariantError("non-isolated image singularity: mu is "
+                                 "infinite")
+        if (mu + rb - 1) % 2:
+            raise InvariantError("mu + r - 1 is odd: branch count or "
+                                 "equation wrong")
+        delta = (mu + rb - 1) // 2
     mult = multiplicity(f)
     mu_image = delta
     mu_frontal = mu_image - mult + 1

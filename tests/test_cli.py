@@ -555,3 +555,56 @@ def test_benchmark_tracer_finds_every_boundary():
     finally:
         tracer.uninstall()
     assert frontal_kernel.std is std
+
+
+def test_returning_germ_prints_its_local_numbers(tmp_path, capsys):
+    # (x^2 + x^3, x^3 + x^4) also maps x = -1 to the origin: mu and the
+    # conductor colength are the germ's, from its value semigroup, and the
+    # lines read off the global image equation say that they are global
+    text = ("frontal-kernel v1\nring x;\nmap f = x^2 + x^3, x^3 + x^4;\n"
+            "analyze f image mu conductor;\n")
+    assert main(["--format", "machine", "analyze",
+                 write(tmp_path, text)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "mu\t2\texact\t" in lines
+    assert "conductor.colength\t2\texact\t" in lines
+    for key in ("image.equation", "conductor.lambda"):
+        line, = (l for l in lines if l.startswith(key + "\t"))
+        assert line.endswith("\texact\t" + cli.GLOBAL)
+
+
+def test_mu_of_the_e12_branch_is_fast(tmp_path, capsys):
+    # the Jacobian standard basis of this image equation runs for minutes;
+    # the value semigroup <3, 7> gives mu = (3 - 1)(7 - 1) at once
+    text = ("frontal-kernel v1\nring x;\n"
+            "map f = x^3 - x^4, x^7 + 1/2*x^8 + x^9;\nanalyze f mu;\n")
+    start = time.perf_counter()
+    assert main(["--format", "machine", "analyze",
+                 write(tmp_path, text)]) == 0
+    assert time.perf_counter() - start < 2
+    lines = capsys.readouterr().out.splitlines()
+    assert "mu\t12\texact\t" in lines
+    assert any(l.startswith("image.equation\t") and l.endswith("\texact\t")
+               for l in lines)
+
+
+def test_value_semigroup_past_max_degree_exit_4(tmp_path, capsys):
+    text = ("frontal-kernel v1\nring x;\nmap f = x^5, x^6 + x^7;\n"
+            "analyze f mu;\n")
+    assert main(["--format", "machine", "--max-degree", "10", "analyze",
+                 write(tmp_path, text)]) == 4
+    assert ("mu\tresource-limit\terror\tvalue semigroup: the conductor is not "
+            "certified by series of degree at most 10 (max_degree)"
+            ) in capsys.readouterr().out.splitlines()
+
+
+def test_asymmetric_value_semigroup_exit_6(tmp_path, monkeypatch, capsys):
+    # a plane branch has c = 2 delta; values {0, 3, 4, ...} would give c = 3
+    # and delta = 2, which the soundness check refuses
+    monkeypatch.setattr(invariants, "_values_below",
+                        lambda forms, N: {0} | set(range(3, N)))
+    text = "frontal-kernel v1\nring x;\nmap f = x^2, x^3;\nanalyze f mu;\n"
+    assert main(["--format", "machine", "analyze",
+                 write(tmp_path, text)]) == 6
+    assert ("mu\tinternal-error\terror\tvalue semigroup has conductor 3, not "
+            "2 delta = 4") in capsys.readouterr().out.splitlines()

@@ -14,7 +14,8 @@ from frontal_kernel import (INFINITE, InvariantError, Limits, LogField,
                             piene_lambda, plane_curve_invariants, ring,
                             quasihomogeneous_weights,
                             samuel_multiplicity_estimate, siersma_count,
-                            unfolding, unfolding_image_equation)
+                            unfolding, unfolding_image_equation,
+                            meets_origin_again, value_semigroup)
 from frontal_kernel import basis, cli, germfile, invariants
 from frontal_kernel.basis import (eliminate, membership_certificate, std,
                                   subquotient_dimension, vs_dimension)
@@ -446,3 +447,99 @@ def test_unfolding_validation(e6):
     with pytest.raises(InvariantError):
         # restricting to t = 0 does not recover the base germ
         unfolding(e6, ["t"], [x ** 3 + x, x ** 4])
+
+
+def _value_semigroup_germs():
+    """Seeded plane branches that do not pass through the origin again,
+    with (x^4, x^6 + x^7), whose orders are not coprime: S = <4, 6, 13>."""
+    rng = random.Random(23)
+    R = ring("x", local=True)
+    x = R.var(0)
+    germs = [germ(R, x ** 4, x ** 6 + x ** 7)]
+    for a, b in ((2, 3), (2, 5), (3, 4), (3, 5), (2, 7), (3, 7), (4, 5),
+                 (4, 7), (3, 8)):
+        c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 3))
+        germs += [germ(R, x ** a, (x ** b).scale(c)),
+                  germ(R, x ** b + (x ** (b + 1)).scale(c), x ** a)]
+    return germs
+
+
+def test_value_semigroup_matches_the_global_routes():
+    # where the branch does not return to the origin, its global image
+    # equation is its local one, so the Jacobian std, the conductor std and
+    # the colon module each give the semigroup's number
+    for f in _value_semigroup_germs():
+        assert not meets_origin_again(f)
+        S = value_semigroup(f)
+        assert S.conductor == 2 * S.delta
+        assert S.conductor == milnor_number(image_equation(f).equation)
+        assert S.conductor == conductor_colength(piene_lambda(f))
+        assert S.delta - S.multiplicity + 1 == hat_M_dimension(f) \
+            == _hat_M_by_the_colon_module(f)
+        pc = plane_curve_invariants(f)
+        assert (pc.mu, pc.delta, pc.mult) == (S.conductor, S.delta,
+                                              S.multiplicity)
+
+
+def test_value_semigroup_of_non_coprime_orders():
+    R = ring("x", local=True)
+    x = R.var(0)
+    S = value_semigroup(germ(R, x ** 4, x ** 6 + x ** 7))
+    assert S.values == (0, 4, 6, 8, 10, 12, 13, 14)
+    assert (S.conductor, S.delta, S.multiplicity) == (16, 8, 4)
+
+
+@pytest.mark.parametrize("a, b", [(1, 2), (2, 3), (2, 9), (3, 5), (4, 9),
+                                  (5, 7), (7, 4)])
+def test_value_semigroup_of_coprime_monomials(a, b):
+    # Zariski: gcd(a, b) = 1 gives S = <a, b>, so delta = (a - 1)(b - 1)/2
+    R = ring("x", local=True)
+    x = R.var(0)
+    S = value_semigroup(germ(R, x ** a, x ** b))
+    c = (a - 1) * (b - 1)
+    assert S.conductor == c and S.delta == c // 2
+    assert S.multiplicity == min(a, b)
+    assert S.values == tuple(v for v in range(c)
+                             if any((v - i * a) % b == 0
+                                    for i in range(v // a + 1)))
+
+
+def test_generic_degree_two_keeps_the_image_route():
+    # (x^2, x^4 + x^6) factors through x^2: every value is even, S has no
+    # conductor, and hat_M comes from the image equation, which is smooth
+    R = ring("x", local=True)
+    x = R.var(0)
+    f = germ(R, x ** 2, x ** 4 + x ** 6)
+    assert value_semigroup(f) is None
+    assert milnor_number(image_equation(f).equation) == 0
+    assert hat_M_dimension(f) == _hat_M_by_the_colon_module(f) == 0
+    # r = x + x^2 is no power of x, so only the values below the degree
+    # limit show that they stay even
+    r = x + x ** 2
+    g = germ(R, r ** 2, r ** 4 + r ** 6)
+    assert value_semigroup(g, Limits(max_degree=24)) is None
+
+
+def test_value_semigroup_past_the_degree_limit():
+    # (x^5, x^6 + x^7) has conductor 20, which series of degree 10 do not
+    # certify
+    R = ring("x", local=True)
+    x = R.var(0)
+    f = germ(R, x ** 5, x ** 6 + x ** 7)
+    with pytest.raises(ResourceLimitError, match="value semigroup"):
+        value_semigroup(f, Limits(max_degree=10))
+    assert value_semigroup(f, Limits(max_degree=24)).conductor == 20
+
+
+def test_returning_branch_meets_the_origin_again():
+    # (x^2 + x^3, x^3 + x^4) = (1 + x)(x^2, x^3) maps x = -1 to the origin
+    # too: its global image equation has two branches there, the germ one
+    R = ring("x", local=True)
+    x = R.var(0)
+    f = germ(R, x ** 2 + x ** 3, x ** 3 + x ** 4)
+    assert meets_origin_again(f)
+    S = value_semigroup(f)
+    assert (S.conductor, S.delta, S.multiplicity) == (2, 1, 2)
+    assert milnor_number(image_equation(f).equation) == 5
+    assert plane_curve_invariants(f).mu == 2
+    assert hat_M_dimension(f) == 0
