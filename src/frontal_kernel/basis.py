@@ -41,7 +41,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product as iproduct
 from math import gcd, lcm
-from operator import add, le, sub
+from operator import add, gt, le, sub
 from typing import Optional, Sequence, Union
 
 from .ring import Ordering, Poly, Ring, block_ordering, fresh_names
@@ -572,6 +572,54 @@ def vs_dimension(basis: StdBasis) -> Union[int, _Infinite]:
         cols = [(e[:-1], e[-1]) for e in exps]
         for head in iproduct(*(range(b) for b in bounds[:-1])):
             total += min([t for h, t in cols if all(map(le, h, head))])
+    return total
+
+
+def relative_vs_dimension(numerator: StdBasis, denominator: StdBasis
+                          ) -> Union[int, _Infinite]:
+    """C-dimension of P/J for standard bases of submodules J <= P of
+    ring^rank, finite or INFINITE: the number of monomials in L(P) that are
+    not in L(J).
+
+    In a local degree ordering L(I + m^k) = L(I) + m^k, so
+    dim (P + m^k)/(J + m^k) counts those monomials of degree below k, and
+    as k grows it tends to dim P/J, finite or not (Artin-Rees;
+    Greuel-Pfister, *A Singular Introduction to Commutative Algebra*, 5.5).
+    A global degree ordering counts the pieces of degree below k the same
+    way.  A block ordering is refused: its leading terms are not those of
+    least (or greatest) degree.
+
+    The count walks up from the leading terms of P outside L(J), one
+    variable at a time.  Whether x^e lies in L(J) depends only on e capped
+    at the largest exponent t_i of each x_i among L(J)'s generators, so a
+    counted monomial with some e_i > t_i has x^e*x_i^s counted for every s:
+    the answer is then INFINITE, and otherwise the walk stays in a box."""
+    ring = numerator.ring
+    if ring.ordering.blocks is not None:
+        raise ValueError("leading-term counts need a degree ordering")
+    if numerator.rank != denominator.rank:
+        raise ValueError("mixed module ranks")
+    n = ring.arity
+    below = denominator.leading_data()
+    total = 0
+    for comp, exps in numerator.leading_data().items():
+        walls = below.get(comp, [])
+        caps = [max([w[i] for w in walls], default=0) for i in range(n)]
+
+        def outside(exp):
+            return not any(all(map(le, w, exp)) for w in walls)
+        todo = list({e for e in exps if outside(e)})
+        seen = set(todo)
+        while todo:
+            exp = todo.pop()
+            if any(map(gt, exp, caps)):
+                return INFINITE
+            total += 1
+            for i in range(n):
+                up = exp[:i] + (exp[i] + 1,) + exp[i + 1:]
+                if up not in seen and outside(up):
+                    seen.add(up)
+                    todo.append(up)
     return total
 
 

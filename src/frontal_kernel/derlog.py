@@ -4,13 +4,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Sequence
 
 from .basis import (DEFAULT_LIMITS, Limits, membership, membership_certificate,
                     minimal_subset, std, syzygies)
-from .germs import poly_det
-from .ring import (Poly, Ring, _forms, _int_diff, _sum_of_products,
-                   exact_divide, quasihomogeneous_weights)
+from .germs import _form_det, _integer_row, poly_det
+from .ring import (Poly, Ring, _exact_quotient, _forms, _int_diff,
+                   _int_product, _numerators, _sum_of_products, exact_divide,
+                   quasihomogeneous_weights)
 
 
 class DerlogError(RuntimeError):
@@ -70,17 +72,80 @@ def _syzygy_fields(g: Poly, gens: list[Poly],
             if any(not c.is_zero() for c in v[:m])]
 
 
-def _prune_minimal(fields: list[LogField], limits: Limits) -> list[LogField]:
+def _free_basis(fields: list[LogField], order: list[int],
+                g: Poly) -> Optional[list[int]]:
+    """The last m = arity of the fields offered in ``order`` when a
+    Saito-Cramer certificate shows that they are a free basis of the
+    module the fields span, else None.
+
+    Those fields D are one when det D = u*g for a local unit u and g
+    divides det(D with delta in row i) for every other field delta and
+    every row i.  By Cramer's rule delta = sum_i (det_i / det D) D_i, with
+    coefficients in O, so D generates the module, and D has rank m, so it
+    is a free basis; Nakayama's rule (``minimal_subset``) keeps exactly D,
+    since every other field lies in the span of the fields after it.  The
+    divisions are needed beyond Saito's criterion: {xi : xi(g) in (g)} is
+    Der(-log g_red), so for a g that is not reduced det D = u*g alone does
+    not make D generate it.  Every determinant is a Laplace expansion
+    along the replaced row, over the cofactors of D, taken once."""
+    ring_ = g.ring
+    m = ring_.arity
+    chosen = [fields[i].coeffs for i in order[-m:]]
+    # every term of det D has order at least the sum of the rows' orders,
+    # and u*g has the order of g, so a larger sum rules D out at once
+    if sum(min(c.order() for c in row if not c.is_zero())
+           for row in chosen) > g.order():
+        return None
+    # rows scaled to integers: every determinant below is a nonzero
+    # constant times the one over Q, which divisibility by g ignores
+    rows = [_integer_row(_forms(ring_, row))[1] for row in chosen]
+    # minors[i][k]: the integer terms of D's minor without row i and column k
+    minors = [[_numerators(_form_det(ring_, [
+        [(1, t) for t in r[:k] + r[k + 1:]] for r in rows[:i] + rows[i + 1:]
+    ]).terms)[1] if m > 1 else [((0,), 1)] for k in range(m)]
+        for i in range(m)]
+    _, gn = _numerators(g.terms)
+    content = gcd(*[n for _, n in gn])
+    g_int = [(e, n // content) for e, n in gn]
+
+    def quotient(i, row):
+        """det(D with the integer ``row`` in row i), expanded along row i
+        over the minors of D, divided by g; None when g does not divide
+        it (Gauss's lemma: the primitive g divides it in Z[x])."""
+        acc: dict = {}
+        for k, a in enumerate(row):
+            if a and minors[i][k]:
+                _int_product([(e, n if (i + k) % 2 == 0 else -n)
+                              for e, n in a], minors[i][k], acc)
+        return _exact_quotient([t for t in acc.items() if t[1]], g_int)
+    unit = quotient(0, rows[0])
+    if unit is None or not any(not any(e) for e, _ in unit):
+        return None
+    for j in order[:-m]:
+        delta = _integer_row(_forms(ring_, fields[j].coeffs))[1]
+        if any(quotient(i, delta) is None for i in range(m)):
+            return None
+    return order[-m:]
+
+
+def _prune_minimal(fields: list[LogField], limits: Limits,
+                   g: Optional[Poly] = None) -> list[LogField]:
     """A minimal generating subset of the fields (Nakayama), in their order.
 
     The fields are offered highest order first, so a field is dropped when
     it is redundant beside the fields of lower or equal order after it.
+    With g, the fields span Der(-log g), and the last m of them are kept
+    alone when they are a certified free basis (``_free_basis``), with no
+    standard basis; every other set of fields takes ``minimal_subset``.
     """
     order = sorted(range(len(fields)),
                    key=lambda i: -min(c.order() for c in fields[i].coeffs
                                       if not c.is_zero()))
-    kept = minimal_subset([fields[i].coeffs for i in order], limits)
-    return [fields[i] for i in sorted(order[t] for t in kept)]
+    kept = None if g is None else _free_basis(fields, order, g)
+    if kept is None:
+        kept = [order[t] for t in minimal_subset(
+            [fields[i].coeffs for i in order], limits)]
+    return [fields[i] for i in sorted(kept)]
 
 
 def derlog(g: Poly, limits: Limits = DEFAULT_LIMITS) -> LogDerivations:
@@ -99,7 +164,7 @@ def derlog(g: Poly, limits: Limits = DEFAULT_LIMITS) -> LogDerivations:
     fields = _syzygy_fields(g, partials + [g], limits)
     if not fields:
         raise DerlogError("no logarithmic fields found (is g a unit?)")
-    minimal = _prune_minimal(fields, limits)
+    minimal = _prune_minimal(fields, limits, g)
     for f in minimal:
         if not f.verify(g):
             raise AssertionError("unsound logarithmic-field certificate")

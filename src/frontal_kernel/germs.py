@@ -96,6 +96,14 @@ def multigerm(source: Ring, *branch_lists: Sequence[Poly]) -> MapGerm:
 # Jacobian data
 
 
+def _integer_row(row: list) -> tuple[int, list[list]]:
+    """(d, entries) for a row of integer forms: d is the lcm of their
+    denominators and entry k the terms of form k scaled over d."""
+    d = math.lcm(*[fd for fd, _ in row])
+    return d, [terms if fd == d else [(e, n * (d // fd)) for e, n in terms]
+               for fd, terms in row]
+
+
 def _form_det(ring_: Ring, rows: list[list]) -> Poly:
     """det of a square matrix of integer forms by Bareiss's fraction-free
     elimination (Bareiss, Math. Comp. 22, 1968).  Each row is scaled to
@@ -109,11 +117,9 @@ def _form_det(ring_: Ring, rows: list[list]) -> Poly:
     den = 1
     mat = []
     for row in rows:
-        d = math.lcm(*[fd for fd, _ in row])
+        d, entries = _integer_row(row)
         den *= d
-        mat.append([terms if fd == d else
-                    [(e, n * (d // fd)) for e, n in terms]
-                    for fd, terms in row])
+        mat.append(entries)
     sign, prev = 1, None
     for k in range(m - 1):
         if not mat[k][k]:

@@ -11,7 +11,8 @@ from typing import Optional, Sequence, Union
 from . import linalg
 from .basis import (DEFAULT_LIMITS, INFINITE, Limits, ResourceLimitError,
                     StdBasis, _Infinite, colon_submodule, eliminate,
-                    saturation, std, subquotient_dimension, vs_dimension)
+                    relative_vs_dimension, saturation, std,
+                    subquotient_dimension, vs_dimension)
 from .derlog import LogField, euler_certificate
 from .germs import (GermError, MapGerm, maximal_minors, multiplicity, once,
                     poly_det, target_names)
@@ -316,11 +317,9 @@ def _image_equation(f: MapGerm, limits: Limits) -> ImageData:
 # Milnor numbers
 
 
-def milnor_number(g: Poly,
-                  limits: Limits = DEFAULT_LIMITS) -> Union[int, _Infinite]:
-    """Colength of the Jacobian ideal in the local ring at the origin."""
-    if g.is_zero():
-        raise InvariantError("Milnor number of the zero polynomial")
+def _jacobian_basis(g: Poly, limits: Limits) -> StdBasis:
+    """The standard basis of J(g) in the local ring at the origin; the
+    basis [1] when a partial is a unit, with no pair loop."""
     local = g.ring if not g.ring.ordering.is_global() else \
         ring(*g.ring.names, local=True)
     gl = g if g.ring is local or g.ring == local else g.map_to(local)
@@ -329,18 +328,34 @@ def milnor_number(g: Poly,
     if not partials:
         raise InvariantError("constant polynomial has no Jacobian ideal")
     if any(p.is_unit() for p in partials):
-        return 0
-    return vs_dimension(std(partials, limits=limits))
+        return StdBasis(local, 1, [(local.one(),)])
+    return std(partials, limits=limits)
+
+
+def milnor_number(g: Poly,
+                  limits: Limits = DEFAULT_LIMITS) -> Union[int, _Infinite]:
+    """Colength of the Jacobian ideal in the local ring at the origin."""
+    if g.is_zero():
+        raise InvariantError("Milnor number of the zero polynomial")
+    return vs_dimension(_jacobian_basis(g, limits))
+
+
+def image_jacobian_basis(image: ImageData,
+                         limits: Limits = DEFAULT_LIMITS) -> StdBasis:
+    """The standard basis of J(g) for a kept image equation g (once per
+    image and limits, so once per germ)."""
+    return once(image, ("jacobian_basis", limits),
+                lambda: _jacobian_basis(image.equation, limits))
 
 
 def image_milnor_number(image: ImageData, limits: Limits = DEFAULT_LIMITS
                         ) -> Union[int, _Infinite]:
-    """Milnor number of a kept image equation (once per image and limits,
-    so once per germ).  For every germ but a plane branch, whose local
-    numbers come from ``value_semigroup``, the ``mu`` line, the plane-curve
-    chain and ``hat_M_dimension`` share this one standard basis of J(g)."""
-    return once(image, ("milnor_number", limits),
-                lambda: milnor_number(image.equation, limits))
+    """Milnor number of a kept image equation, read off its kept basis of
+    J(g) (``image_jacobian_basis``).  For every germ but a plane branch,
+    whose local numbers come from ``value_semigroup``, the ``mu`` line and
+    the plane-curve chain count its standard monomials, and
+    ``hat_M_dimension`` reads its leading terms."""
+    return vs_dimension(image_jacobian_basis(image, limits))
 
 
 # ---------------------------------------------------------------------------
@@ -625,15 +640,13 @@ def hat_M_dimension(f: MapGerm,
     dim O/preimage is the number of values of S below c + m - 1, which is
     c + m - 1 - delta, and mu = c.
 
-    Every other germ takes one of two routes.  When mu = dim O/J(g) is
-    finite, length is additive along J(g) <= preimage <= O, so the value is
-    mu - dim O/preimage: mu is the germ's kept Milnor number
-    (``image_milnor_number``) and the colength is read off the standard
-    basis that ``eliminate`` returns, with no further pair loop.  When mu
-    is infinite (a non-isolated image, such as every surface) that
-    difference is undefined, and the subquotient is measured directly by
-    the colon module of ``subquotient_dimension``, which may still be
-    finite."""
+    Every other germ counts the monomials in the leading ideal of the
+    preimage that are not in that of J(g) (``relative_vs_dimension``), in
+    the target's local degree ordering: that count is dim preimage/J(g),
+    finite or INFINITE, whether mu is finite or not.  The preimage is the
+    standard basis that ``eliminate`` returns, and J(g) is the germ's kept
+    basis (``image_jacobian_basis``), which the ``mu`` line reads too, so
+    the count runs no further pair loop."""
     if len(f.branches) != 1:
         raise GermError("the Jacobian module is computed for mono-germs")
     S = value_semigroup(f, limits)
@@ -649,17 +662,15 @@ def hat_M_dimension(f: MapGerm,
     comps = f.components
     if all(p.is_zero() for p in _pullbacks(f, g, limits)):
         raise InvariantError("all Jacobian pullbacks vanish (g not reduced?)")
-    mu = image_milnor_number(image, limits)
     _, pre_gens = eliminate(*_graph_ideal(comps, target.names,
                                           extra=partials, local=True), limits)
     pre_gens = [p.map_to(target) for p in pre_gens if not p.is_zero()]
     if not pre_gens:
         raise InvariantError("empty preimage ideal (internal error)")
-    if mu is INFINITE:
-        return subquotient_dimension(pre_gens, partials, limits=limits,
-                                     check_containment=False)
     # eliminate's generators are a standard basis in the target ordering
-    return mu - vs_dimension(StdBasis(target, 1, [(p,) for p in pre_gens]))
+    return relative_vs_dimension(StdBasis(target, 1,
+                                          [(p,) for p in pre_gens]),
+                                 image_jacobian_basis(image, limits))
 
 
 # ---------------------------------------------------------------------------

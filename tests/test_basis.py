@@ -16,7 +16,7 @@ from frontal_kernel import (INFINITE, Limits, Poly, ResourceLimitError,
                             syzygies, vs_dimension)
 from frontal_kernel.basis import (_divisor, _lt, _vec_comb, _vec_degree,
                                   colon_submodule, minimal_subset,
-                                  vector_normal_form)
+                                  relative_vs_dimension, vector_normal_form)
 from frontal_kernel.germs import min_generators, ramification_ideal
 from frontal_kernel.invariants import (M_F_dimension, _relative_module,
                                        frontal_codimension, good_equation,
@@ -174,6 +174,30 @@ def test_subquotient_dimension():
     x = R.var(0)
     # <x> / <x^3> has basis x, x^2
     assert subquotient_dimension([x], [x ** 3]) == 2
+
+
+@pytest.mark.parametrize("local", [True, False])
+def test_relative_vs_dimension_of_monomial_ideals(local):
+    # the count of L(P) minus L(J) against the colon module on monomial
+    # ideals: finite, infinite beyond the largest exponent of J, and zero
+    R = ring("x", "y", "z", local=local)
+    x, y, z = R.gens()
+    cases = [([x, y ** 2, z], [x ** 2, x * y, y ** 4, z], 3),
+             ([x * y, z ** 2], [x ** 2 * y, x * y ** 3, z ** 3], INFINITE),
+             ([x, y], [x ** 2, y], INFINITE),
+             ([x ** 2, y * z], [x ** 2, y * z], 0),
+             ([R.one()], [x, y ** 2, z ** 3], 6)]
+    for nums, dens, value in cases:
+        assert relative_vs_dimension(std(nums), std(dens)) == value
+        assert subquotient_dimension(nums, dens) == value
+
+
+def test_relative_vs_dimension_refuses_a_block_ordering():
+    R = Ring(("x", "y"), block_ordering((1, 1), (Ordering(local=True),
+                                                 Ordering(local=True))))
+    x, y = R.gens()
+    with pytest.raises(ValueError):
+        relative_vs_dimension(std([x, y]), std([x ** 2, y]))
 
 
 def test_resource_limit():

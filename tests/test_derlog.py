@@ -1,13 +1,15 @@
 """Logarithmic vector fields and Saito's freeness test."""
 
+import importlib
 import random
 from fractions import Fraction
 
 import pytest
 
 from frontal_kernel import (DerlogError, StdBasis, associates, derlog,
-                            epsilon_split, image_equation, is_free_divisor,
-                            membership, ring, std, syzygies, vs_dimension)
+                            epsilon_split, germ, image_equation,
+                            is_free_divisor, membership, ring, std, syzygies,
+                            vs_dimension)
 from frontal_kernel.basis import (DEFAULT_LIMITS, colon_submodule,
                                   minimal_subset)
 from frontal_kernel.derlog import (LogField, _prune_minimal, _syzygy_fields,
@@ -237,3 +239,86 @@ def test_epsilon_split_of_a_one_variable_germ_has_no_kernel():
     (unit, coeffs), kernel = epsilon_split(y ** 2 + y ** 3)
     assert kernel == []
     assert LogField(coeffs, unit).verify(y ** 2 + y ** 3)
+
+
+# ---------------------------------------------------------------------------
+# The Saito-Cramer certificate against Nakayama's selection
+
+
+@pytest.fixture
+def minimal_subset_calls(monkeypatch):
+    """The calls of derlog's minimal_subset, one entry each."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return minimal_subset(*args)
+    monkeypatch.setattr(importlib.import_module("frontal_kernel.derlog"),
+                        "minimal_subset", counted)
+    return calls
+
+
+def _derlog_fields(g):
+    return _syzygy_fields(g, [g.diff(i) for i in range(g.ring.arity)] + [g],
+                          DEFAULT_LIMITS)
+
+
+def test_certified_free_basis_is_the_nakayama_selection(
+        minimal_subset_calls, cusp, e6, cuspidal_edge, swallowtail):
+    # the free divisors of the corpus and seeded (x^a, c x^b): the last m
+    # offered fields pass the certificate and are kept with no standard
+    # basis, and they are the fields that minimal_subset selects
+    rng = random.Random(29)
+    R = ring("x", local=True)
+    x = R.var(0)
+    germs = [cusp, e6, cuspidal_edge, swallowtail]
+    for a, b in ((2, 3), (2, 5), (3, 4), (3, 5), (4, 7)):
+        c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 3))
+        germs.append(germ(R, x ** a, (x ** b).scale(c)))
+    for f in germs:
+        g = image_equation(f).equation
+        fields = _derlog_fields(g)
+        minimal_subset_calls.clear()
+        certified = _prune_minimal(fields, DEFAULT_LIMITS, g)
+        assert not minimal_subset_calls
+        assert len(certified) == g.ring.arity
+        assert certified == _prune_minimal(fields, DEFAULT_LIMITS)
+        assert len(minimal_subset_calls) == 1
+
+
+def test_surfaces_and_a_non_reduced_g_take_minimal_subset(
+        minimal_subset_calls, folded_umbrella):
+    # a surface that is not free fails the certificate, and so does
+    # (y1^2 - y2^3)^2, whose fields span Der(-log) of its reduced equation,
+    # with determinants a unit times y1^2 - y2^3, not times g
+    S = ring("x", "y", local=True)
+    x, y = S.gens()
+    c = Fraction(random.Random(31).randint(1, 5), 2)
+    R = ring("y1", "y2", local=True)
+    y1, y2 = R.gens()
+    for g in (image_equation(folded_umbrella).equation,
+              image_equation(germ(S, x, y ** 2, y ** 5 + (x ** 2 * y).scale(c))
+                             ).equation,
+              (y1 ** 2 - y2 ** 3) ** 2):
+        minimal_subset_calls.clear()
+        der = derlog(g)
+        assert len(minimal_subset_calls) == 1
+        assert list(der.generators) == _prune_minimal(_derlog_fields(g),
+                                                      DEFAULT_LIMITS)
+    assert len(der.generators) == 2
+
+
+def test_certificate_needs_the_cramer_divisions():
+    # for h = y1^2 - y2^3 and g = h^2, D = (h*E2, E1) has det 36 g, where
+    # E1 = 3y1 d/dy1 + 2y2 d/dy2 and E2 = 3y2^2 d/dy1 + 2y1 d/dy2 (det 6h);
+    # but y1^2*E2 = (y1^2/h)*(h*E2) is no O-combination of D, so the
+    # certificate fails and minimal_subset keeps all three fields
+    R = ring("y1", "y2", local=True)
+    y1, y2 = R.gens()
+    h = y1 ** 2 - y2 ** 3
+    e1, e2 = (3 * y1, 2 * y2), (3 * y2 ** 2, 2 * y1)
+    fields = [LogField(tuple(y1 ** 2 * c for c in e2), R.zero()),
+              LogField(tuple(h * c for c in e2), R.zero()),
+              LogField(e1, R.zero())]
+    pruned = _prune_minimal(fields, DEFAULT_LIMITS, h ** 2)
+    assert pruned == _prune_minimal(fields, DEFAULT_LIMITS) == fields

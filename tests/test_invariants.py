@@ -272,9 +272,11 @@ def _hat_M_by_the_colon_module(f):
 def test_hat_M_by_colengths_matches_the_colon_module(
         corpus_files, cusp, e6, cuspidal_edge, folded_umbrella, f4,
         swallowtail):
-    # mu - dim O/preimage where mu is finite; the colon module as reference
-    # on every corpus and fixture germ and on seeded plane curves whose
-    # colon module finishes ((x^5, x^6 + c x^7) is one where it does not)
+    # the count of leading terms of the preimage outside L(J(g)); the colon
+    # module as reference on every corpus and fixture germ, on seeded plane
+    # curves whose colon module finishes ((x^5, x^6 + c x^7) is one where it
+    # does not) and on seeded surfaces (x, y^p, y^q + c x^j y), with two
+    # that are not quasihomogeneous and one where both give INFINITE
     rng = random.Random(19)
     R = ring("x", local=True)
     x = R.var(0)
@@ -285,13 +287,26 @@ def test_hat_M_by_colengths_matches_the_colon_module(
         c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 3))
         germs += [germ(R, x ** a, (x ** b).scale(c)),
                   germ(R, x ** a, x ** b + (x ** (b + 1)).scale(c))]
-    finite = []
+    S = ring("x", "y", local=True)
+    x, y = S.gens()
+    for p, q, j in ((2, 3, 2), (2, 5, 1), (2, 5, 3), (2, 7, 2), (3, 4, 1),
+                    (3, 5, 1), (3, 5, 2)):
+        c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 3))
+        germs.append(germ(S, x, y ** p, y ** q + (x ** j * y).scale(c)))
+    unusual = {germ(S, x, y ** 2, y ** 3 + x ** 2 * y + x ** 3 * y ** 3): 1,
+               germ(S, x, y ** 3, y ** 5 + x * y + x ** 2 * y ** 2): 2,
+               germ(S, x, y ** 3, y ** 4 + x * y): INFINITE}
+    germs += list(unusual)
+    finite, values = [], []
     for f in germs:
-        value = hat_M_dimension(f)
-        assert value == _hat_M_by_the_colon_module(f)
+        values.append(hat_M_dimension(f))
+        assert values[-1] == _hat_M_by_the_colon_module(f)
+        assert values[-1] == unusual.get(f, values[-1])
         finite.append(milnor_number(image_equation(f).equation) is not INFINITE
-                      and value != 0)
+                      and values[-1] != 0)
     assert any(finite) and not all(finite)
+    surfaces = set(values[-10:])
+    assert INFINITE in surfaces and len(surfaces - {INFINITE}) > 2
 
 
 def test_hat_M_of_the_returning_quintic_by_its_colengths():
@@ -311,8 +326,9 @@ def test_hat_M_of_the_returning_quintic_by_its_colengths():
 
 def test_hat_M_with_finite_mu_builds_no_colon_module(monkeypatch, e6,
                                                      folded_umbrella):
-    # mu is kept per germ, so the mu line and hat_M share one std, and the
-    # colon module is built only where mu is infinite (a surface)
+    # the basis of J(g) is kept per germ: the mu line and hat_M of the
+    # folded umbrella (mu infinite) share one std, and hat_M counts leading
+    # terms with no colon module; e6 reads hat_M off its value semigroup
     calls = []
 
     def counted(name, fn):
@@ -320,15 +336,17 @@ def test_hat_M_with_finite_mu_builds_no_colon_module(monkeypatch, e6,
             calls.append(name)
             return fn(*args, **kwargs)
         return wrapper
-    for name in ("milnor_number", "subquotient_dimension"):
+    for name in ("_jacobian_basis", "subquotient_dimension"):
         monkeypatch.setattr(invariants, name,
                             counted(name, getattr(invariants, name)))
     assert invariants.image_milnor_number(image_equation(e6)) == 6
     assert hat_M_dimension(e6) == 1
-    assert calls == ["milnor_number"]
+    assert calls == ["_jacobian_basis"]
     calls.clear()
+    assert invariants.image_milnor_number(
+        image_equation(folded_umbrella)) is INFINITE
     assert hat_M_dimension(folded_umbrella) == 1
-    assert calls == ["milnor_number", "subquotient_dimension"]
+    assert calls == ["_jacobian_basis"]
 
 
 def test_piene_lambda_and_conductor(cuspidal_edge, e6):
